@@ -2,9 +2,10 @@
 
 The vectorized backend (``repro.graph.vectorized``) made meta-blocking a
 handful of numpy passes; this module spreads the dominant pass — pair
-enumeration, edge deduplication, and mass accumulation — across worker
-processes, one contiguous entity-id shard each (``repro.graph.sharding``),
-then merges the shards deterministically and prunes in the parent:
+enumeration, edge deduplication, mass accumulation, weighting — across
+worker processes, one contiguous entity-id shard each
+(``repro.graph.sharding``), then merges the shards deterministically and
+prunes in the parent:
 
 1. the parent plans contiguous entity-id ranges balanced on per-entity
    comparison counts (:func:`~repro.graph.sharding.plan_shards`);
@@ -12,25 +13,38 @@ then merges the shards deterministically and prunes in the parent:
    sorted edge arrays, accumulates the float masses, and — for every
    weighting except EJS — evaluates the edge weights in place with the
    shared elementwise kernel
-   (:func:`~repro.graph.vectorized.compute_edge_weights`);
+   (:func:`~repro.graph.vectorized.compute_edge_weights`), then ships
+   back only what the parent still reads: endpoints and weights, and
+   under BLAST pruning only the *candidate* edges that pass BLAST's test
+   against the shard's own per-node maxima, plus those maxima
+   (:func:`_run_shard`);
 3. the parent concatenates the shard arrays (shards cover ascending
    ``src`` ranges, so concatenation IS the lexicographic edge order),
-   computes EJS from the merged global degrees when needed, and runs the
-   existing vectorized pruning (:func:`~repro.graph.vectorized.prune_mask`)
-   over the merged arrays.
+   computes EJS from the merged global degrees when needed, and decides:
+   BLAST by the serial test
+   (:func:`~repro.graph.vectorized.blast_retain_mask`) against the
+   max-reduced global maxima, every other scheme by the existing
+   vectorized pruning (:func:`~repro.graph.vectorized.prune_mask`) over
+   the merged arrays.
 
 Because each edge lives in exactly one shard with all of its block
-occurrences, the merged ``src``/``dst``/``shared``/mass/weight arrays are
-bit-identical to the serial vectorized backend's — and pruning runs the
-identical code on identical inputs, so the retained edge set matches the
-``vectorized`` (and therefore the ``python`` oracle) backend exactly, for
-every weighting scheme and built-in pruning strategy.
+occurrences, every shard array is a slice of the serial vectorized
+backend's, bit for bit.  WEP/WNP/CEP/CNP then run the identical pruning
+code on the identical merged inputs.  BLAST's shard-local filter is
+exact, not approximate: a maximum is an order-free reduction, local
+maxima never exceed the global ones, and the test is monotone in them, so
+a shard only ever drops edges the global test drops too — and the global
+test is what decides.  The retained edge set therefore matches the
+``vectorized`` (and the ``python`` oracle) backend exactly, for every
+weighting scheme and built-in pruning strategy.
 
 ``workers=1`` runs the shards sequentially in-process — no pool, no
 pickling — which doubles as the chunked low-memory mode: with
 ``shard_size`` set, the big per-pair arrays (the packed sort keys and
 their argsort workspace) never exceed one shard's comparisons, instead of
-the full ``||B||`` the serial backend materializes at once.
+the full ``||B||`` the serial backend materializes at once — and under
+BLAST pruning neither do the outputs: each shard leaves behind only its
+candidates and its fold into one running maxima array.
 
 Fault tolerance (see DESIGN.md "Reliability & recovery"): pool dispatch
 is timeout-aware (``AsyncResult.get(task_timeout)``), failed or lost
@@ -86,7 +100,7 @@ from repro.graph.pool import (
     pool_context,
     read_blob,
 )
-from repro.graph.pruning import PruningScheme
+from repro.graph.pruning import BlastPruning, PruningScheme
 from repro.graph.sharding import (
     ShardableIndex,
     ShardEdges,
@@ -104,8 +118,10 @@ from repro.graph.spill import (
     spill_shard,
 )
 from repro.graph.vectorized import (
+    blast_retain_mask,
     compute_edge_weights,
     edge_degrees,
+    node_maxima,
     prune_mask,
     supports_pruning,
 )
@@ -146,7 +162,9 @@ class _SharedState:
     per-task payload is just an ``(lo, hi)`` id range.  ``scheme`` is the
     weighting to evaluate in the worker (its string value, not the enum
     member) or ``None`` when the parent weights after the merge (EJS,
-    which needs global degrees).
+    which needs global degrees).  ``blast`` is BLAST pruning's ``(c, d)``
+    when the shards pre-prune against their local maxima (see
+    :func:`_run_shard`), else ``None``.
     """
 
     index: ShardableIndex
@@ -156,6 +174,7 @@ class _SharedState:
     entropy_boost: bool
     node_block_counts: np.ndarray | None
     num_blocks: int
+    blast: tuple[float, float] | None = None
 
 
 #: Worker-process slot for the run's shared state (set by ``_init_worker``).
@@ -164,9 +183,12 @@ _WORKER_STATE: _SharedState | None = None
 #: Worker-process slot for the run's spill policy (set by ``_init_worker``).
 _WORKER_SPILL: SpillSpec | None = None
 
-#: One shard's result as dispatch produces it: possibly spilled by-path.
+#: One shard's result as dispatch produces it: edges and weights
+#: (possibly spilled by-path), plus BLAST's dense local maxima.
 _ShardResult = tuple[
-    ShardEdges | SpilledShardEdges, "np.ndarray | SpilledArray | None"
+    ShardEdges | SpilledShardEdges,
+    "np.ndarray | SpilledArray | None",
+    "np.ndarray | None",
 ]
 
 
@@ -179,7 +201,19 @@ def _init_worker(state: _SharedState, spill: SpillSpec | None = None) -> None:
 def _run_shard(
     state: _SharedState, lo: int, hi: int, spill: SpillSpec | None = None
 ) -> _ShardResult:
-    """Shard body: build one id range's edges (and weights, when local).
+    """Shard body: one id range's edges, shipped as slim as pruning allows.
+
+    What comes back depends on what the parent still has to read:
+
+    * weights deferred to the parent (EJS) — the full edge arrays;
+    * weights evaluated here — endpoints and weights only (every pruning
+      reads nothing else);
+    * BLAST pruning on top — only the *candidate* edges that pass BLAST's
+      test against this shard's local maxima, plus those maxima.  Local
+      maxima never exceed the global ones and the test is monotone in
+      them (:func:`~repro.graph.vectorized.blast_retain_mask`), so every
+      globally retained edge is among its shard's candidates; the parent
+      re-applies the same test with the reduced global maxima.
 
     With *spill* armed, an over-budget result is written to atomic
     ``.npy`` files and returned by path (``shard-{lo}`` stems are unique
@@ -193,20 +227,29 @@ def _run_shard(
         block_entropies=state.block_entropies,
         need_arcs=state.need_arcs,
     )
-    weights = None
-    if state.scheme is not None:
-        counts = state.node_block_counts
-        weights = compute_edge_weights(
-            WeightingScheme(state.scheme),
-            shared=edges.shared,
-            blocks_i=counts[edges.src],
-            blocks_j=counts[edges.dst],
-            num_blocks=state.num_blocks,
-            arcs_mass=edges.arcs_mass,
-            entropy_mass=edges.entropy_mass,
-            entropy_boost=state.entropy_boost,
-        )
-    return spill_shard(edges, weights, spill, f"shard-{lo}")
+    tag = f"shard-{lo}"
+    if state.scheme is None:
+        return (*spill_shard(edges, None, spill, tag), None)
+    counts = state.node_block_counts
+    src, dst = edges.src, edges.dst
+    weights = compute_edge_weights(
+        WeightingScheme(state.scheme),
+        shared=edges.shared,
+        blocks_i=counts[src],
+        blocks_j=counts[dst],
+        num_blocks=state.num_blocks,
+        arcs_mass=edges.arcs_mass,
+        entropy_mass=edges.entropy_mass,
+        entropy_boost=state.entropy_boost,
+    )
+    maxima = None
+    if state.blast is not None:
+        c, d = state.blast
+        maxima = node_maxima(src, dst, weights, state.index.num_ids)
+        keep = blast_retain_mask(maxima, src, dst, weights, c=c, d=d)
+        src, dst, weights = src[keep], dst[keep], weights[keep]
+    slim = ShardEdges(src=src, dst=dst, shared=None)
+    return (*spill_shard(slim, weights, spill, tag), maxima)
 
 
 def _run_shard_in_worker(bounds: tuple[int, int]) -> _ShardResult:
@@ -245,6 +288,7 @@ class _JobSpec:
     need_arcs: bool
     scheme: str | None
     entropy_boost: bool
+    blast: tuple[float, float] | None
     spill: SpillSpec | None
 
 
@@ -320,6 +364,7 @@ def _publish_job(state: _SharedState, spill: SpillSpec | None) -> str:
         state.scheme,
         state.entropy_boost,
         state.need_arcs,
+        state.blast,
         spill,
     )
     if _PUBLISHED_SPEC is not None and _PUBLISHED_SPEC[0] == spec_key:
@@ -335,6 +380,7 @@ def _publish_job(state: _SharedState, spill: SpillSpec | None) -> str:
         need_arcs=state.need_arcs,
         scheme=state.scheme,
         entropy_boost=state.entropy_boost,
+        blast=state.blast,
         spill=spill,
     )
     blob = BlobSegment(pickle.dumps(spec))
@@ -387,6 +433,7 @@ def _attached_state(spec_name: str) -> tuple[_SharedState, SpillSpec | None]:
         entropy_boost=spec.entropy_boost,
         node_block_counts=arrays.get("node_block_counts"),
         num_blocks=spec.num_blocks,
+        blast=spec.blast,
     )
     _ATTACHED = (spec_name, state, spec.spill, attached)
     return state, spec.spill
@@ -414,7 +461,10 @@ def merge_shards(
     lexicographically, so plain concatenation in plan order yields the
     globally sorted, duplicate-free edge list — bit-identical to
     ``ArrayBlockingGraph``'s arrays (each edge's masses were accumulated
-    whole inside its single owning shard).  With *spill* armed the
+    whole inside its single owning shard).  Fields the shards left out
+    (``shared`` and the masses on slim, already-weighted results) stay
+    ``None``; dropping edges inside a shard, as BLAST's candidate
+    filter does, keeps the order argument intact.  With *spill* armed the
     merged arrays land in memmapped ``.npy`` files when over budget —
     same bytes, bounded residency (:func:`~repro.graph.spill.concat_spillable`).
     """
@@ -426,7 +476,9 @@ def merge_shards(
         dst=concat_spillable([s.dst for s in shards], spill, "merged-dst"),
         shared=concat_spillable(
             [s.shared for s in shards], spill, "merged-shared"
-        ),
+        )
+        if shards[0].shared is not None
+        else None,
         arcs_mass=concat_spillable(
             [s.arcs_mass for s in shards], spill, "merged-arcs"
         )
@@ -482,13 +534,76 @@ def _validate_plan(plan: list[tuple[int, int]], num_ids: int) -> None:
         )
 
 
+class _Collector:
+    """Where shard results land in the parent, keyed by plan position.
+
+    Keeps a shard's edges and weights (spilled ones reopened as memmaps:
+    pages fault in only as the merge copies them) and folds its BLAST
+    maxima into one running array straight away — ``np.maximum`` is exact
+    and order-free — so beside the candidates only one dense maxima array
+    outlives a shard, however many shards the plan has.
+    """
+
+    def __init__(self, num_ids: int) -> None:
+        self.shards: dict[int, tuple[ShardEdges, np.ndarray | None]] = {}
+        self.maxima = np.zeros(num_ids, dtype=np.float64)
+
+    def add(self, position: int, result: _ShardResult) -> None:
+        edges, weights, maxima = result
+        if maxima is not None:
+            np.maximum(self.maxima, maxima, out=self.maxima)
+        self.shards[position] = (resolve_shard(edges), load_array(weights))
+
+
+def _run_serially(
+    state: _SharedState,
+    plan: list[tuple[int, int]],
+    positions: list[int],
+    spill: SpillSpec | None,
+    collector: _Collector,
+) -> None:
+    """Run the shards at *positions* in-process, one at a time.
+
+    The ``workers=1`` chunked mode and the degradation target of both
+    dispatchers: each shard's arrays die before the next shard is built,
+    only what the collector keeps survives.
+    """
+    for position in positions:
+        lo, hi = plan[position]
+        collector.add(position, _run_shard(state, lo, hi, spill))
+
+
+def _degrade(
+    state: _SharedState,
+    plan: list[tuple[int, int]],
+    pending: list[int],
+    policy: RetryPolicy,
+    last_error: BaseException | None,
+    spill: SpillSpec | None,
+    collector: _Collector,
+) -> None:
+    """Finish the shards no pool attempt completed, serially, with a warning."""
+    if not pending:
+        return
+    warnings.warn(
+        f"parallel backend: {len(pending)} shard(s) unfinished after "
+        f"{policy.attempts} pool attempt(s) (last error: "
+        f"{last_error!r}); degrading to serial in-process execution "
+        "for those shards (results remain bit-identical)",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+    _run_serially(state, plan, pending, spill, collector)
+
+
 def _dispatch_shards(
     state: _SharedState,
     plan: list[tuple[int, int]],
     workers: int,
     policy: RetryPolicy,
-    spill: SpillSpec | None = None,
-) -> list[_ShardResult]:
+    spill: SpillSpec | None,
+    collector: _Collector,
+) -> None:
     """Run every shard of *plan*, surviving worker death and stuck tasks.
 
     The dispatch state machine (DESIGN.md "Reliability & recovery"):
@@ -511,8 +626,6 @@ def _dispatch_shards(
     would otherwise keep its worker busy forever), and ``join()`` always —
     no leaked workers or semaphores for ``pytest -x`` to trip over.
     """
-    results: list[_ShardResult | None]
-    results = [None] * len(plan)
     pending = list(range(len(plan)))
     last_error: BaseException | None = None
     context = pool_context()
@@ -536,7 +649,7 @@ def _dispatch_shards(
             unfinished: list[int] = []
             for index, handle in handles:
                 try:
-                    results[index] = handle.get(policy.task_timeout)
+                    collector.add(index, handle.get(policy.task_timeout))
                 except Exception as exc:
                     # Worker-side errors arrive re-raised from get();
                     # killed workers and stuck tasks surface as
@@ -553,21 +666,7 @@ def _dispatch_shards(
                 pool.terminate()
             pool.join()
 
-    if pending:
-        warnings.warn(
-            f"parallel backend: {len(pending)} shard(s) unfinished after "
-            f"{policy.attempts} pool attempt(s) (last error: "
-            f"{last_error!r}); degrading to serial in-process execution "
-            "for those shards (results remain bit-identical)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        for index in pending:
-            lo, hi = plan[index]
-            results[index] = _run_shard(state, lo, hi, spill)
-
-    # Every slot is filled: finished in a worker, or serially just above.
-    return [result for result in results if result is not None]
+    _degrade(state, plan, pending, policy, last_error, spill, collector)
 
 
 def _dispatch_shards_persistent(
@@ -575,8 +674,9 @@ def _dispatch_shards_persistent(
     plan: list[tuple[int, int]],
     workers: int,
     policy: RetryPolicy,
-    spill: SpillSpec | None = None,
-) -> list[_ShardResult]:
+    spill: SpillSpec | None,
+    collector: _Collector,
+) -> None:
     """Run every shard of *plan* on the persistent pool.
 
     Same three-stage state machine as :func:`_dispatch_shards`
@@ -590,8 +690,6 @@ def _dispatch_shards_persistent(
     dead workers' address spaces.
     """
     spec_name = _publish_job(state, spill)
-    results: list[_ShardResult | None]
-    results = [None] * len(plan)
     pending = list(range(len(plan)))
     last_error: BaseException | None = None
 
@@ -614,7 +712,7 @@ def _dispatch_shards_persistent(
         unfinished: list[int] = []
         for index, handle in handles:
             try:
-                results[index] = handle.get(policy.task_timeout)
+                collector.add(index, handle.get(policy.task_timeout))
             except Exception as exc:
                 clean = False
                 last_error = exc
@@ -623,20 +721,7 @@ def _dispatch_shards_persistent(
         if not clean:
             pool.restart()
 
-    if pending:
-        warnings.warn(
-            f"parallel backend: {len(pending)} shard(s) unfinished after "
-            f"{policy.attempts} pool attempt(s) (last error: "
-            f"{last_error!r}); degrading to serial in-process execution "
-            "for those shards (results remain bit-identical)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        for index in pending:
-            lo, hi = plan[index]
-            results[index] = _run_shard(state, lo, hi, spill)
-
-    return [result for result in results if result is not None]
+    _degrade(state, plan, pending, policy, last_error, spill, collector)
 
 
 def parallel_metablocking(
@@ -744,11 +829,7 @@ def parallel_metablocking(
     # EntityIndex caches its shardable view, so repeated runs within one
     # pipeline share a single ShardableIndex object — the identity token
     # the persistent pool's publication cache keys on.
-    slim = (
-        index.shardable
-        if hasattr(index, "shardable")
-        else ShardableIndex.from_entity_index(index)
-    )
+    slim = index.shardable
     plan = (
         shard_plan
         if shard_plan is not None
@@ -766,6 +847,14 @@ def parallel_metablocking(
     # EJS mixes global degree statistics into every edge; its weights are
     # evaluated in the parent over the merged arrays instead of per shard.
     weight_in_worker = weighting is not WeightingScheme.EJS
+    # BLAST's threshold rests on per-node maxima — an exact, order-free
+    # reduction — so shards that hold their weights pre-prune (exact type
+    # only: a subclass may override the rule).
+    blast = (
+        (pruning.c, pruning.d)
+        if type(pruning) is BlastPruning and weight_in_worker
+        else None
+    )
     counts = index.node_block_counts
     state = _SharedState(
         index=slim,
@@ -775,6 +864,7 @@ def parallel_metablocking(
         entropy_boost=entropy_boost,
         node_block_counts=counts if weight_in_worker else None,
         num_blocks=index.num_blocks,
+        blast=blast,
     )
 
     spill_job = (
@@ -784,22 +874,22 @@ def parallel_metablocking(
     )
     spill = spill_job.spec if spill_job is not None else None
     try:
+        plan = list(plan)
+        collector = _Collector(slim.num_ids)
         if workers > 1 and len(plan) > 1:
             dispatch = (
                 _dispatch_shards_persistent
                 if pool == "persistent"
                 else _dispatch_shards
             )
-            raw = dispatch(state, list(plan), workers, retry_policy, spill)
+            dispatch(state, plan, workers, retry_policy, spill, collector)
         else:
-            raw = [_run_shard(state, lo, hi, spill) for lo, hi in plan]
+            _run_serially(
+                state, plan, list(range(len(plan))), spill, collector
+            )
 
-        # Spilled shards reopen as memmaps here: pages fault in as the
-        # merge copies them, so residency stays one shard at a time.
-        results = [
-            (resolve_shard(edges), load_array(weights))
-            for edges, weights in raw
-        ]
+        # Every position is filled: by a worker, or serially on degrade.
+        results = [collector.shards[position] for position in range(len(plan))]
         edges = merge_shards([edges for edges, _ in results], spill)
         if weight_in_worker:
             shard_weights = [
@@ -825,13 +915,21 @@ def parallel_metablocking(
                 entropy_boost=entropy_boost,
             )
 
-        graph = _MergedGraph(
-            src=edges.src,
-            dst=edges.dst,
-            node_blocks=counts,
-            num_nodes=index.num_indexed_profiles,
-        )
-        mask = prune_mask(pruning, graph, weights)
+        if blast is not None:
+            # The merged arrays hold the shards' candidates only; the
+            # decision is the serial one — same test, global maxima.
+            c, d = blast
+            mask = blast_retain_mask(
+                collector.maxima, edges.src, edges.dst, weights, c=c, d=d
+            )
+        else:
+            graph = _MergedGraph(
+                src=edges.src,
+                dst=edges.dst,
+                node_blocks=counts,
+                num_nodes=index.num_indexed_profiles,
+            )
+            mask = prune_mask(pruning, graph, weights)
         return list(zip(edges.src[mask].tolist(), edges.dst[mask].tolist()))
     finally:
         if spill_job is not None:

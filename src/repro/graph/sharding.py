@@ -127,12 +127,15 @@ class ShardEdges:
 
     ``arcs_mass``/``entropy_mass`` are ``None`` unless the shard was built
     with them (they are only accumulated when the weighting needs them,
-    mirroring the lazy properties of ``ArrayBlockingGraph``).
+    mirroring the lazy properties of ``ArrayBlockingGraph``).  ``shared``
+    is ``None`` only on the slim results the parallel backend ships once
+    a shard's weights are evaluated: the parent prunes on endpoints and
+    weights alone, so the weighting inputs stay behind in the worker.
     """
 
     src: np.ndarray
     dst: np.ndarray
-    shared: np.ndarray
+    shared: np.ndarray | None
     arcs_mass: np.ndarray | None = None
     entropy_mass: np.ndarray | None = None
 

@@ -130,7 +130,7 @@ class SpilledShardEdges:
 
     src: SpilledArray
     dst: SpilledArray
-    shared: SpilledArray
+    shared: SpilledArray | None
     arcs_mass: SpilledArray | None
     entropy_mass: SpilledArray | None
 
@@ -149,36 +149,31 @@ def spill_shard(
     """
     if spec is None:
         return edges, weights
-    total = edges.src.nbytes + edges.dst.nbytes + edges.shared.nbytes
-    if edges.arcs_mass is not None:
-        total += edges.arcs_mass.nbytes
-    if edges.entropy_mass is not None:
-        total += edges.entropy_mass.nbytes
-    if weights is not None:
-        total += weights.nbytes
+    arrays = (
+        edges.src,
+        edges.dst,
+        edges.shared,
+        edges.arcs_mass,
+        edges.entropy_mass,
+        weights,
+    )
+    total = sum(array.nbytes for array in arrays if array is not None)
     if total <= spec.threshold_bytes:
         return edges, weights
+
+    def spill(array: np.ndarray | None, name: str) -> SpilledArray | None:
+        if array is None:
+            return None
+        return spill_array(array, spec.directory, f"{tag}-{name}")
+
     spilled = SpilledShardEdges(
         src=spill_array(edges.src, spec.directory, f"{tag}-src"),
         dst=spill_array(edges.dst, spec.directory, f"{tag}-dst"),
-        shared=spill_array(edges.shared, spec.directory, f"{tag}-shared"),
-        arcs_mass=(
-            None
-            if edges.arcs_mass is None
-            else spill_array(edges.arcs_mass, spec.directory, f"{tag}-arcs")
-        ),
-        entropy_mass=(
-            None
-            if edges.entropy_mass is None
-            else spill_array(
-                edges.entropy_mass, spec.directory, f"{tag}-entropy"
-            )
-        ),
+        shared=spill(edges.shared, "shared"),
+        arcs_mass=spill(edges.arcs_mass, "arcs"),
+        entropy_mass=spill(edges.entropy_mass, "entropy"),
     )
-    spilled_weights: np.ndarray | SpilledArray | None = weights
-    if weights is not None:
-        spilled_weights = spill_array(weights, spec.directory, f"{tag}-weights")
-    return spilled, spilled_weights
+    return spilled, spill(weights, "weights")
 
 
 def resolve_shard(edges: ShardEdges | SpilledShardEdges) -> ShardEdges:
@@ -187,12 +182,11 @@ def resolve_shard(edges: ShardEdges | SpilledShardEdges) -> ShardEdges:
         return edges
     src = load_array(edges.src)
     dst = load_array(edges.dst)
-    shared = load_array(edges.shared)
-    assert src is not None and dst is not None and shared is not None
+    assert src is not None and dst is not None
     return ShardEdges(
         src=src,
         dst=dst,
-        shared=shared,
+        shared=load_array(edges.shared),
         arcs_mass=load_array(edges.arcs_mass),
         entropy_mass=load_array(edges.entropy_mass),
     )

@@ -54,7 +54,9 @@ from repro.graph.weights import WeightingScheme
 
 __all__ = [
     "ArrayBlockingGraph",
+    "blast_retain_mask",
     "compute_edge_weights",
+    "node_maxima",
     "prune_mask",
     "supports_pruning",
     "vectorized_metablocking",
@@ -319,16 +321,52 @@ def _node_count(graph: ArrayBlockingGraph) -> int:
     return int(graph.node_blocks.size)
 
 
+def node_maxima(
+    src: np.ndarray, dst: np.ndarray, weights: np.ndarray, num_ids: int
+) -> np.ndarray:
+    """Dense ``M_i``: the maximum weight incident to each profile id.
+
+    Never negative (isolated ids read 0.0).  A maximum is an exact,
+    order-free reduction, so maxima taken over disjoint edge subsets
+    combine with ``np.maximum`` into exactly the whole-graph array — what
+    lets the ``parallel`` backend take them per shard.
+    """
+    maxima = np.zeros(num_ids, dtype=np.float64)
+    np.maximum.at(maxima, src, weights)
+    np.maximum.at(maxima, dst, weights)
+    return maxima
+
+
+def blast_retain_mask(
+    maxima: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray,
+    *,
+    c: float,
+    d: float,
+) -> np.ndarray:
+    """BLAST's retention test against the given per-node *maxima*.
+
+    The one definition of the ``(M_i/c + M_j/c)/d`` threshold: the serial
+    mask below applies it to the whole graph, the ``parallel`` backend
+    applies it twice — per shard against the shard's local maxima, then in
+    the parent against the reduced global ones.  For positive ``c``/``d``
+    every step (division, sum, the ``_clears`` slack) is monotone
+    non-decreasing in the maxima under round-to-nearest, so an edge that
+    fails against maxima no larger than the global ones fails globally.
+    """
+    thresholds = (maxima[src] / c + maxima[dst] / c) / d
+    return (weights > 0.0) & _clears(weights, thresholds)
+
+
 def _blast_mask(
     scheme: BlastPruning, graph: ArrayBlockingGraph, weights: np.ndarray
 ) -> np.ndarray:
-    maxima = np.zeros(_node_count(graph), dtype=np.float64)
-    np.maximum.at(maxima, graph.src, weights)
-    np.maximum.at(maxima, graph.dst, weights)
-    thresholds = (
-        maxima[graph.src] / scheme.c + maxima[graph.dst] / scheme.c
-    ) / scheme.d
-    return (weights > 0.0) & _clears(weights, thresholds)
+    maxima = node_maxima(graph.src, graph.dst, weights, _node_count(graph))
+    return blast_retain_mask(
+        maxima, graph.src, graph.dst, weights, c=scheme.c, d=scheme.d
+    )
 
 
 def _wep_mask(

@@ -7,8 +7,15 @@ graph's — same edges, same order, same float masses down to the last ulp
 that with random collections and pathological shard plans: 1/2/7/16-way
 balanced plans, arbitrary boundary sets, empty ranges, and single-entity
 ranges.
+
+BLAST pruning adds a second contract on top: its shards drop edges before
+the merge (``_run_shard`` keeps only the candidates that pass BLAST's test
+against the shard's local maxima), so the suite also pins the exactness
+argument — every shard's candidates are a superset of the globally
+retained edges it owns, for any plan, weighting and positive ``c``/``d``.
 """
 
+from _parallel_helpers import run_capturing_shards
 from hypothesis import given, settings, strategies as st
 
 from repro.blocking.base import build_blocks
@@ -28,7 +35,7 @@ from repro.graph.sharding import (
     plan_shards,
     shard_edge_arrays,
 )
-from repro.graph.vectorized import ArrayBlockingGraph
+from repro.graph.vectorized import ArrayBlockingGraph, vectorized_metablocking
 
 NUM_PROFILES = 12
 
@@ -201,6 +208,77 @@ class TestRetainedEdgesShardInvariant:
             shard_plan=plan,
         )
         assert parallel == reference
+
+
+#: Every weighting the workers evaluate themselves (EJS needs the merged
+#: global degrees, so its shards are never pre-pruned).
+IN_WORKER_WEIGHTINGS = [
+    scheme for scheme in WeightingScheme if scheme is not WeightingScheme.EJS
+]
+
+#: BLAST's divisors: any positive value, including ``c < 1`` (thresholds
+#: above the maxima, nothing survives) and huge ones (everything does).
+divisors = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+
+
+class TestShardLocalBlastPruningIsExact:
+    def _check(self, collection, key_entropy, scheme, boost, c, d, plan):
+        kwargs = dict(
+            weighting=scheme,
+            pruning=BlastPruning(c=c, d=d),
+            entropy_boost=boost,
+            key_entropy=key_entropy,
+        )
+        oracle = vectorized_metablocking(collection, **kwargs)
+        retained, shipped = run_capturing_shards(
+            collection, shard_plan=plan, **kwargs
+        )
+        assert len(shipped) == len(plan)
+        for position, (lo, hi) in enumerate(plan):
+            edges, weights, maxima = shipped[position]
+            candidates = set(zip(edges.src.tolist(), edges.dst.tolist()))
+            assert all(lo <= src < hi for src, _ in candidates)
+            assert weights.size == len(candidates)
+            assert maxima is not None and (maxima >= 0.0).all()
+            # (a) local filtering never loses a globally retained edge.
+            owned = {edge for edge in oracle if lo <= edge[0] < hi}
+            assert owned <= candidates
+        # (b) the parent's decision is the serial one.
+        assert retained == oracle
+
+    @given(
+        collections,
+        entropies,
+        st.sampled_from(IN_WORKER_WEIGHTINGS),
+        st.booleans(),
+        divisors,
+        divisors,
+        st.sampled_from(SHARD_COUNTS),
+    )
+    @settings(max_examples=120)
+    def test_balanced_plans(
+        self, collection, key_entropy, scheme, boost, c, d, num_shards
+    ):
+        slim = ShardableIndex.from_entity_index(collection.entity_index)
+        plan = plan_shards(slim, num_shards=num_shards)
+        self._check(collection, key_entropy, scheme, boost, c, d, plan)
+
+    @given(
+        collections,
+        entropies,
+        st.sampled_from(IN_WORKER_WEIGHTINGS),
+        st.booleans(),
+        divisors,
+        divisors,
+        st.data(),
+    )
+    @settings(max_examples=120)
+    def test_arbitrary_plans_with_empty_and_unit_ranges(
+        self, collection, key_entropy, scheme, boost, c, d, data
+    ):
+        slim = ShardableIndex.from_entity_index(collection.entity_index)
+        plan = data.draw(_arbitrary_plans(slim.num_ids))
+        self._check(collection, key_entropy, scheme, boost, c, d, plan)
 
 
 class TestPlanner:

@@ -4,18 +4,30 @@ The acceptance contract of the reliability layer: under injected worker
 death, task failure, or task delay, ``parallel_metablocking`` returns
 exactly what the serial oracle returns — the faults cost retries and
 wall-clock, never edges.
+
+BLAST runs take the pre-pruned path (shards ship candidates and node
+maxima, the parent decides), so every scenario here also pins that a
+result assembled from any mix of worker-built, retried and serially
+degraded shards is the oracle's — and that nothing the call started
+outlives it: no child process, no shared-memory segment.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
+from _parallel_helpers import random_blocks
 
 from repro.blocking.base import build_blocks
 from repro.graph import WeightingScheme
 from repro.graph.parallel import WORKER_FAULT_SITE, parallel_metablocking
+from repro.graph.pool import live_segments
 from repro.graph.pruning import BlastPruning
 from repro.graph.vectorized import vectorized_metablocking
 from repro.reliability import FAULTS, RetryPolicy
@@ -48,6 +60,18 @@ def run_parallel(blocks, **kwargs):
 def fork_only():
     if multiprocessing.get_start_method(allow_none=False) != "fork":
         pytest.skip("programmatically armed faults require fork workers")
+
+
+def assert_no_orphans():
+    """Nothing a per-run call started may outlive the call."""
+    assert multiprocessing.active_children() == []
+    assert live_segments() == frozenset()
+
+
+@pytest.fixture(autouse=True)
+def _no_orphans_after_any_test():
+    yield
+    assert_no_orphans()
 
 
 class TestInjectedTaskFailure:
@@ -153,3 +177,109 @@ class TestKnobPlumbing:
 
     def test_faultless_run_matches_oracle(self, blocks, oracle):
         assert run_parallel(blocks) == oracle
+
+
+@pytest.fixture(scope="module")
+def dense_blocks():
+    """Big enough that the shards' candidate filter really drops edges."""
+    return random_blocks(5, profiles=120, blocks=90, largest=12)
+
+
+FAULT_SCENARIOS = {
+    "raise-then-retry": (
+        dict(action="raise", hits=1),
+        RetryPolicy(max_retries=2, backoff_base=0.0),
+    ),
+    # One task fails with no retry left: its shard is rebuilt in-process
+    # while the other shards' worker-built results are kept.
+    "raise-then-degrade-one-shard": (
+        dict(action="raise", hits=1),
+        RetryPolicy(max_retries=0, backoff_base=0.0),
+    ),
+    "kill-then-retry": (
+        dict(action="kill", hits=1),
+        RetryPolicy(max_retries=2, task_timeout=2.0, backoff_base=0.0),
+    ),
+    "delay-then-retry": (
+        dict(action="delay", value=1.5, hits=1),
+        RetryPolicy(max_retries=2, task_timeout=0.3, backoff_base=0.0),
+    ),
+}
+
+
+class TestPrePrunedShardsUnderFaults:
+    @pytest.mark.parametrize("scenario", sorted(FAULT_SCENARIOS))
+    @pytest.mark.parametrize(
+        "weighting, boost, pruning",
+        [
+            (WeightingScheme.CHI_H, False, BlastPruning()),
+            (WeightingScheme.JS, True, BlastPruning(c=4.0, d=1.5)),
+        ],
+        ids=["chi_h", "js-boost-c4-d1.5"],
+    )
+    def test_bit_identical_and_nothing_left_running(
+        self, dense_blocks, scenario, weighting, boost, pruning, fork_only
+    ):
+        fault, policy = FAULT_SCENARIOS[scenario]
+        kwargs = dict(
+            weighting=weighting, pruning=pruning, entropy_boost=boost
+        )
+        oracle = vectorized_metablocking(dense_blocks, **kwargs)
+        assert oracle  # a vacuous fixture would prove nothing
+        with FAULTS.injected(WORKER_FAULT_SITE, **fault):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = parallel_metablocking(
+                    dense_blocks, workers=2, shard_size=400,
+                    retry_policy=policy, **kwargs,
+                )
+        assert_no_orphans()
+        assert result == oracle
+
+    def test_fault_free_calls_leave_nothing_behind(self, dense_blocks):
+        oracle = vectorized_metablocking(
+            dense_blocks, weighting=WeightingScheme.CHI_H,
+            pruning=BlastPruning(),
+        )
+        for _ in range(3):
+            result = parallel_metablocking(
+                dense_blocks, weighting=WeightingScheme.CHI_H,
+                pruning=BlastPruning(), workers=2,
+            )
+            assert_no_orphans()
+            assert result == oracle
+
+
+PIPELINE_SCRIPT = """
+from repro import BlastConfig, build_pipeline
+from repro.datasets import load_clean_clean
+
+dataset = load_clean_clean("ar1", scale=0.05, seed=3)
+result = build_pipeline(BlastConfig(backend="parallel", workers=2)).run(dataset)
+assert len(result.blocks) > 0
+print(len(result.blocks))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "killpg"), reason="process groups are POSIX-only"
+)
+def test_parallel_pipeline_leaves_its_process_group_empty():
+    # The whole pipeline in its own session: every process it forks
+    # inherits the group, so once the leader has exited and been reaped,
+    # signalling the group finds nobody unless a worker was orphaned.
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("REPRO_FAULTS", None)
+    process = subprocess.Popen(
+        [sys.executable, "-c", PIPELINE_SCRIPT],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    stdout, stderr = process.communicate(timeout=120)
+    assert process.returncode == 0, stderr.decode()
+    assert int(stdout) > 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(process.pid, 0)

@@ -9,8 +9,12 @@ on small hand-checked inputs.
 
 from __future__ import annotations
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
+from _parallel_helpers import random_blocks, run_capturing_shards
 
 from repro.blocking.base import build_blocks
 from repro.core import BlastConfig
@@ -22,9 +26,14 @@ from repro.graph.parallel import (
     parallel_metablocking,
     resolve_workers,
 )
-from repro.graph.pruning import BlastPruning, PruningScheme
+from repro.graph.pruning import (
+    BlastPruning,
+    PruningScheme,
+    WeightEdgePruning,
+)
 from repro.graph.sharding import (
     ShardableIndex,
+    ShardEdges,
     enumerate_shard_pairs,
     pair_counts_by_entity,
     plan_shards,
@@ -229,6 +238,153 @@ class TestParallelBackend:
             pruning=BlastPruning(), workers=2, shard_size=2,
         )
         assert pooled == serial
+
+
+class TestShardLocalBlastPruning:
+    """BLAST shards ship candidates + maxima; the parent decides exactly."""
+
+    def test_shipped_bytes_follow_candidates_not_edges(self):
+        blocks = random_blocks(7, profiles=300, blocks=200, largest=20)
+        num_ids = blocks.entity_index.node_block_counts.size
+        retained, shipped = run_capturing_shards(
+            blocks, weighting=WeightingScheme.CHI_H, pruning=BlastPruning(),
+            shard_plan=[(0, 100), (100, num_ids)],
+        )
+        assert retained == vectorized_metablocking(
+            blocks, weighting=WeightingScheme.CHI_H, pruning=BlastPruning()
+        )
+        edges_total = sum(
+            shard_edge_arrays(blocks.entity_index, lo, hi).num_edges
+            for lo, hi in [(0, 100), (100, num_ids)]
+        )
+        candidates_total = 0
+        for edges, weights, maxima in shipped:
+            candidates = edges.src.size
+            candidates_total += candidates
+            assert edges.shared is None and edges.entropy_mass is None
+            assert weights.size == edges.dst.size == candidates
+            assert maxima.shape == (num_ids,)
+            # Three 8-byte columns per candidate plus the dense maxima,
+            # plus pickle framing — nothing proportional to the edges.
+            payload = len(pickle.dumps((edges, weights, maxima)))
+            assert payload <= 24 * candidates + 8 * num_ids + 1024
+        assert len(retained) <= candidates_total < edges_total // 4
+
+    def test_every_edge_at_the_threshold_is_kept(self):
+        # Disjoint-pair blocks give every edge CBS weight 1; with c=1, d=2
+        # the threshold (M_i + M_j) / 2 equals that weight exactly — both
+        # against a shard's maxima and against the global ones.
+        blocks = build_blocks(
+            {f"k{i}-{j}": {i, j} for i in range(6) for j in range(i + 1, 6)},
+            is_clean_clean=False,
+        )
+        retained, shipped = run_capturing_shards(
+            blocks, weighting=WeightingScheme.CBS,
+            pruning=BlastPruning(c=1.0, d=2.0),
+            shard_plan=[(0, 1), (1, 1), (1, 4), (4, 6)],
+        )
+        assert len(retained) == 15
+        assert sum(edges.src.size for edges, _, _ in shipped) == 15
+
+    def test_all_zero_weights_and_edgeless_shards(self):
+        # Two identical blocks: shared == expected everywhere, so CHI_H's
+        # one-sided zeroing wipes every weight; no shard has a candidate,
+        # the empty and right-side-only ranges have no edge at all.
+        blocks = build_blocks(
+            {"a": {0, 1, 2, 3}, "b": {0, 1, 2, 3}}, is_clean_clean=False
+        )
+        retained, shipped = run_capturing_shards(
+            blocks, weighting=WeightingScheme.CHI_H, pruning=BlastPruning(),
+            shard_plan=[(0, 0), (0, 2), (2, 2), (2, 3), (3, 4)],
+        )
+        assert retained == []
+        for edges, weights, maxima in shipped:
+            assert edges.src.size == weights.size == 0
+            assert maxima.tolist() == [0.0] * 4
+
+    def test_other_prunings_ship_endpoints_and_weights_only(
+        self, dirty_blocks
+    ):
+        retained, shipped = run_capturing_shards(
+            dirty_blocks, weighting=WeightingScheme.CHI_H,
+            pruning=WeightEdgePruning(), shard_size=2,
+        )
+        assert retained == vectorized_metablocking(
+            dirty_blocks, weighting=WeightingScheme.CHI_H,
+            pruning=WeightEdgePruning(),
+        )
+        graph_edges = shard_edge_arrays(dirty_blocks.entity_index, 0, 5)
+        assert sum(e.src.size for e, _, _ in shipped) == graph_edges.num_edges
+        for edges, weights, maxima in shipped:
+            assert edges.shared is None and edges.entropy_mass is None
+            assert weights.size == edges.src.size and maxima is None
+
+    def test_ejs_still_ships_the_weighting_inputs(self, dirty_blocks):
+        _, shipped = run_capturing_shards(
+            dirty_blocks, weighting=WeightingScheme.EJS,
+            pruning=BlastPruning(), shard_size=2,
+        )
+        for edges, weights, maxima in shipped:
+            assert edges.shared is not None
+            assert weights is None and maxima is None
+
+    def test_subclassed_blast_is_not_pre_pruned(self, dirty_blocks):
+        class KeepAll(BlastPruning):
+            def prune(self, graph, weights):
+                return set(weights)
+
+        assert parallel_metablocking(
+            dirty_blocks, pruning=KeepAll(), workers=1, shard_size=2
+        ) == reference_metablocking(dirty_blocks, pruning=KeepAll())
+
+    def test_merge_accepts_slim_shards(self):
+        slim = [
+            ShardEdges(
+                src=np.array([0, 0], dtype=np.int64),
+                dst=np.array([1, 2], dtype=np.int64),
+                shared=None,
+            ),
+            ShardEdges(
+                src=np.zeros(0, dtype=np.int64),
+                dst=np.zeros(0, dtype=np.int64),
+                shared=None,
+            ),
+            ShardEdges(
+                src=np.array([3], dtype=np.int64),
+                dst=np.array([4], dtype=np.int64),
+                shared=None,
+            ),
+        ]
+        merged = merge_shards(slim)
+        assert merged.src.tolist() == [0, 0, 3]
+        assert merged.dst.tolist() == [1, 2, 4]
+        assert merged.shared is None and merged.num_edges == 3
+
+    def test_chunked_mode_peak_memory_scales_with_shard_size(self):
+        blocks = random_blocks(11, profiles=1500, blocks=500, largest=40)
+        index = blocks.entity_index
+        shard_size = 4_000
+        assert index.total_comparisons >= 20 * shard_size
+        kwargs = dict(weighting=WeightingScheme.CHI_H, pruning=BlastPruning())
+
+        def peak_bytes(run):
+            tracemalloc.start()
+            try:
+                result = run()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_shot, one_shot_peak = peak_bytes(
+            lambda: vectorized_metablocking(blocks, **kwargs)
+        )
+        chunked, chunked_peak = peak_bytes(
+            lambda: parallel_metablocking(
+                blocks, workers=1, shard_size=shard_size, **kwargs
+            )
+        )
+        assert chunked == one_shot
+        assert chunked_peak * 8 < one_shot_peak
 
 
 class TestMetaBlockerIntegration:
