@@ -88,9 +88,11 @@ def time_backend(
     out = None
     for _ in range(repeats):
         # Cold start for every repetition: drop the CSR entity-index
-        # cache so the vectorized timing always includes the collection
-        # lowering, mirroring the python path rebuilding its dict graph
-        # from scratch each time.
+        # cache so a Block-born collection is lowered again inside the
+        # timing, mirroring the python path rebuilding its dict graph
+        # from scratch each time.  (An index-born collection — what
+        # block_filtering returns — has nothing to lower: the pop just
+        # re-reads the index it holds.)
         blocks.__dict__.pop("entity_index", None)
         meta = MetaBlocker(
             weighting=scheme,

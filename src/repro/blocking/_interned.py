@@ -9,11 +9,11 @@ interned ids and materialize strings exactly once per *distinct* key, at
 the API boundary.
 
 Because the grouping already produces the flat CSR member layout, the
-:class:`~repro.graph.entity_index.EntityIndex` of the resulting collection
-is built directly from the same arrays (via
-:meth:`EntityIndex.from_arrays`) and attached to the collection's cache —
-the vectorized meta-blocking backend then skips its dict-of-strings
-lowering pass entirely.
+:class:`~repro.graph.entity_index.EntityIndex` is built directly from the
+same arrays (via :meth:`EntityIndex.from_arrays`) and the collection is
+born from it (:meth:`BlockCollection.from_index`) — no ``Block`` object is
+constructed unless a consumer iterates the collection, and the vectorized
+meta-blocking backend never lowers anything.
 
 The output is bit-for-bit identical to the string-era path: same keys,
 same sorted-key block order, same member frozensets, same CSR arrays (the
@@ -27,7 +27,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.blocking.base import Block, BlockCollection
+from repro.blocking.base import BlockCollection
+from repro.graph.entity_index import EntityIndex
 
 #: Bits reserved for the row (profile) part of a packed (key, row) id.
 _ROW_SHIFT = np.int64(31)
@@ -91,8 +92,8 @@ def collection_from_assignments(
     deduplicated, no-comparison groups (single-member dirty blocks,
     one-sided clean-clean blocks) are dropped, keys are materialized via
     *key_of* and emitted in sorted order.  *max_block_size* additionally
-    drops oversized groups (the suffix-array purge).  The collection's
-    ``entity_index`` cache is pre-populated from the group arrays.
+    drops oversized groups (the suffix-array purge).  The collection is
+    index-born: no ``Block`` exists until someone iterates it.
     """
     group_codes, starts, sizes, members = group_assignments(rows, codes)
 
@@ -113,53 +114,24 @@ def collection_from_assignments(
         valid &= sizes <= max_block_size
 
     keep = np.flatnonzero(valid)
-    keys = [key_of(int(code)) for code in group_codes[keep]]
+    keys = [key_of(code) for code in group_codes[keep].tolist()]
     order = sorted(range(len(keys)), key=keys.__getitem__)
 
-    blocks: list[Block] = []
-    id_chunks: list[np.ndarray] = []
-    sizes_out = np.zeros(len(order), dtype=np.int32)
-    lefts_out = np.zeros(len(order), dtype=np.int32)
-    comps_out = np.zeros(len(order), dtype=np.int64)
-    keys_out: list[str] = []
-    members_list = members  # int64, ascending within each group
-    for out_pos, key_pos in enumerate(order):
-        g = int(keep[key_pos])
-        group = members_list[starts[g] : starts[g] + sizes[g]]
-        ln = int(left_sizes[g])
-        if is_clean_clean:
-            blocks.append(
-                Block(
-                    keys[key_pos],
-                    frozenset(group[:ln].tolist()),
-                    frozenset(group[ln:].tolist()),
-                )
-            )
-        else:
-            blocks.append(Block(keys[key_pos], frozenset(group.tolist())))
-        keys_out.append(keys[key_pos])
-        sizes_out[out_pos] = sizes[g]
-        lefts_out[out_pos] = ln
-        comps_out[out_pos] = comparisons[g]
-        id_chunks.append(group)
-
-    collection = BlockCollection(blocks, is_clean_clean)
-
-    from repro.graph.entity_index import EntityIndex
-
-    block_ptr = np.zeros(len(order) + 1, dtype=np.int32)
+    # Gather the surviving groups' member runs in sorted-key order.
+    groups = keep[order]
+    sizes_out = sizes[groups]
+    block_ptr = np.zeros(groups.size + 1, dtype=np.int64)
     np.cumsum(sizes_out, out=block_ptr[1:])
-    entity_ids = (
-        np.concatenate(id_chunks).astype(np.int32)
-        if id_chunks
-        else np.zeros(0, dtype=np.int32)
+    gather = np.repeat(starts[groups] - block_ptr[:-1], sizes_out) + np.arange(
+        block_ptr[-1], dtype=np.int64
     )
-    collection.__dict__["entity_index"] = EntityIndex.from_arrays(
-        is_clean_clean=is_clean_clean,
-        keys=tuple(keys_out),
-        block_ptr=block_ptr,
-        block_split=block_ptr[:-1] + lefts_out,
-        entity_ids=entity_ids,
-        block_comparisons=comps_out,
+    return BlockCollection.from_index(
+        EntityIndex.from_arrays(
+            is_clean_clean=is_clean_clean,
+            keys=tuple([keys[position] for position in order]),
+            block_ptr=block_ptr,
+            block_split=block_ptr[:-1] + left_sizes[groups],
+            entity_ids=members[gather],
+            block_comparisons=comparisons[groups],
+        )
     )
-    return collection

@@ -101,20 +101,63 @@ class Block:
 
 
 class BlockCollection(Sequence[Block]):
-    """An ordered collection of blocks emitted by one blocking technique."""
+    """An ordered collection of blocks emitted by one blocking technique.
+
+    A collection is born either from :class:`Block` objects (the
+    constructor) or from a CSR :class:`~repro.graph.entity_index.EntityIndex`
+    (:meth:`from_index` — the interned blockers, Block Purging and Block
+    Filtering).  An index-born collection answers ``len``, the
+    cardinalities and :attr:`entity_index` from the arrays and builds its
+    ``Block`` objects only when someone iterates, indexes or
+    :meth:`filter_blocks` it.
+    """
 
     def __init__(self, blocks: Iterable[Block], is_clean_clean: bool) -> None:
         self.is_clean_clean = is_clean_clean
-        self._blocks: list[Block] = []
+        self._index = None
+        self._block_list: list[Block] | None = []
         for block in blocks:
             if block.is_clean_clean != is_clean_clean:
                 raise ValueError(
                     f"block {block.key!r} kind does not match the collection"
                 )
-            self._blocks.append(block)
+            self._block_list.append(block)
+
+    @classmethod
+    def from_index(cls, index) -> "BlockCollection":
+        """A collection over the blocks *index* describes, none built yet."""
+        self = cls.__new__(cls)
+        self.is_clean_clean = index.is_clean_clean
+        self._index = index
+        self._block_list = None
+        return self
+
+    @property
+    def _blocks(self) -> list[Block]:
+        """The ``Block`` view, materialised from the index on first use."""
+        if self._block_list is None:
+            index = self._index
+            ids = index.entity_ids.tolist()
+            starts = index.block_ptr.tolist()
+            splits = index.block_split.tolist()
+            if self.is_clean_clean:
+                self._block_list = [
+                    Block(key, frozenset(ids[lo:mid]), frozenset(ids[mid:hi]))
+                    for key, lo, mid, hi in zip(
+                        index.keys, starts, splits, starts[1:]
+                    )
+                ]
+            else:
+                self._block_list = [
+                    Block(key, frozenset(ids[lo:hi]))
+                    for key, lo, hi in zip(index.keys, starts, starts[1:])
+                ]
+        return self._block_list
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        if self._block_list is None:
+            return self._index.num_blocks
+        return len(self._block_list)
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self._blocks)
@@ -131,21 +174,19 @@ class BlockCollection(Sequence[Block]):
     @cached_property
     def aggregate_cardinality(self) -> int:
         """``||B||``: total comparisons across all blocks (with redundancy)."""
-        return sum(block.num_comparisons for block in self._blocks)
+        if self._block_list is None:
+            return self._index.total_comparisons
+        return sum(block.num_comparisons for block in self._block_list)
 
     @cached_property
     def profile_block_sets(self) -> dict[int, frozenset[int]]:
         """``B_i`` for every profile: the set of block positions containing it."""
-        mutable: dict[int, set[int]] = {}
-        for position, block in enumerate(self._blocks):
-            for profile in block.profiles:
-                mutable.setdefault(profile, set()).add(position)
-        return {profile: frozenset(s) for profile, s in mutable.items()}
+        return self.entity_index.profile_block_sets()
 
     @property
     def num_indexed_profiles(self) -> int:
         """How many distinct profiles appear in at least one block."""
-        return len(self.profile_block_sets)
+        return self.entity_index.num_indexed_profiles
 
     @cached_property
     def entity_index(self):
@@ -154,7 +195,12 @@ class BlockCollection(Sequence[Block]):
         The flat ``block_ptr``/``entity_ids``/cardinality arrays the
         vectorized meta-blocking backend and the pair-streaming helpers
         operate on; see :class:`repro.graph.entity_index.EntityIndex`.
+        An index-born collection hands back the index it was built from
+        (so dropping this cache never loses it); a Block-born one is
+        lowered once.
         """
+        if self._index is not None:
+            return self._index
         from repro.graph.entity_index import EntityIndex
 
         return EntityIndex.from_collection(self)

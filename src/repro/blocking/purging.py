@@ -8,6 +8,8 @@ cap lets callers additionally bound per-block cost.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.blocking.base import BlockCollection
 
 
@@ -41,13 +43,8 @@ def block_purging(
         raise ValueError(f"max_profile_ratio must be in (0, 1], got {max_profile_ratio}")
     if num_profiles <= 0:
         raise ValueError(f"num_profiles must be positive, got {num_profiles}")
-    size_cap = max_profile_ratio * num_profiles
-
-    def keep(block) -> bool:
-        if block.size > size_cap:
-            return False
-        if max_comparisons is not None and block.num_comparisons > max_comparisons:
-            return False
-        return True
-
-    return collection.filter_blocks(keep)
+    index = collection.entity_index
+    keep = np.diff(index.block_ptr) <= max_profile_ratio * num_profiles
+    if max_comparisons is not None:
+        keep &= index.block_comparisons <= max_comparisons
+    return BlockCollection.from_index(index.take_blocks(keep))

@@ -146,6 +146,74 @@ class EntityIndex:
             node_block_counts=node_block_counts,
         )
 
+    def take_blocks(self, block_mask: np.ndarray) -> "EntityIndex":
+        """The index of the flagged blocks, members untouched.
+
+        Every flagged block survives, including one that implies no
+        comparison: only :meth:`take_members` drops those.
+        """
+        return self._compact(
+            block_mask,
+            block_mask[self.block_of_member],
+            np.diff(self.block_ptr),
+            self.block_split - self.block_ptr[:-1],
+        )
+
+    def take_members(self, member_mask: np.ndarray) -> "EntityIndex":
+        """The index restricted to the flagged memberships.
+
+        *member_mask* is aligned with :attr:`entity_ids`.  Blocks left
+        without a comparison (fewer than two members, or a clean-clean
+        block that lost a whole side) are dropped, as block assembly does.
+        """
+        block_of = self.block_of_member
+        sizes = np.bincount(block_of[member_mask], minlength=self.num_blocks)
+        if self.is_clean_clean:
+            is_left = (
+                np.arange(block_of.size, dtype=np.int32)
+                < self.block_split[block_of]
+            )
+            left_sizes = np.bincount(
+                block_of[member_mask & is_left], minlength=self.num_blocks
+            )
+            block_mask = (left_sizes > 0) & (sizes > left_sizes)
+        else:
+            left_sizes = sizes
+            block_mask = sizes >= 2
+        return self._compact(
+            block_mask, member_mask & block_mask[block_of], sizes, left_sizes
+        )
+
+    def _compact(
+        self,
+        block_mask: np.ndarray,
+        member_mask: np.ndarray,
+        sizes: np.ndarray,
+        left_sizes: np.ndarray,
+    ) -> "EntityIndex":
+        """Re-emit the CSR layout for the flagged blocks and memberships.
+
+        *sizes* / *left_sizes* are the per-block member counts under
+        *member_mask*, aligned with the current block axis.
+        """
+        sizes = sizes[block_mask].astype(np.int64, copy=False)
+        left_sizes = left_sizes[block_mask].astype(np.int64, copy=False)
+        block_ptr = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=block_ptr[1:])
+        if self.is_clean_clean:
+            comparisons = left_sizes * (sizes - left_sizes)
+        else:
+            comparisons = sizes * (sizes - 1) // 2
+        keys = self.keys
+        return EntityIndex.from_arrays(
+            is_clean_clean=self.is_clean_clean,
+            keys=tuple([keys[b] for b in np.flatnonzero(block_mask).tolist()]),
+            block_ptr=block_ptr,
+            block_split=block_ptr[:-1] + left_sizes,
+            entity_ids=self.entity_ids[member_mask],
+            block_comparisons=comparisons,
+        )
+
     @property
     def num_blocks(self) -> int:
         return len(self.keys)
@@ -159,6 +227,14 @@ class EntityIndex:
     def total_comparisons(self) -> int:
         """``||B||`` — the aggregate cardinality."""
         return int(self.block_comparisons.sum())
+
+    @cached_property
+    def block_of_member(self) -> np.ndarray:
+        """``int64`` block position of every entry of :attr:`entity_ids`."""
+        return np.repeat(
+            np.arange(self.num_blocks, dtype=np.int64),
+            np.diff(self.block_ptr).astype(np.int64),
+        )
 
     @cached_property
     def _member_blocks_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -175,12 +251,8 @@ class EntityIndex:
         np.cumsum(counts, out=ptr[1:])
         if self.entity_ids.size == 0:
             return ptr, np.zeros(0, dtype=np.int64)
-        block_of_flat = np.repeat(
-            np.arange(self.num_blocks, dtype=np.int64),
-            np.diff(self.block_ptr).astype(np.int64),
-        )
         order = np.argsort(self.entity_ids, kind="stable")
-        return ptr, block_of_flat[order]
+        return ptr, self.block_of_member[order]
 
     def blocks_of(self, profile: int) -> np.ndarray:
         """Positions of the blocks containing *profile*, ascending.
@@ -192,6 +264,16 @@ class EntityIndex:
         if not 0 <= profile < ptr.size - 1:
             return np.zeros(0, dtype=np.int64)
         return blocks[ptr[profile] : ptr[profile + 1]]
+
+    def profile_block_sets(self) -> dict[int, frozenset[int]]:
+        """``B_p`` — the block positions of every indexed profile."""
+        ptr, blocks = self._member_blocks_csr
+        bounds = ptr.tolist()
+        flat = blocks.tolist()
+        return {
+            p: frozenset(flat[bounds[p] : bounds[p + 1]])
+            for p in np.flatnonzero(self.node_block_counts).tolist()
+        }
 
     @cached_property
     def shardable(self) -> "ShardableIndex":

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.blocking.base import BlockCollection
 
 
@@ -70,12 +72,12 @@ def block_collection_stats(collection: BlockCollection) -> BlockCollectionStats:
     ``||B||`` comparisons, so raw web-scale token blocking remains out
     of scope.
     """
-    sizes = sorted(block.size for block in collection)
+    index = collection.entity_index
+    sizes = np.sort(np.diff(index.block_ptr)).tolist()
     num_blocks = len(sizes)
     aggregate = collection.aggregate_cardinality
     distinct = collection.count_distinct_pairs()
-    block_sets = collection.profile_block_sets
-    num_profiles = len(block_sets)
+    num_profiles = index.num_indexed_profiles
     if num_blocks == 0:
         return BlockCollectionStats(0, 0, 0, 0, 1.0, 0, 0.0, 0, 0.0, 0.0)
     middle = num_blocks // 2
@@ -94,9 +96,7 @@ def block_collection_stats(collection: BlockCollection) -> BlockCollectionStats:
         median_block_size=median,
         max_block_size=sizes[-1],
         mean_blocks_per_profile=(
-            sum(len(positions) for positions in block_sets.values()) / num_profiles
-            if num_profiles
-            else 0.0
+            index.entity_ids.size / num_profiles if num_profiles else 0.0
         ),
         comparisons_per_profile=(
             2 * distinct / num_profiles if num_profiles else 0.0

@@ -1,0 +1,69 @@
+"""Integration: the array backends never build a ``Block`` on their way in.
+
+The interned blocker, Block Purging and Block Filtering hand each other
+index-born collections; the vectorized and parallel backends read the
+CSR arrays.  So a default run constructs ``Block`` objects only for its
+*output* (one per retained edge), while ``initial_blocks`` still turns
+into the very blocks the ``python`` backend consumed the moment someone
+iterates it.
+"""
+
+from unittest import mock
+
+import pytest
+
+from repro import BlastConfig, build_pipeline, load_clean_clean, load_dirty
+from repro.blocking.base import Block
+
+
+@pytest.fixture(scope="module", params=["clean-clean", "dirty"])
+def dataset(request):
+    if request.param == "dirty":
+        return load_dirty("census", scale=0.3, seed=5)
+    return load_clean_clean("ar1", scale=0.3, seed=5)
+
+
+@pytest.fixture(scope="module")
+def reference(dataset):
+    return build_pipeline(BlastConfig(backend="python")).run(dataset)
+
+
+def _run_counting_blocks(config, dataset):
+    """Run the pipeline; return the result and every ``Block`` key built."""
+    built: list[str] = []
+    init = Block.__init__
+
+    def spy(self, key, *args, **kwargs):
+        built.append(key)
+        init(self, key, *args, **kwargs)
+
+    with mock.patch.object(Block, "__init__", spy):
+        result = build_pipeline(config).run(dataset)
+    return result, built
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        BlastConfig(),
+        BlastConfig(backend="parallel", workers=2),
+    ],
+    ids=["vectorized", "parallel"],
+)
+def test_array_backends_build_output_blocks_only(config, dataset, reference):
+    result, built = _run_counting_blocks(config, dataset)
+    assert len(result.initial_blocks) == len(reference.initial_blocks) > 0
+    # One Block per retained edge; none for the blocker's, the purged or
+    # the filtered collection.
+    assert built == [block.key for block in result.blocks]
+    assert all(key.startswith("e:") for key in built)
+    # The view materialises on demand, to the python backend's input.
+    assert list(result.initial_blocks) == list(reference.initial_blocks)
+    assert list(result.blocks) == list(reference.blocks)
+
+
+def test_python_backend_materialises_the_filtered_collection_only(dataset):
+    result, built = _run_counting_blocks(BlastConfig(backend="python"), dataset)
+    consumed = [block.key for block in result.initial_blocks]
+    assert built[: len(consumed)] == consumed
+    assert len(built) == len(consumed) + len(result.blocks)

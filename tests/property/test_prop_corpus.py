@@ -8,9 +8,9 @@ blocks in the same order with the same members, the same pre-lowered CSR
 entity index, and the same schema statistics.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from _block_oracles import assert_same_index
 from repro.blocking.qgrams import QGramsBlocking
 from repro.blocking.schema_aware import LooselySchemaAwareBlocking
 from repro.blocking.suffix_array import SuffixArrayBlocking
@@ -85,19 +85,7 @@ def assert_identical(interned, legacy):
     assert [b.key for b in interned] == [b.key for b in legacy]
     for a, b in zip(interned, legacy):
         assert a.left == b.left and a.right == b.right
-    ours = interned.entity_index
-    reference = EntityIndex.from_collection(legacy)
-    assert ours.keys == reference.keys
-    for field in (
-        "block_ptr",
-        "block_split",
-        "entity_ids",
-        "block_comparisons",
-        "node_block_counts",
-    ):
-        got, want = getattr(ours, field), getattr(reference, field)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    assert_same_index(interned.entity_index, EntityIndex.from_collection(legacy))
 
 
 class TestInternedBlockingMatchesStrings:

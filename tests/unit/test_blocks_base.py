@@ -95,6 +95,46 @@ class TestBlockCollection:
         assert bc[0].key == "a"
 
 
+class TestIndexBornCollection:
+    BLOCKS = [
+        Block("a", frozenset({0, 1}), frozenset({5})),
+        Block("b", frozenset({1}), frozenset({5, 6})),
+    ]
+
+    def _index_born(self) -> BlockCollection:
+        return BlockCollection.from_index(
+            BlockCollection(self.BLOCKS, True).entity_index
+        )
+
+    def test_answers_from_the_index_without_building_blocks(self):
+        bc = self._index_born()
+        assert len(bc) == 2
+        assert bc.aggregate_cardinality == 4
+        assert bc.num_indexed_profiles == 4
+        assert bc.profile_block_sets == {
+            0: {0}, 1: {0, 1}, 5: {0, 1}, 6: {1}
+        }
+        assert bc.distinct_pairs() == {(0, 5), (1, 5), (1, 6)}
+        assert "blocks=2" in repr(bc)
+        assert bc._block_list is None
+
+    def test_block_view_materialises_once_and_equals_the_source(self):
+        bc = self._index_born()
+        assert list(bc) == self.BLOCKS
+        assert bc[1] is bc[1]
+        assert bc[-1].key == "b"
+        assert [b.key for b in bc.filter_blocks(lambda b: b.size == 3)] == [
+            "a", "b"
+        ]
+
+    def test_dirty_view(self):
+        blocks = [Block("x", frozenset({2, 0})), Block("y", frozenset({7}))]
+        bc = BlockCollection.from_index(
+            BlockCollection(blocks, False).entity_index
+        )
+        assert list(bc) == blocks and not bc.is_clean_clean
+
+
 class TestBuildBlocks:
     def test_clean_clean_drops_one_sided_keys(self):
         keyed = {"both": ({0}, {5}), "left_only": ({0}, set())}
