@@ -109,15 +109,7 @@ def time_backend(
 def run_parallel_scaling(
     args: argparse.Namespace, blocks: BlockCollection
 ) -> dict:
-    """Serial-vectorized vs sharded-parallel, across worker counts.
-
-    Each worker count is timed twice: once with the default per-run pool
-    (fork + ship arrays every call) and once with ``pool="persistent"``
-    (fork once, publish the CSR arrays into shared memory once, reuse) —
-    the per-worker pair is what quantifies the pool-amortization win.
-    """
-    from repro.graph.pool import shutdown_pool
-
+    """Serial-vectorized vs sharded-parallel, across worker counts."""
     scheme = WeightingScheme.CHI_H
     serial_seconds, serial_out = time_backend(
         "vectorized", blocks, scheme, args.repeats
@@ -133,48 +125,25 @@ def run_parallel_scaling(
         f"{serial_seconds:.3f}s baseline) ..."
     )
     runs = []
-    try:
-        for workers in worker_counts:
-            seconds, out = time_backend(
-                "parallel", blocks, scheme, args.repeats,
-                backend_options={"workers": workers},
-            )
-            persistent_seconds, persistent_out = time_backend(
-                "parallel", blocks, scheme, args.repeats,
-                backend_options={"workers": workers, "pool": "persistent"},
-            )
-            equivalent = (
-                out.distinct_pairs() == serial_pairs
-                and persistent_out.distinct_pairs() == serial_pairs
-            )
-            speedup = (
-                serial_seconds / seconds if seconds > 0 else float("inf")
-            )
-            persistent_speedup = (
-                serial_seconds / persistent_seconds
-                if persistent_seconds > 0
-                else float("inf")
-            )
-            runs.append(
-                {
-                    "workers": workers,
-                    "seconds": round(seconds, 6),
-                    "speedup_vs_vectorized": round(speedup, 2),
-                    "persistent_seconds": round(persistent_seconds, 6),
-                    "persistent_speedup_vs_vectorized": round(
-                        persistent_speedup, 2
-                    ),
-                    "equivalent": equivalent,
-                }
-            )
-            print(
-                f"  workers={workers:>2}: per-run {seconds:8.3f}s "
-                f"({speedup:5.2f}x) | persistent "
-                f"{persistent_seconds:8.3f}s ({persistent_speedup:5.2f}x) | "
-                f"{'OK' if equivalent else 'MISMATCH'}"
-            )
-    finally:
-        shutdown_pool()
+    for workers in worker_counts:
+        seconds, out = time_backend(
+            "parallel", blocks, scheme, args.repeats,
+            backend_options={"workers": workers},
+        )
+        equivalent = out.distinct_pairs() == serial_pairs
+        speedup = serial_seconds / seconds if seconds > 0 else float("inf")
+        runs.append(
+            {
+                "workers": workers,
+                "seconds": round(seconds, 6),
+                "speedup_vs_vectorized": round(speedup, 2),
+                "equivalent": equivalent,
+            }
+        )
+        print(
+            f"  workers={workers:>2}: {seconds:8.3f}s ({speedup:5.2f}x) | "
+            f"{'OK' if equivalent else 'MISMATCH'}"
+        )
 
     # The chunked low-memory mode: sequential shards, capped pair arrays.
     chunk_cap = max(10_000, blocks.count_distinct_pairs() // 8)
@@ -188,12 +157,7 @@ def run_parallel_scaling(
         f"{chunked_seconds:8.3f}s | "
         f"{'OK' if chunked_equivalent else 'MISMATCH'}"
     )
-    best = max(
-        runs,
-        key=lambda r: max(
-            r["speedup_vs_vectorized"], r["persistent_speedup_vs_vectorized"]
-        ),
-    )
+    best = max(runs, key=lambda r: r["speedup_vs_vectorized"])
     return {
         "scheme": scheme.value,
         "pruning": "blast",
@@ -204,10 +168,7 @@ def run_parallel_scaling(
             "seconds": round(chunked_seconds, 6),
             "equivalent": chunked_equivalent,
         },
-        "best_speedup": max(
-            best["speedup_vs_vectorized"],
-            best["persistent_speedup_vs_vectorized"],
-        ),
+        "best_speedup": best["speedup_vs_vectorized"],
         "best_workers": best["workers"],
         "all_equivalent": chunked_equivalent
         and all(r["equivalent"] for r in runs),
@@ -262,11 +223,11 @@ def _spawn_rss_probe(args: argparse.Namespace, mode: str, spill_dir: str) -> dic
 
 
 def run_large_tier(args: argparse.Namespace) -> dict:
-    """The ≥100k-profile tier: persistent-pool scaling + spill RSS budget.
+    """The ≥100k-profile tier: worker-pool scaling + spill RSS budget.
 
     Two measurements at a scale where pool startup and the merge spike
-    actually register: (1) per-worker-count persistent-pool timings
-    against the serial vectorized baseline, (2) in-memory vs spilled
+    actually register: (1) per-worker-count pool timings against the
+    serial vectorized baseline, (2) in-memory vs spilled
     runs in fresh subprocesses, comparing peak RSS and asserting the
     retained pair digests match.
     """
@@ -486,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
                              "section (default: the machine's cpu count)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--large-tier", action="store_true",
-                        help="also run the out-of-core tier: persistent-pool "
+                        help="also run the out-of-core tier: worker-pool "
                              "scaling and spill peak-RSS probes at "
                              "--large-profiles scale")
     parser.add_argument("--large-profiles", type=int, default=100_000,

@@ -1,12 +1,12 @@
 """RL008 — shared-memory and memmap handles must have a bounded lifetime.
 
-``multiprocessing.shared_memory.SharedMemory`` segments outlive the
-process unless somebody calls ``close()`` *and* (owner side) ``unlink()``
+``multiprocessing``'s ``SharedMemory`` segments outlive the process
+unless somebody calls ``close()`` *and* (owner side) ``unlink()``
 — a raise between creation and release leaks a named ``/dev/shm``
 segment until reboot.  ``np.memmap``/``open_memmap`` handles hold disk
 pages and (on write mode) unflushed data with the same failure shape.
-The out-of-core subsystem (graph/pool.py, graph/spill.py) makes these
-handles routine, so the leak pattern becomes a one-liner away.
+The out-of-core subsystem (graph/spill.py) makes memmap handles routine,
+so the leak pattern becomes a one-liner away.
 
 RL008 flags a ``SharedMemory``/``memmap``/``open_memmap`` creation whose
 handle has no structurally guaranteed release.  A creation is **clean**

@@ -209,11 +209,11 @@ class BlockCollection(Sequence[Block]):
         """Stream the distinct comparison pairs in lexicographic order.
 
         Deduplication happens array-side when this method is *called*
-        (one enumeration + sort, transiently O(||B||) array memory, a
-        fraction of a Python set of tuples); the returned iterator then
-        yields without further per-pair work.  Prefer this over
-        :meth:`distinct_pairs` whenever a single pass is enough
-        (matching, counting, writing pairs out).
+        (enumeration + sort one shard at a time; the distinct pairs are
+        held as arrays, a fraction of a Python set of tuples); the
+        returned iterator then yields without further per-pair work.
+        Prefer this over :meth:`distinct_pairs` whenever a single pass is
+        enough (matching, counting, writing pairs out).
         """
         src, dst = self.entity_index.distinct_pair_arrays()
 
@@ -230,9 +230,10 @@ class BlockCollection(Sequence[Block]):
     def count_distinct_pairs(self) -> int:
         """Number of distinct comparison pairs, without a Python pair set.
 
-        Still enumerates every comparison array-side (transiently
-        O(||B||) memory, like :meth:`iter_distinct_pairs`) — cheaper than
-        a set of tuples by a large constant factor, not asymptotically.
+        Still enumerates every comparison array-side and holds the
+        distinct pairs as arrays, like :meth:`iter_distinct_pairs` —
+        cheaper than a set of tuples by a large constant factor, not
+        asymptotically.
         """
         return len(self.entity_index.distinct_pair_arrays()[0])
 

@@ -269,7 +269,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="cap on comparisons per shard of the parallel "
                              "backend (strict, except a single entity "
                              "owning more); bounds peak per-shard memory "
-                             "(default: one balanced shard per worker)")
+                             "(default: about 100k, at least one shard "
+                             "per worker)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         help="seconds one shard task of the parallel "
                              "backend may take before it is declared lost "
@@ -279,13 +280,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              "after shard failures/timeouts; shards still "
                              "unfinished afterwards run serially in-process "
                              "(default: 2)")
-    parser.add_argument("--pool", choices=("per-run", "persistent"),
-                        default=None,
-                        help="worker-pool lifecycle of the parallel "
-                             "backend: 'per-run' forks a pool per call, "
-                             "'persistent' reuses the process-wide pool "
-                             "with the CSR arrays published once through "
-                             "shared memory (default: per-run)")
     parser.add_argument("--spill-dir", type=str, default=None,
                         help="directory for the out-of-core tier of the "
                              "parallel backend; shard/merged edge arrays "
@@ -331,7 +325,6 @@ def _config_from(args: argparse.Namespace) -> BlastConfig:
         shard_size=args.shard_size,
         task_timeout=args.task_timeout,
         max_retries=args.max_retries,
-        pool=args.pool,
         spill_dir=args.spill_dir,
         spill_threshold_mb=args.spill_threshold_mb,
         seed=args.seed,

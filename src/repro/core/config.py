@@ -78,10 +78,11 @@ class BlastConfig:
         registered backends.
     shard_size:
         Cap on the comparisons enumerated per shard of the ``parallel``
-        backend (the chunked low-memory knob — peak per-shard edge-array
-        bytes scale with it; only a single entity owning more than the
-        cap may exceed it); ``None`` splits into one balanced shard per
-        worker.  Rejected with the serial built-ins, forwarded to custom
+        backend (peak per-shard edge-array bytes scale with it; only a
+        single entity owning more than the cap may exceed it); ``None``
+        takes the default plan the ``vectorized`` backend always uses
+        (about 100k comparisons per shard, at least one shard per
+        worker).  Rejected with the serial built-ins, forwarded to custom
         backends.
     task_timeout:
         Seconds one shard task of the ``parallel`` backend may take
@@ -94,14 +95,6 @@ class BlastConfig:
         after the retries degrade to serial in-process execution, so
         results are bit-identical either way).  Rejected with the serial
         built-ins, forwarded to custom backends.
-    pool:
-        Worker-pool lifecycle of the ``parallel`` backend:
-        ``"per-run"`` (backend default when unset) builds and tears down
-        a pool per call, ``"persistent"`` reuses the process-wide pool
-        with the CSR arrays published once through shared memory — the
-        amortized mode for pipelines that meta-block repeatedly.
-        Rejected with the serial built-ins, forwarded to custom
-        backends.
     spill_dir / spill_threshold_mb:
         Out-of-core tier of the ``parallel`` backend: set together (and
         only together) to stream shard and merged edge arrays above the
@@ -171,7 +164,6 @@ class BlastConfig:
     shard_size: int | None = None
     task_timeout: float | None = None
     max_retries: int | None = None
-    pool: str | None = None
     spill_dir: str | None = None
     spill_threshold_mb: float | None = None
     seed: int | None = None
@@ -255,11 +247,6 @@ class BlastConfig:
             raise ValueError(
                 f"max_retries must be >= 0 or None, got {self.max_retries}"
             )
-        if self.pool is not None and self.pool not in ("per-run", "persistent"):
-            raise ValueError(
-                f"pool must be 'per-run', 'persistent' or None, "
-                f"got {self.pool!r}"
-            )
         if (
             self.spill_threshold_mb is not None
             and not self.spill_threshold_mb > 0
@@ -285,18 +272,17 @@ class BlastConfig:
             or self.shard_size is not None
             or self.task_timeout is not None
             or self.max_retries is not None
-            or self.pool is not None
             or self.spill_dir is not None
             or self.spill_threshold_mb is not None
         ):
             raise ValueError(
-                f"workers/shard_size/task_timeout/max_retries/pool/"
+                f"workers/shard_size/task_timeout/max_retries/"
                 f"spill_dir/spill_threshold_mb do not apply to the serial "
                 f"{self.backend!r} backend; use backend='parallel' "
                 f"(got workers={self.workers}, "
                 f"shard_size={self.shard_size}, "
                 f"task_timeout={self.task_timeout}, "
-                f"max_retries={self.max_retries}, pool={self.pool!r}, "
+                f"max_retries={self.max_retries}, "
                 f"spill_dir={self.spill_dir!r}, "
                 f"spill_threshold_mb={self.spill_threshold_mb})"
             )
@@ -369,10 +355,9 @@ class BlastConfig:
         plain backend protocol; set knobs are rejected at construction);
         ``parallel`` — and any custom registered backend — receives the
         ``workers``/``shard_size``/``task_timeout``/``max_retries``/
-        ``pool``/``spill_dir``/``spill_threshold_mb`` knobs that were
-        set.  ``None`` values are omitted so backend-side defaults (cpu
-        count, balanced shards, no timeout, 2 retries, per-run pool, no
-        spilling) apply.
+        ``spill_dir``/``spill_threshold_mb`` knobs that were set.
+        ``None`` values are omitted so backend-side defaults (cpu count,
+        the default shard plan, no timeout, 2 retries, no spilling) apply.
         """
         if self.backend in _SERIAL_BACKENDS:
             return {}
@@ -385,8 +370,6 @@ class BlastConfig:
             options["task_timeout"] = self.task_timeout
         if self.max_retries is not None:
             options["max_retries"] = self.max_retries
-        if self.pool is not None:
-            options["pool"] = self.pool
         if self.spill_dir is not None:
             options["spill_dir"] = self.spill_dir
         if self.spill_threshold_mb is not None:

@@ -9,13 +9,6 @@ from repro.graph.metablocking import (
     reference_metablocking,
 )
 from repro.graph.parallel import parallel_metablocking
-from repro.graph.pool import (
-    AttachedArrays,
-    PersistentPool,
-    SharedArrayBundle,
-    get_pool,
-    shutdown_pool,
-)
 from repro.graph.pruning import (
     BlastPruning,
     CardinalityEdgePruning,
@@ -30,13 +23,8 @@ from repro.graph.vectorized import ArrayBlockingGraph, vectorized_metablocking
 from repro.graph.weights import WeightingScheme, compute_weights
 
 __all__ = [
-    "AttachedArrays",
-    "PersistentPool",
-    "SharedArrayBundle",
     "SpillJob",
     "SpillSpec",
-    "get_pool",
-    "shutdown_pool",
     "BlockingGraph",
     "EdgeStats",
     "EntityIndex",

@@ -15,10 +15,10 @@ numpy arithmetic:
 * ``node_block_counts[p]`` is ``|B_p|``, how many blocks index profile
   ``p`` (dense over ``[0, max_profile_id]``; zero for unindexed ids).
 
-:meth:`EntityIndex.enumerate_pairs` unranks every comparison of every
-block into parallel ``(src, dst, block)`` arrays in block-major order —
-the array analogue of ``for block: block.iter_pairs()`` — in O(||B||)
-vectorized work, with no per-pair Python bytecode.
+:func:`repro.graph.sharding.enumerate_shard_pairs` unranks the
+comparisons of one entity-id range into parallel ``(src, dst, block)``
+arrays in block-major order — the array analogue of ``for block:
+block.iter_pairs()`` — with no per-pair Python bytecode.
 """
 
 from __future__ import annotations
@@ -277,13 +277,11 @@ class EntityIndex:
 
     @cached_property
     def shardable(self) -> "ShardableIndex":
-        """The cached slim array-only view the parallel backend shards.
+        """The cached slim array-only view the shard kernels read.
 
-        Cached so repeated parallel runs over one index share a single
-        ``ShardableIndex`` object — its identity token is what lets the
-        persistent pool's shared-memory publication cache skip
-        re-shipping the CSR arrays (local import: sharding imports the
-        pair-packing helpers from this module).
+        Cached so every pass over one index shares the view's flat-axis
+        derivations (local import: sharding imports the pair-packing
+        helpers from this module).
         """
         from repro.graph.sharding import ShardableIndex
 
@@ -297,53 +295,24 @@ class EntityIndex:
             [key_entropy(key) for key in self.keys], dtype=np.float64
         )
 
-    def enumerate_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All comparisons as ``(src, dst, block)`` int64 arrays.
-
-        Pairs appear in block-major order with ``src < dst`` (global
-        indexing already orders E1 before E2 for clean-clean blocks; dirty
-        pairs are unranked from each block's sorted member slice).
-        """
-        counts = self.block_comparisons
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        pair_block = np.repeat(
-            np.arange(self.num_blocks, dtype=np.int64), counts
-        )
-        offsets = np.zeros(self.num_blocks + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        # q: rank of the pair within its own block.
-        q = np.arange(total, dtype=np.int64) - offsets[pair_block]
-        starts = self.block_ptr[:-1].astype(np.int64)[pair_block]
-        if self.is_clean_clean:
-            split = self.block_split.astype(np.int64)[pair_block]
-            num_right = self.block_ptr[1:].astype(np.int64)[pair_block] - split
-            left_idx = q // num_right
-            right_idx = q - left_idx * num_right
-            src = self.entity_ids[starts + left_idx]
-            dst = self.entity_ids[split + right_idx]
-        else:
-            n = (
-                self.block_ptr[1:].astype(np.int64)[pair_block] - starts
-            )
-            row, col = _unrank_combinations(n, q)
-            src = self.entity_ids[starts + row]
-            dst = self.entity_ids[starts + col]
-        return src.astype(np.int64), dst.astype(np.int64), pair_block
-
     def distinct_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated comparison pairs, sorted lexicographically.
 
         Returns parallel ``(src, dst)`` int64 arrays — the array analogue
         of ``sorted(collection.distinct_pairs())`` at a fraction of the
-        memory of a Python set of tuples.
+        memory of a Python set of tuples.  Enumerated and deduplicated
+        one default-plan shard at a time: shards own ascending ``src``
+        ranges, so their sorted distinct lists concatenate into the
+        global one and only the output outlives a shard.
         """
-        src, dst, _ = self.enumerate_pairs()
-        if src.size == 0:
-            return src, dst
-        return unpack_pairs(np.unique(pack_pairs(src, dst)))
+        from repro.graph.sharding import default_plan, enumerate_shard_pairs
+
+        slim = self.shardable
+        packed = []
+        for lo, hi in default_plan(slim):
+            src, dst, _ = enumerate_shard_pairs(slim, lo, hi)
+            packed.append(np.unique(pack_pairs(src, dst)))
+        return unpack_pairs(np.concatenate(packed))
 
 
 def pack_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -354,27 +323,3 @@ def pack_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def unpack_pairs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`pack_pairs`."""
     return packed >> _PAIR_SHIFT, packed & _PAIR_MASK
-
-
-def _unrank_combinations(
-    n: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map rank ``q`` to the ``q``-th pair ``(row, col)`` of ``C(n, 2)``.
-
-    Ranks follow ``itertools.combinations(range(n), 2)`` order: row ``i``
-    starts at offset ``i * (2n - i - 1) / 2``.  The closed-form inverse is
-    computed in float64 and corrected by at most one step in each
-    direction, which is exact for any realistic block size.
-    """
-    m = 2 * n - 1
-    row = ((m - np.sqrt((m * m - 8 * q).astype(np.float64))) // 2).astype(
-        np.int64
-    )
-    np.clip(row, 0, n - 2, out=row)
-    offset = row * (2 * n - row - 1) // 2
-    row -= offset > q
-    offset = row * (2 * n - row - 1) // 2
-    row += q >= offset + (n - 1 - row)
-    offset = row * (2 * n - row - 1) // 2
-    col = q - offset + row + 1
-    return row, col

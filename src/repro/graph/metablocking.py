@@ -12,12 +12,13 @@ through :data:`repro.core.registry.BACKENDS`:
   path over :class:`~repro.graph.blocking_graph.BlockingGraph`;
 * ``"vectorized"`` (the default) —
   :func:`repro.graph.vectorized.vectorized_metablocking`, the array-backed
-  hot path; it delegates back to the reference for components it cannot
-  vectorize, so any registered backend accepts any weighting/pruning;
+  hot path, built one entity-id shard at a time in this process; it
+  delegates back to the reference for components it cannot vectorize, so
+  any registered backend accepts any weighting/pruning;
 * ``"parallel"`` —
-  :func:`repro.graph.parallel.parallel_metablocking`, the vectorized
-  arrays sharded by entity-id range across worker processes (bit-identical
-  merge; same reference fallback).
+  :func:`repro.graph.parallel.parallel_metablocking`, the same driver
+  with worker processes running the shards (bit-identical merge; same
+  reference fallback).
 
 A backend is a callable ``(collection, *, weighting, pruning,
 entropy_boost, key_entropy) -> list[Edge]`` returning the retained edges

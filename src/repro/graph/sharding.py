@@ -1,16 +1,16 @@
 """Entity-range sharding of the CSR entity index.
 
-The parallel meta-blocking backend (``repro.graph.parallel``) splits the
-blocking-graph construction across worker processes by partitioning the
-*entity-id space* into contiguous ranges.  Every comparison ``(src, dst)``
-with ``src < dst`` is owned by exactly one shard — the range containing
-``src`` — so each co-occurrence edge, with *all* of its block occurrences,
-lands in a single shard.  That single-owner property is what makes the
-sharded pipeline bit-identical to the serial vectorized backend: per-edge
-float accumulations (ARCS mass, entropy mass) happen in one shard, in the
-same block-major order the serial path uses, and the merged edge arrays
-are the serial arrays, bit for bit (see DESIGN.md "Parallel execution &
-sharding").
+Array meta-blocking (``repro.graph.vectorized``, and
+``repro.graph.parallel`` when worker processes run the shards) builds the
+blocking graph one contiguous range of the *entity-id space* at a time.
+Every comparison ``(src, dst)`` with ``src < dst`` is owned by exactly one
+shard — the range containing ``src`` — so each co-occurrence edge, with
+*all* of its block occurrences, lands in a single shard.  That
+single-owner property is what makes the result independent of the plan:
+per-edge float accumulations (ARCS mass, entropy mass) happen in one
+shard, in block-major order, and the shards' edge arrays concatenated in
+plan order are the one-shard arrays, bit for bit (see DESIGN.md "Parallel
+execution & sharding").
 
 The module is deliberately process-friendly: :class:`ShardableIndex` is a
 slim picklable view of an :class:`~repro.graph.entity_index.EntityIndex`
@@ -19,18 +19,17 @@ here is pure, so workers can run them on a shipped copy of the arrays.
 
 Shard enumeration order
 -----------------------
-:func:`enumerate_shard_pairs` yields the shard's comparisons in the serial
-enumeration order restricted to the shard: block-major, and within each
-block the ``itertools.combinations`` order (dirty) or row-major left x
-right order (clean-clean).  Restriction preserves relative order, and an
-edge's occurrences all share one shard, so the per-edge accumulation
-order — and hence every float rounding — matches
-:meth:`EntityIndex.enumerate_pairs` exactly.
+:func:`enumerate_shard_pairs` yields the shard's comparisons in the
+``for block: block.iter_pairs()`` order restricted to the shard:
+block-major, and within each block the ``itertools.combinations`` order
+(dirty) or row-major left x right order (clean-clean).  Restriction
+preserves relative order, and an edge's occurrences all share one shard,
+so the per-edge accumulation order — and hence every float rounding — is
+the same under every plan, the one-shard plan included.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +43,7 @@ __all__ = [
     "accumulate_arcs_mass",
     "accumulate_entropy_mass",
     "dedupe_pair_arrays",
+    "default_plan",
     "enumerate_shard_pairs",
     "pair_counts_by_entity",
     "plan_shards",
@@ -51,8 +51,15 @@ __all__ = [
 ]
 
 
-#: Source of :attr:`ShardableIndex.identity_token` values (process-wide).
-_IDENTITY_TOKENS = itertools.count(1)
+#: Comparisons per shard when the caller names no ``shard_size``: a sort
+#: of this many packed keys fits the cache, which one 1.5 M-key argsort
+#: does not.
+DEFAULT_SHARD_PAIRS = 100_000
+
+#: Most shards the default plan cuts.  Every shard pays a fixed cost in
+#: flat slots + ids (the range mask, the dense maxima array), so on huge
+#: inputs the cap grows with ``||B||`` instead of the shard count.
+MAX_DEFAULT_SHARDS = 512
 
 
 @dataclass(frozen=True)
@@ -107,30 +114,16 @@ class ShardableIndex:
         """``entity_ids`` widened once to int64 (pair packing needs it)."""
         return self.entity_ids.astype(np.int64)
 
-    @cached_property
-    def identity_token(self) -> int:
-        """Process-unique token assigned on first use.
-
-        The arrays are immutable by convention, so object identity is a
-        sound cache key — the persistent pool's publication cache uses
-        this token to recognize "same index as last run" without hashing
-        gigabytes of array content.  Monotonic, never reused within a
-        process, stable across pickling of an already-tokenized index
-        (the cached value rides along in ``__dict__``).
-        """
-        return next(_IDENTITY_TOKENS)
-
 
 @dataclass(frozen=True)
 class ShardEdges:
     """One shard's deduplicated edges, sorted lexicographically.
 
     ``arcs_mass``/``entropy_mass`` are ``None`` unless the shard was built
-    with them (they are only accumulated when the weighting needs them,
-    mirroring the lazy properties of ``ArrayBlockingGraph``).  ``shared``
-    is ``None`` only on the slim results the parallel backend ships once
-    a shard's weights are evaluated: the parent prunes on endpoints and
-    weights alone, so the weighting inputs stay behind in the worker.
+    with them (they are only accumulated when the weighting needs them).
+    ``shared`` is ``None`` only on the slim results a shard hands over
+    once its weights are evaluated: pruning reads endpoints and weights
+    alone, so the weighting inputs die with the shard.
     """
 
     src: np.ndarray
@@ -237,15 +230,35 @@ def plan_shards(
     ]
 
 
+def default_plan(
+    index, *, num_shards: int = 1, max_pairs: int | None = None
+) -> list[tuple[int, int]]:
+    """The plan of every caller that names none: never empty, never huge.
+
+    *max_pairs* left unset is worked out from the index —
+    :data:`DEFAULT_SHARD_PAIRS` comparisons per shard, more once that
+    would cut over :data:`MAX_DEFAULT_SHARDS` shards; *num_shards* (one
+    per worker) still tightens it, as in :func:`plan_shards`.  An empty id
+    space plans one empty shard, so callers never special-case it.
+    """
+    index = _as_shardable(index)
+    if max_pairs is None:
+        total = int(index.block_comparisons.sum())
+        max_pairs = max(DEFAULT_SHARD_PAIRS, -(-total // MAX_DEFAULT_SHARDS))
+    plan = plan_shards(index, num_shards=num_shards, max_pairs=max_pairs)
+    return plan or [(0, 0)]
+
+
 def enumerate_shard_pairs(
     index, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shard's comparisons as ``(src, dst, block)`` int64 arrays.
 
-    Exactly the pairs of :meth:`EntityIndex.enumerate_pairs` whose ``src``
-    falls in ``[lo, hi)``, in the same relative order.  Work and memory are
-    proportional to the shard's own pairs (plus one O(flat) range mask),
-    never to the full comparison set.
+    Exactly the pairs of ``for block: block.iter_pairs()`` whose ``src``
+    falls in ``[lo, hi)``, in the same relative order (``src < dst``:
+    global indexing orders E1 before E2, dirty members are sorted).  Work
+    and memory are proportional to the shard's own pairs (plus one O(flat)
+    range mask), never to the full comparison set.
     """
     index = _as_shardable(index)
     empty = np.zeros(0, dtype=np.int64)
@@ -316,10 +329,8 @@ def accumulate_arcs_mass(
 ) -> np.ndarray:
     """Per-edge ``sum over shared blocks of 1/||b||``.
 
-    The single implementation behind both the serial graph's lazy
-    ``arcs_mass`` and the per-shard workers — the bincount accumulation
-    order (original pair order via *inverse*) is part of the bit-identity
-    contract and must not fork.
+    The bincount accumulation order (original pair order via *inverse*)
+    is part of the bit-identity contract with the python oracle.
     """
     arcs_share = np.zeros(num_blocks, dtype=np.float64)
     np.divide(
@@ -352,10 +363,9 @@ def shard_edge_arrays(
 ) -> ShardEdges:
     """Build one shard's deduplicated, mass-accumulated edge arrays.
 
-    The workhorse of both the worker processes and the in-process chunked
-    mode.  ``arcs_mass`` is accumulated only when *need_arcs* is set and
-    ``entropy_mass`` only when *block_entropies* is given, mirroring the
-    lazy properties of ``ArrayBlockingGraph``.
+    The workhorse of every shard, in a worker process or not.
+    ``arcs_mass`` is accumulated only when *need_arcs* is set and
+    ``entropy_mass`` only when *block_entropies* is given.
     """
     index = _as_shardable(index)
     src, dst, pair_block = enumerate_shard_pairs(index, lo, hi)

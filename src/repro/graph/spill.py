@@ -54,8 +54,8 @@ MB = 1024 * 1024
 class SpillSpec:
     """Picklable spill policy: where to write, and above how many bytes.
 
-    Travels to workers inside the job spec; arrays whose total size
-    stays under ``threshold_bytes`` never touch disk.
+    Travels to workers with the run's shared state; arrays whose total
+    size stays under ``threshold_bytes`` never touch disk.
     """
 
     directory: str
@@ -205,9 +205,8 @@ def concat_spillable(
     array is bit-identical whether it lands on the heap or in an
     ``open_memmap`` file.  Sequential per-shard copies also mean at most
     one source shard is resident at a time when the inputs are memmaps.
+    *arrays* is never empty: every plan has at least one shard.
     """
-    if not arrays:
-        return np.zeros(0, dtype=np.int64)
     total = sum(a.shape[0] for a in arrays)
     nbytes = sum(a.nbytes for a in arrays)
     if spec is not None and nbytes > spec.threshold_bytes:

@@ -1,35 +1,56 @@
-"""Array-backed meta-blocking: the ``vectorized`` backend.
+"""Array-backed meta-blocking: the ``vectorized`` backend and its driver.
 
 The reference implementation (``repro.graph.blocking_graph`` +
 ``repro.graph.weights`` + ``repro.graph.pruning``) materializes a
 ``dict[(i, j), EdgeStats]`` with a Python-level inner loop per comparison.
-This module re-expresses the same pipeline over flat numpy arrays:
+This module re-expresses the same pipeline over flat numpy arrays, one
+entity-id shard (``repro.graph.sharding``) at a time:
 
-1. :class:`ArrayBlockingGraph` lowers a block collection through its CSR
-   :class:`~repro.graph.entity_index.EntityIndex`, enumerates every
-   comparison into parallel arrays, and deduplicates them with one stable
-   sort — yielding per-edge ``src``/``dst``/``shared``/``arcs_mass``/
-   ``entropy_mass`` arrays in the exact lexicographic order of
+1. :func:`run_shard` enumerates one id range's comparisons from the CSR
+   :class:`~repro.graph.entity_index.EntityIndex`, deduplicates them with
+   one stable sort into per-edge ``src``/``dst``/``shared``/``arcs_mass``/
+   ``entropy_mass`` arrays, and — for every weighting except EJS —
+   evaluates the weights with :func:`compute_edge_weights`, elementwise
+   numpy arithmetic that mirrors the reference operation order, so
+   weights agree bit-for-bit.  It hands over only what is still read:
+   endpoints and weights, and under BLAST pruning only the *candidate*
+   edges that pass BLAST's test against the shard's own per-node maxima,
+   plus those maxima;
+2. :class:`Collector` folds the maxima into one running array and keeps
+   the rest; shards cover ascending ``src`` ranges, so concatenating them
+   (:func:`merge_shards`) IS the lexicographic edge order of
    ``BlockingGraph.edges()``;
-2. :meth:`ArrayBlockingGraph.weights` evaluates all six weighting schemes
-   (including the ``entropy_boost`` ablation and CHI_H's one-sided
-   zeroing) with elementwise numpy arithmetic that mirrors the reference
-   operation order, so weights agree bit-for-bit;
-3. :func:`prune_mask` vectorizes the five built-in pruning schemes
-   (BLAST max-based WNP, WEP, CEP, WNP, CNP) via dense per-node
-   scatter/gather and segmented rankings.
+3. the decision runs over the merged arrays: BLAST by
+   :func:`blast_retain_mask` against the reduced global maxima, the other
+   built-in schemes (WEP, CEP, WNP, CNP) by :func:`prune_mask` via dense
+   per-node scatter/gather and segmented rankings; EJS, which needs the
+   global degrees, is weighted here too.
 
-:func:`vectorized_metablocking` is the backend entry point registered
-under ``backend="vectorized"``; inputs it cannot vectorize (custom
-weighting callables, user-defined or subclassed pruning schemes) are
-delegated to :func:`repro.graph.metablocking.reference_metablocking`, so
-the result is equivalent for *every* input — the reference path stays the
-oracle, the arrays are just faster.
+:func:`sharded_metablocking` is that driver.  Who runs the shards is its
+only degree of freedom: :func:`vectorized_metablocking` (registered under
+``backend="vectorized"``) runs them in this process, one after the other
+(:func:`run_in_process`), so the per-pair arrays never exceed one shard's
+comparisons and under BLAST pruning neither do the outputs;
+``repro.graph.parallel`` hands the same shards to a worker pool.  Because
+each edge lives in exactly one shard with all of its block occurrences,
+every plan yields the same arrays, and BLAST's shard-local filter is
+exact, not approximate: a maximum is an order-free reduction, local
+maxima never exceed the global ones and the test is monotone in them, so
+a shard only ever drops edges the global test drops too — and the global
+test is what decides.
+
+Inputs the arrays cannot express (custom weighting callables,
+user-defined or subclassed pruning schemes) are delegated to
+:func:`repro.graph.metablocking.reference_metablocking`, so the result is
+equivalent for *every* input — the reference path stays the oracle, the
+arrays are just faster.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,9 +67,19 @@ from repro.graph.pruning import (
     WeightNodePruning,
 )
 from repro.graph.sharding import (
-    accumulate_arcs_mass,
-    accumulate_entropy_mass,
-    dedupe_pair_arrays,
+    ShardableIndex,
+    ShardEdges,
+    default_plan,
+    shard_edge_arrays,
+)
+from repro.graph.spill import (
+    SpilledArray,
+    SpilledShardEdges,
+    SpillSpec,
+    concat_spillable,
+    load_array,
+    resolve_shard,
+    spill_shard,
 )
 from repro.graph.weights import WeightingScheme
 
@@ -56,8 +87,10 @@ __all__ = [
     "ArrayBlockingGraph",
     "blast_retain_mask",
     "compute_edge_weights",
+    "merge_shards",
     "node_maxima",
     "prune_mask",
+    "sharded_metablocking",
     "supports_pruning",
     "vectorized_metablocking",
 ]
@@ -68,13 +101,18 @@ _CLEARS_TOL = 1e-9
 
 
 class ArrayBlockingGraph:
-    """The blocking graph as parallel numpy arrays.
+    """The blocking graph as parallel numpy arrays, merged from shards.
 
     Edge ``e`` is ``(src[e], dst[e])`` with ``src < dst``; edges are sorted
     lexicographically, matching the deterministic iteration order of the
     reference :class:`~repro.graph.blocking_graph.BlockingGraph`.  Per-node
     quantities (``node_blocks``, ``degrees``) are dense arrays indexed by
     profile id.
+
+    Built from a collection it holds the full output of the default
+    plan's shards — shared-block counts and both float masses, what tests
+    and probes inspect.  The driver instead wraps whatever columns its own
+    shards kept (:meth:`of_merged`); the others read ``None``.
     """
 
     def __init__(
@@ -82,70 +120,46 @@ class ArrayBlockingGraph:
         collection: BlockCollection,
         key_entropy: KeyEntropyFn | None = None,
     ) -> None:
-        index: EntityIndex = collection.entity_index
-        self.is_clean_clean = collection.is_clean_clean
+        index = collection.entity_index
+        state = SharedState(
+            index=index.shardable,
+            block_entropies=index.block_entropies(key_entropy),
+            need_arcs=True,
+        )
+        collector = Collector(state.index.num_ids)
+        run_in_process(state, default_plan(state.index), None, collector)
+        self._hold(index, collector.merge(None)[0])
+
+    @classmethod
+    def of_merged(
+        cls, index: EntityIndex, edges: ShardEdges
+    ) -> "ArrayBlockingGraph":
+        """Wrap already-merged shard arrays of *index*'s collection."""
+        graph = cls.__new__(cls)
+        graph._hold(index, edges)
+        return graph
+
+    def _hold(self, index: EntityIndex, edges: ShardEdges) -> None:
         self.num_blocks = index.num_blocks
         self.node_blocks = index.node_block_counts
         self.num_nodes = index.num_indexed_profiles
-
-        src, dst, pair_block = index.enumerate_pairs()
-        self._key_entropy = key_entropy
-        self._index = index
-
-        if src.size == 0:
-            empty_i = np.zeros(0, dtype=np.int64)
-            empty_f = np.zeros(0, dtype=np.float64)
-            self.src, self.dst, self.shared = empty_i, empty_i, empty_i
-            self._arcs_mass = empty_f
-            self._entropy_mass = empty_f
-            self._pair_block = empty_i
-            self._inverse = empty_i
-            return
-
-        # One stable sort + inverse mapping (see dedupe_pair_arrays for the
-        # bit-level accumulation-order contract).
-        self.src, self.dst, self.shared, inverse = dedupe_pair_arrays(src, dst)
-        # The float masses are accumulated lazily: CBS/ECBS/JS/EJS without
-        # entropy_boost never read them, and the two weighted bincount
-        # passes are a measurable slice of the hot path.
-        self._arcs_mass: np.ndarray | None = None
-        self._entropy_mass: np.ndarray | None = None
-        self._pair_block = pair_block
-        self._inverse = inverse
+        self.src, self.dst, self.shared = edges.src, edges.dst, edges.shared
+        #: Per-edge ``sum over shared blocks of 1/||b||``.
+        self.arcs_mass = edges.arcs_mass
+        #: Per-edge summed entropy of the shared blocking keys.
+        self.entropy_mass = edges.entropy_mass
 
     @property
     def num_edges(self) -> int:
         return int(self.src.size)
 
-    @property
-    def arcs_mass(self) -> np.ndarray:
-        """Per-edge ``sum over shared blocks of 1/||b||`` (lazy)."""
-        if self._arcs_mass is None:
-            self._arcs_mass = accumulate_arcs_mass(
-                self._index.block_comparisons,
-                self.num_blocks,
-                self._inverse,
-                self._pair_block,
-                self.num_edges,
-            )
-        return self._arcs_mass
-
-    @property
-    def entropy_mass(self) -> np.ndarray:
-        """Per-edge summed entropy of the shared blocking keys (lazy)."""
-        if self._entropy_mass is None:
-            self._entropy_mass = accumulate_entropy_mass(
-                self._index.block_entropies(self._key_entropy),
-                self._inverse,
-                self._pair_block,
-                self.num_edges,
-            )
-        return self._entropy_mass
-
     @cached_property
     def degrees(self) -> np.ndarray:
         """|v_i| per profile id (dense), cached after first use."""
-        return edge_degrees(self.src, self.dst, self.node_blocks.size)
+        num_ids = self.node_blocks.size
+        return np.bincount(self.src, minlength=num_ids) + np.bincount(
+            self.dst, minlength=num_ids
+        )
 
     def edge_list(self) -> list[Edge]:
         """Edges as Python ``(i, j)`` tuples, lexicographically sorted."""
@@ -158,11 +172,6 @@ class ArrayBlockingGraph:
     ) -> np.ndarray:
         """Per-edge weights under *scheme*, aligned with the edge arrays."""
         scheme = WeightingScheme(scheme)
-        if self.shared.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        # The lazy mass/degree properties are only touched when the scheme
-        # actually reads them — CBS/ECBS/JS stay bincount-free.
-        needs_entropy = scheme is WeightingScheme.CHI_H or entropy_boost
         needs_degrees = scheme is WeightingScheme.EJS
         degrees = self.degrees if needs_degrees else None
         return compute_edge_weights(
@@ -171,27 +180,13 @@ class ArrayBlockingGraph:
             blocks_i=self.node_blocks[self.src],
             blocks_j=self.node_blocks[self.dst],
             num_blocks=self.num_blocks,
-            arcs_mass=self.arcs_mass
-            if scheme is WeightingScheme.ARCS
-            else None,
-            entropy_mass=self.entropy_mass if needs_entropy else None,
+            arcs_mass=self.arcs_mass,
+            entropy_mass=self.entropy_mass,
             degrees_src=degrees[self.src] if needs_degrees else None,
             degrees_dst=degrees[self.dst] if needs_degrees else None,
             num_edges=self.num_edges if needs_degrees else None,
             entropy_boost=entropy_boost,
         )
-
-
-def edge_degrees(src: np.ndarray, dst: np.ndarray, num_ids: int) -> np.ndarray:
-    """|v_i| per profile id (dense) from deduplicated edge endpoints.
-
-    Shared by the serial graph's :attr:`ArrayBlockingGraph.degrees` and
-    the parallel backend's post-merge EJS path — one definition, so the
-    backends cannot drift.
-    """
-    return np.bincount(src, minlength=num_ids) + np.bincount(
-        dst, minlength=num_ids
-    )
 
 
 def compute_edge_weights(
@@ -210,12 +205,12 @@ def compute_edge_weights(
 ) -> np.ndarray:
     """Edge weights under *scheme* from raw per-edge arrays.
 
-    The single weighting kernel behind both :meth:`ArrayBlockingGraph.weights`
-    and the per-shard workers of the ``parallel`` backend.  Every operation
-    is elementwise (the EJS degree statistics arrive pre-gathered per edge),
-    so evaluating a shard's slice produces bit-identical values to
+    The single weighting kernel behind both :func:`run_shard` and
+    :meth:`ArrayBlockingGraph.weights`.  Every operation is elementwise
+    (the EJS degree statistics arrive pre-gathered per edge), so
+    evaluating a shard's slice produces bit-identical values to
     evaluating the same rows inside the full arrays — the property the
-    sharded backend's equivalence contract rests on.
+    plan-independence of the result rests on.
     """
     scheme = WeightingScheme(scheme)
     if shared.size == 0:
@@ -329,7 +324,7 @@ def node_maxima(
     Never negative (isolated ids read 0.0).  A maximum is an exact,
     order-free reduction, so maxima taken over disjoint edge subsets
     combine with ``np.maximum`` into exactly the whole-graph array — what
-    lets the ``parallel`` backend take them per shard.
+    lets :func:`run_shard` take them per shard.
     """
     maxima = np.zeros(num_ids, dtype=np.float64)
     np.maximum.at(maxima, src, weights)
@@ -348,10 +343,10 @@ def blast_retain_mask(
 ) -> np.ndarray:
     """BLAST's retention test against the given per-node *maxima*.
 
-    The one definition of the ``(M_i/c + M_j/c)/d`` threshold: the serial
-    mask below applies it to the whole graph, the ``parallel`` backend
-    applies it twice — per shard against the shard's local maxima, then in
-    the parent against the reduced global ones.  For positive ``c``/``d``
+    The one definition of the ``(M_i/c + M_j/c)/d`` threshold: the mask
+    below applies it to a whole graph, the shard loop applies it twice —
+    per shard against the shard's local maxima, then over the merged
+    candidates against the reduced global ones.  For positive ``c``/``d``
     every step (division, sum, the ``_clears`` slack) is monotone
     non-decreasing in the maxima under round-to-nearest, so an edge that
     fails against maxima no larger than the global ones fails globally.
@@ -492,20 +487,246 @@ def prune_mask(
     return handler(scheme, graph, weights)
 
 
-def vectorized_metablocking(
+# --- the shard loop: plan -> run_shard per shard -> Collector -> merge ------
+
+
+@dataclass(frozen=True)
+class SharedState:
+    """What every shard of one run reads, whoever runs it.
+
+    The CSR index and the dense per-node/per-block arrays are identical
+    for every shard; a worker pool ships them ONCE per worker (see
+    ``repro.graph.parallel``) while the per-shard payload is just an
+    ``(lo, hi)`` id range.  ``scheme`` is the weighting the shard
+    evaluates (its string value, not the enum member) or ``None`` when the
+    shard hands over its full edge arrays: to be weighted after the merge
+    (EJS, which needs global degrees) or held as they are
+    (:class:`ArrayBlockingGraph`).  ``blast`` is BLAST pruning's ``(c, d)``
+    when the shards pre-prune against their local maxima (see
+    :func:`run_shard`), else ``None``.
+    """
+
+    index: ShardableIndex
+    block_entropies: np.ndarray | None
+    need_arcs: bool
+    scheme: str | None = None
+    entropy_boost: bool = False
+    node_block_counts: np.ndarray | None = None
+    num_blocks: int = 0
+    blast: tuple[float, float] | None = None
+
+
+#: One shard's result: edges and weights (possibly spilled by-path), plus
+#: BLAST's dense local maxima.
+ShardResult = tuple[
+    ShardEdges | SpilledShardEdges,
+    "np.ndarray | SpilledArray | None",
+    "np.ndarray | None",
+]
+
+
+def run_shard(
+    state: SharedState, lo: int, hi: int, spill: SpillSpec | None = None
+) -> ShardResult:
+    """Shard body: one id range's edges, handed over as slim as pruning allows.
+
+    What comes back depends on what is still read after the shard:
+
+    * weights not evaluated here (``state.scheme is None``) — the full
+      edge arrays;
+    * weights evaluated here — endpoints and weights only (every pruning
+      reads nothing else);
+    * BLAST pruning on top — only the *candidate* edges that pass BLAST's
+      test against this shard's local maxima, plus those maxima.  Local
+      maxima never exceed the global ones and the test is monotone in
+      them (:func:`blast_retain_mask`), so every globally retained edge is
+      among its shard's candidates; the driver re-applies the same test
+      with the reduced global maxima.
+
+    With *spill* armed, an over-budget result is written to atomic
+    ``.npy`` files and returned by path (``shard-{lo}`` stems are unique
+    — plans tile the id space, and a retried shard overwrites its own
+    files with identical bytes).
+    """
+    edges = shard_edge_arrays(
+        state.index,
+        lo,
+        hi,
+        block_entropies=state.block_entropies,
+        need_arcs=state.need_arcs,
+    )
+    tag = f"shard-{lo}"
+    if state.scheme is None:
+        return (*spill_shard(edges, None, spill, tag), None)
+    counts = state.node_block_counts
+    src, dst = edges.src, edges.dst
+    weights = compute_edge_weights(
+        WeightingScheme(state.scheme),
+        shared=edges.shared,
+        blocks_i=counts[src],
+        blocks_j=counts[dst],
+        num_blocks=state.num_blocks,
+        arcs_mass=edges.arcs_mass,
+        entropy_mass=edges.entropy_mass,
+        entropy_boost=state.entropy_boost,
+    )
+    maxima = None
+    if state.blast is not None:
+        c, d = state.blast
+        maxima = node_maxima(src, dst, weights, state.index.num_ids)
+        keep = blast_retain_mask(maxima, src, dst, weights, c=c, d=d)
+        src, dst, weights = src[keep], dst[keep], weights[keep]
+    slim = ShardEdges(src=src, dst=dst, shared=None)
+    return (*spill_shard(slim, weights, spill, tag), maxima)
+
+
+def merge_shards(
+    shards: list[ShardEdges], spill: SpillSpec | None = None
+) -> ShardEdges:
+    """Concatenate per-shard edge arrays into the global edge arrays.
+
+    Shards cover ascending ``src`` ranges and each shard is sorted
+    lexicographically, so plain concatenation in plan order yields the
+    globally sorted, duplicate-free edge list — the same arrays under
+    every plan (each edge's masses were accumulated whole inside its
+    single owning shard).  Fields the shards left out (``shared`` and the
+    masses on slim, already-weighted results) stay ``None``; dropping
+    edges inside a shard, as BLAST's candidate filter does, keeps the
+    order argument intact.  With *spill* armed the merged arrays land in
+    memmapped ``.npy`` files when over budget — same bytes, bounded
+    residency (:func:`~repro.graph.spill.concat_spillable`).
+    """
+    if not shards:
+        empty_i = np.zeros(0, dtype=np.int64)
+        return ShardEdges(src=empty_i, dst=empty_i.copy(), shared=empty_i.copy())
+    return ShardEdges(
+        src=concat_spillable([s.src for s in shards], spill, "merged-src"),
+        dst=concat_spillable([s.dst for s in shards], spill, "merged-dst"),
+        shared=concat_spillable(
+            [s.shared for s in shards], spill, "merged-shared"
+        )
+        if shards[0].shared is not None
+        else None,
+        arcs_mass=concat_spillable(
+            [s.arcs_mass for s in shards], spill, "merged-arcs"
+        )
+        if shards[0].arcs_mass is not None
+        else None,
+        entropy_mass=concat_spillable(
+            [s.entropy_mass for s in shards], spill, "merged-entropy"
+        )
+        if shards[0].entropy_mass is not None
+        else None,
+    )
+
+
+def _validate_plan(plan: list[tuple[int, int]], num_ids: int) -> None:
+    """Reject shard plans that would silently corrupt the merge.
+
+    Merging is plain concatenation, so a plan must tile ``[0, num_ids)``
+    contiguously: an overlap would duplicate edges, a gap would drop
+    them — both yield a plausible-looking wrong result rather than a
+    crash.  Empty ranges (``lo == hi``) are fine.
+    """
+    if num_ids == 0:
+        return
+    if not plan:
+        raise ValueError("shard_plan must cover the entity-id space")
+    cursor = 0
+    for lo, hi in plan:
+        if lo != cursor or hi < lo:
+            raise ValueError(
+                f"shard_plan must tile [0, {num_ids}) contiguously; "
+                f"range ({lo}, {hi}) breaks at position {cursor}"
+            )
+        cursor = hi
+    if cursor != num_ids:
+        raise ValueError(
+            f"shard_plan must tile [0, {num_ids}) contiguously; "
+            f"coverage stops at {cursor}"
+        )
+
+
+class Collector:
+    """Where shard results land, keyed by plan position.
+
+    Keeps a shard's edges and weights (spilled ones reopened as memmaps:
+    pages fault in only as the merge copies them) and folds its BLAST
+    maxima into one running array straight away — ``np.maximum`` is exact
+    and order-free — so beside the candidates only one dense maxima array
+    outlives a shard, however many shards the plan has.
+    """
+
+    def __init__(self, num_ids: int) -> None:
+        self.shards: dict[int, tuple[ShardEdges, np.ndarray | None]] = {}
+        self.maxima = np.zeros(num_ids, dtype=np.float64)
+
+    def add(self, position: int, result: ShardResult) -> None:
+        edges, weights, maxima = result
+        if maxima is not None:
+            np.maximum(self.maxima, maxima, out=self.maxima)
+        self.shards[position] = (resolve_shard(edges), load_array(weights))
+
+    def merge(
+        self, spill: SpillSpec | None
+    ) -> tuple[ShardEdges, np.ndarray | None]:
+        """The merged edges, and the merged weights if the shards took any.
+
+        Every plan position must have been added, whoever ran it.
+        """
+        results = [self.shards[position] for position in range(len(self.shards))]
+        edges = merge_shards([edges for edges, _ in results], spill)
+        if results[0][1] is None:
+            return edges, None
+        shard_weights = [weights for _, weights in results]
+        return edges, concat_spillable(shard_weights, spill, "merged-weights")
+
+
+def run_in_process(
+    state: SharedState,
+    plan: list[tuple[int, int]],
+    spill: SpillSpec | None,
+    collector: Collector,
+    positions: list[int] | None = None,
+) -> None:
+    """Run the shards at *positions* (default: all) here, one at a time.
+
+    The ``vectorized`` backend's runner and the degradation target of the
+    pool: each shard's arrays die before the next shard is built, only
+    what the collector keeps survives.
+    """
+    for position in range(len(plan)) if positions is None else positions:
+        lo, hi = plan[position]
+        collector.add(position, run_shard(state, lo, hi, spill))
+
+
+#: Who runs the shards of a plan: fills *collector* at every position.
+ShardRunner = Callable[
+    [SharedState, list[tuple[int, int]], "SpillSpec | None", Collector], None
+]
+
+
+def sharded_metablocking(
     collection: BlockCollection,
     *,
-    weighting=WeightingScheme.CHI_H,
+    weighting,
     pruning: PruningScheme,
-    entropy_boost: bool = False,
-    key_entropy: KeyEntropyFn | None = None,
+    entropy_boost: bool,
+    key_entropy: KeyEntropyFn | None,
+    run_shards: ShardRunner = run_in_process,
+    num_shards: int = 1,
+    shard_size: int | None = None,
+    shard_plan: list[tuple[int, int]] | None = None,
+    spill: SpillSpec | None = None,
 ) -> list[Edge]:
-    """The ``vectorized`` meta-blocking backend: sorted retained edges.
+    """The one array meta-blocking driver: sorted retained edges.
 
-    Result-equivalent to
-    :func:`repro.graph.metablocking.reference_metablocking` for every
-    input; combinations without a vectorized implementation (custom
-    weighting callables, user pruning schemes) are delegated to it.
+    Plans (an explicit *shard_plan*, validated; else
+    :func:`~repro.graph.sharding.default_plan` with at least *num_shards*
+    shards of at most *shard_size* comparisons), lets *run_shards* fill a
+    :class:`Collector`, merges, and decides.  The result does not depend
+    on the plan or on who ran which shard; combinations the arrays cannot
+    express go to the reference path.
     """
     if isinstance(weighting, str):
         weighting = WeightingScheme(weighting)
@@ -521,9 +742,77 @@ def vectorized_metablocking(
             entropy_boost=entropy_boost,
             key_entropy=key_entropy,
         )
-    graph = ArrayBlockingGraph(collection, key_entropy=key_entropy)
-    weights = graph.weights(weighting, entropy_boost=entropy_boost)
-    mask = prune_mask(pruning, graph, weights)
-    return list(
-        zip(graph.src[mask].tolist(), graph.dst[mask].tolist())
+    index = collection.entity_index
+    slim = index.shardable
+    if shard_plan is not None:
+        _validate_plan(shard_plan, slim.num_ids)
+        # As in default_plan: an empty id space is one empty shard.
+        plan = list(shard_plan) or [(0, 0)]
+    else:
+        plan = default_plan(slim, num_shards=num_shards, max_pairs=shard_size)
+
+    needs_entropy = weighting is WeightingScheme.CHI_H or entropy_boost
+    # EJS mixes global degree statistics into every edge; its weights are
+    # evaluated over the merged arrays instead of per shard.
+    weight_in_shard = weighting is not WeightingScheme.EJS
+    # BLAST's threshold rests on per-node maxima — an exact, order-free
+    # reduction — so shards that hold their weights pre-prune (exact type
+    # only: a subclass may override the rule).
+    blast = (
+        (pruning.c, pruning.d)
+        if type(pruning) is BlastPruning and weight_in_shard
+        else None
+    )
+    state = SharedState(
+        index=slim,
+        block_entropies=index.block_entropies(key_entropy)
+        if needs_entropy
+        else None,
+        need_arcs=weighting is WeightingScheme.ARCS,
+        scheme=weighting.value if weight_in_shard else None,
+        entropy_boost=entropy_boost,
+        node_block_counts=index.node_block_counts if weight_in_shard else None,
+        num_blocks=index.num_blocks,
+        blast=blast,
+    )
+    collector = Collector(slim.num_ids)
+    run_shards(state, plan, spill, collector)
+    edges, weights = collector.merge(spill)
+    if blast is not None:
+        # The merged arrays hold the shards' candidates only; the
+        # decision is the whole-graph one — same test, global maxima.
+        c, d = blast
+        mask = blast_retain_mask(
+            collector.maxima, edges.src, edges.dst, weights, c=c, d=d
+        )
+    else:
+        graph = ArrayBlockingGraph.of_merged(index, edges)
+        if weights is None:
+            weights = graph.weights(weighting, entropy_boost=entropy_boost)
+        mask = prune_mask(pruning, graph, weights)
+    return list(zip(edges.src[mask].tolist(), edges.dst[mask].tolist()))
+
+
+def vectorized_metablocking(
+    collection: BlockCollection,
+    *,
+    weighting=WeightingScheme.CHI_H,
+    pruning: PruningScheme,
+    entropy_boost: bool = False,
+    key_entropy: KeyEntropyFn | None = None,
+) -> list[Edge]:
+    """The ``vectorized`` meta-blocking backend: sorted retained edges.
+
+    :func:`sharded_metablocking` over the default plan, every shard run in
+    this process — peak memory follows one shard, not ``||B||``.
+    Result-equivalent to
+    :func:`repro.graph.metablocking.reference_metablocking` for every
+    input.
+    """
+    return sharded_metablocking(
+        collection,
+        weighting=weighting,
+        pruning=pruning,
+        entropy_boost=entropy_boost,
+        key_entropy=key_entropy,
     )

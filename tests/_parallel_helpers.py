@@ -10,7 +10,8 @@ import random
 from unittest import mock
 
 from repro.blocking.base import build_blocks
-from repro.graph.parallel import _Collector, parallel_metablocking
+from repro.graph.parallel import parallel_metablocking
+from repro.graph.vectorized import Collector
 
 
 def random_blocks(seed, *, profiles, blocks, largest):
@@ -32,15 +33,15 @@ def run_capturing_shards(collection, **kwargs):
 
     Returns ``(retained, shipped)`` where ``shipped[position]`` is the
     ``(edges, weights, maxima)`` triple the shard at that plan position
-    handed to the parent, before any merge.
+    handed to the collector, before any merge.
     """
     shipped = {}
-    collect = _Collector.add
+    collect = Collector.add
 
     def spy(self, position, result):
         shipped[position] = result
         collect(self, position, result)
 
-    with mock.patch.object(_Collector, "add", spy):
+    with mock.patch.object(Collector, "add", spy):
         retained = parallel_metablocking(collection, workers=1, **kwargs)
     return retained, [shipped[position] for position in sorted(shipped)]

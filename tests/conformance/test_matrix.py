@@ -79,36 +79,6 @@ class TestParallelWorkerPool:
         assert BACKEND_OPTIONS["parallel"]["shard_size"] is not None
 
 
-class TestPersistentPool:
-    """``pool="persistent"`` must be indistinguishable from per-run mode
-    — same edges as the oracle, with the pool reused across cases."""
-
-    @pytest.fixture(autouse=True)
-    def _teardown_pool(self):
-        yield
-        from repro.graph.pool import live_segments, shutdown_pool
-
-        shutdown_pool()
-        assert live_segments() == frozenset()
-
-    @pytest.mark.parametrize("dataset_name", sorted(_matrix.DATASETS))
-    def test_persistent_pool_matches_oracle(self, dataset_name):
-        blocks, key_entropy = prepared_blocks(dataset_name, "token")
-        expected = oracle_edges(dataset_name, "token", "chi_h", "blast")
-        for _ in range(2):  # second run reuses pool and cached arrays
-            actual = run_backend(
-                "parallel",
-                blocks,
-                key_entropy,
-                weighting="chi_h",
-                pruning="blast",
-                workers=2,
-                shard_size=None,
-                pool="persistent",
-            )
-            assert actual == expected
-
-
 class TestSpillMode:
     """Out-of-core execution: a one-byte-scale threshold forces every
     shard and merge through disk; results must not move by a single

@@ -1,15 +1,15 @@
-"""Property-based shard invariance of the parallel meta-blocking backend.
+"""Property-based shard invariance of the array meta-blocking driver.
 
-The sharded backend's contract is stronger than result equivalence: the
-*merged edge arrays* must be bit-identical to the serial vectorized
-graph's — same edges, same order, same float masses down to the last ulp
-— no matter how the entity-id space is partitioned.  Hypothesis hammers
-that with random collections and pathological shard plans: 1/2/7/16-way
-balanced plans, arbitrary boundary sets, empty ranges, and single-entity
-ranges.
+The shard loop's contract is stronger than result equivalence: the
+*merged edge arrays* must be bit-identical to the default plan's
+(``ArrayBlockingGraph``) — same edges, same order, same float masses down
+to the last ulp — no matter how the entity-id space is partitioned.
+Hypothesis hammers that with random collections and pathological shard
+plans: 1/2/7/16-way balanced plans, arbitrary boundary sets, empty ranges,
+and single-entity ranges.
 
 BLAST pruning adds a second contract on top: its shards drop edges before
-the merge (``_run_shard`` keeps only the candidates that pass BLAST's test
+the merge (``run_shard`` keeps only the candidates that pass BLAST's test
 against the shard's local maxima), so the suite also pins the exactness
 argument — every shard's candidates are a superset of the globally
 retained edges it owns, for any plan, weighting and positive ``c``/``d``.
@@ -35,7 +35,7 @@ from repro.graph.sharding import (
     plan_shards,
     shard_edge_arrays,
 )
-from repro.graph.vectorized import ArrayBlockingGraph, vectorized_metablocking
+from repro.graph.vectorized import ArrayBlockingGraph
 
 NUM_PROFILES = 12
 
@@ -229,7 +229,7 @@ class TestShardLocalBlastPruningIsExact:
             entropy_boost=boost,
             key_entropy=key_entropy,
         )
-        oracle = vectorized_metablocking(collection, **kwargs)
+        oracle = reference_metablocking(collection, **kwargs)
         retained, shipped = run_capturing_shards(
             collection, shard_plan=plan, **kwargs
         )
@@ -243,7 +243,7 @@ class TestShardLocalBlastPruningIsExact:
             # (a) local filtering never loses a globally retained edge.
             owned = {edge for edge in oracle if lo <= edge[0] < hi}
             assert owned <= candidates
-        # (b) the parent's decision is the serial one.
+        # (b) the driver's decision is the python oracle's.
         assert retained == oracle
 
     @given(
@@ -326,7 +326,7 @@ class TestSpilledMergeBitIdentical:
     ):
         # Force every shard through disk (threshold of one byte) and
         # merge into memmap-backed outputs: the merged arrays must be
-        # byte-for-byte the serial vectorized graph's.
+        # byte-for-byte the default plan's heap arrays.
         import tempfile
 
         from repro.graph.spill import (

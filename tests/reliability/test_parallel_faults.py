@@ -9,7 +9,7 @@ BLAST runs take the pre-pruned path (shards ship candidates and node
 maxima, the parent decides), so every scenario here also pins that a
 result assembled from any mix of worker-built, retried and serially
 degraded shards is the oracle's — and that nothing the call started
-outlives it: no child process, no shared-memory segment.
+outlives it: no child process, no spill file.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from _parallel_helpers import random_blocks
 
 from repro.blocking.base import build_blocks
 from repro.graph import WeightingScheme
+from repro.graph.metablocking import reference_metablocking
 from repro.graph.parallel import WORKER_FAULT_SITE, parallel_metablocking
-from repro.graph.pool import live_segments
 from repro.graph.pruning import BlastPruning
-from repro.graph.vectorized import vectorized_metablocking
 from repro.reliability import FAULTS, RetryPolicy
 
 
@@ -44,7 +43,7 @@ def blocks():
 
 @pytest.fixture
 def oracle(blocks):
-    return vectorized_metablocking(
+    return reference_metablocking(
         blocks, weighting=WeightingScheme.CHI_H, pruning=BlastPruning()
     )
 
@@ -63,9 +62,8 @@ def fork_only():
 
 
 def assert_no_orphans():
-    """Nothing a per-run call started may outlive the call."""
+    """No process a call started may outlive the call."""
     assert multiprocessing.active_children() == []
-    assert live_segments() == frozenset()
 
 
 @pytest.fixture(autouse=True)
@@ -224,7 +222,7 @@ class TestPrePrunedShardsUnderFaults:
         kwargs = dict(
             weighting=weighting, pruning=pruning, entropy_boost=boost
         )
-        oracle = vectorized_metablocking(dense_blocks, **kwargs)
+        oracle = reference_metablocking(dense_blocks, **kwargs)
         assert oracle  # a vacuous fixture would prove nothing
         with FAULTS.injected(WORKER_FAULT_SITE, **fault):
             with warnings.catch_warnings():
@@ -237,7 +235,7 @@ class TestPrePrunedShardsUnderFaults:
         assert result == oracle
 
     def test_fault_free_calls_leave_nothing_behind(self, dense_blocks):
-        oracle = vectorized_metablocking(
+        oracle = reference_metablocking(
             dense_blocks, weighting=WeightingScheme.CHI_H,
             pruning=BlastPruning(),
         )
@@ -248,6 +246,41 @@ class TestPrePrunedShardsUnderFaults:
             )
             assert_no_orphans()
             assert result == oracle
+
+
+class TestSpillLifecycle:
+    def run_spilling(self, blocks, tmp_path, **kwargs):
+        return run_parallel(
+            blocks, spill_dir=str(tmp_path), spill_threshold_mb=1e-6, **kwargs
+        )
+
+    def test_spill_directory_empty_after_run(self, blocks, oracle, tmp_path):
+        assert self.run_spilling(blocks, tmp_path) == oracle
+        assert os.listdir(tmp_path) == []
+
+    def test_spill_cleaned_after_injected_failure(
+        self, blocks, oracle, tmp_path, fork_only
+    ):
+        with FAULTS.injected(WORKER_FAULT_SITE, "raise", hits=1):
+            result = self.run_spilling(
+                blocks, tmp_path,
+                retry_policy=RetryPolicy(max_retries=2, backoff_base=0.0),
+            )
+        assert result == oracle
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupt_releases_spill(self, blocks, tmp_path, monkeypatch):
+        # A Ctrl-C between dispatch and merge must sweep the spill
+        # directory (finally-guarded).
+        import repro.graph.vectorized as driver_module
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(driver_module, "merge_shards", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.run_spilling(blocks, tmp_path)
+        assert os.listdir(tmp_path) == []
 
 
 PIPELINE_SCRIPT = """

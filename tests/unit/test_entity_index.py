@@ -1,11 +1,19 @@
 """Tests for the CSR entity index (repro.graph.entity_index)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.blocking import TokenBlocking
 from repro.blocking.base import Block, BlockCollection
-from repro.graph.entity_index import _unrank_combinations
+from repro.graph.sharding import enumerate_shard_pairs
+
+
+def _enumerate_all(collection: BlockCollection):
+    """Every comparison as one shard: the whole id space."""
+    index = collection.entity_index
+    return enumerate_shard_pairs(index, 0, index.node_block_counts.size)
 
 
 def _clean_collection() -> BlockCollection:
@@ -66,26 +74,30 @@ class TestLayout:
     def test_empty_collection(self):
         index = BlockCollection([], False).entity_index
         assert index.num_blocks == 0
-        src, dst, block = index.enumerate_pairs()
+        src, dst, block = _enumerate_all(BlockCollection([], False))
         assert src.size == dst.size == block.size == 0
         assert index.distinct_pair_arrays()[0].size == 0
 
 
 class TestPairEnumeration:
     def test_matches_block_iter_pairs(self, figure1_dirty):
-        collection = TokenBlocking().build(figure1_dirty)
-        index = collection.entity_index
-        src, dst, pair_block = index.enumerate_pairs()
-        expected = [
-            (pair, position)
-            for position, block in enumerate(collection)
-            for pair in sorted(block.iter_pairs())
-        ]
-        got = list(zip(zip(src.tolist(), dst.tolist()), pair_block.tolist()))
-        assert sorted(got) == sorted(expected)
+        for collection in (
+            TokenBlocking().build(figure1_dirty),
+            _clean_collection(),
+        ):
+            src, dst, pair_block = _enumerate_all(collection)
+            # Same pairs, same order: block-major, iter_pairs() within.
+            expected = [
+                (pair, position)
+                for position, block in enumerate(collection)
+                for pair in block.iter_pairs()
+            ]
+            assert expected == list(
+                zip(zip(src.tolist(), dst.tolist()), pair_block.tolist())
+            )
 
     def test_block_major_order_and_canonical_pairs(self):
-        src, dst, pair_block = _clean_collection().entity_index.enumerate_pairs()
+        src, dst, pair_block = _enumerate_all(_clean_collection())
         assert pair_block.tolist() == sorted(pair_block.tolist())
         assert np.all(src < dst)
 
@@ -98,13 +110,11 @@ class TestPairEnumeration:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 64])
     def test_unrank_combinations_bijective(self, n):
-        total = n * (n - 1) // 2
-        ns = np.full(total, n, dtype=np.int64)
-        qs = np.arange(total, dtype=np.int64)
-        row, col = _unrank_combinations(ns, qs)
-        import itertools
-
-        assert list(zip(row.tolist(), col.tolist())) == list(
+        # One dirty block of n members: rank q of the enumeration is the
+        # q-th pair of itertools.combinations, each exactly once.
+        block = BlockCollection([Block("k", frozenset(range(n)))], False)
+        src, dst, _ = _enumerate_all(block)
+        assert list(zip(src.tolist(), dst.tolist())) == list(
             itertools.combinations(range(n), 2)
         )
 

@@ -218,6 +218,10 @@ class TestBlastConfigFromMapping:
         with pytest.raises(ValueError, match="unknown BlastConfig field"):
             BlastConfig.from_mapping({"alpha": 0.5, "alphaa": 0.5})
 
+    def test_removed_pool_knob_is_an_unknown_field(self):
+        with pytest.raises(ValueError, match="unknown BlastConfig field.* pool;"):
+            BlastConfig.from_mapping({"backend": "parallel", "pool": "per-run"})
+
     def test_valid_mapping_builds(self):
         config = BlastConfig.from_mapping({"alpha": 0.5, "weighting": "cbs"})
         assert config.alpha == 0.5

@@ -32,8 +32,11 @@ from repro.graph.pruning import (
     WeightEdgePruning,
 )
 from repro.graph.sharding import (
+    DEFAULT_SHARD_PAIRS,
+    MAX_DEFAULT_SHARDS,
     ShardableIndex,
     ShardEdges,
+    default_plan,
     enumerate_shard_pairs,
     pair_counts_by_entity,
     plan_shards,
@@ -60,13 +63,19 @@ def clean_blocks():
 
 class TestEnumeration:
     def test_full_range_equals_entity_index(self, dirty_blocks, clean_blocks):
+        # The whole id space as one shard is the python enumeration:
+        # block-major, Block.iter_pairs() order within each block.
         for blocks in (dirty_blocks, clean_blocks):
-            index = blocks.entity_index
-            slim = ShardableIndex.from_entity_index(index)
-            expected = index.enumerate_pairs()
-            actual = enumerate_shard_pairs(slim, 0, slim.num_ids)
-            for got, want in zip(actual, expected):
-                assert np.array_equal(got, want)
+            slim = ShardableIndex.from_entity_index(blocks.entity_index)
+            src, dst, pair_block = enumerate_shard_pairs(slim, 0, slim.num_ids)
+            expected = [
+                (*pair, position)
+                for position, block in enumerate(blocks)
+                for pair in block.iter_pairs()
+            ]
+            assert expected == list(
+                zip(src.tolist(), dst.tolist(), pair_block.tolist())
+            )
 
     def test_shards_partition_the_pairs(self, dirty_blocks, clean_blocks):
         for blocks in (dirty_blocks, clean_blocks):
@@ -129,6 +138,63 @@ class TestPlanner:
         assert plan[0][0] == 0
 
 
+def _shard_comparisons(index, plan) -> list[int]:
+    counts = pair_counts_by_entity(index)
+    return [int(counts[lo:hi].sum()) for lo, hi in plan]
+
+
+class TestDefaultPlan:
+    """The one rule behind every unset ``shard_size``."""
+
+    @pytest.fixture(scope="class")
+    def big_index(self):
+        # About the batch_clean benchmark input: 1.57 M comparisons.
+        blocks = random_blocks(3, profiles=9000, blocks=5600, largest=40)
+        index = blocks.entity_index.shardable
+        assert 1_500_000 < index.block_comparisons.sum() <= 1_600_000
+        return index
+
+    def test_a_tiny_input_plans_one_shard(self, dirty_blocks):
+        index = dirty_blocks.entity_index
+        assert default_plan(index) == [(0, index.node_block_counts.size)]
+
+    def test_an_empty_id_space_plans_one_empty_shard(self):
+        empty = build_blocks({}, is_clean_clean=False)
+        assert default_plan(empty.entity_index) == [(0, 0)]
+
+    def test_default_cap_cuts_sixteen_shards_of_the_benchmark_input(
+        self, big_index
+    ):
+        plan = default_plan(big_index)
+        assert len(plan) == 16
+        assert max(_shard_comparisons(big_index, plan)) <= DEFAULT_SHARD_PAIRS
+
+    def test_workers_still_tighten_the_cap(self, big_index, dirty_blocks):
+        total = int(big_index.block_comparisons.sum())
+        plan = default_plan(big_index, num_shards=32)
+        assert len(plan) >= 32
+        assert max(_shard_comparisons(big_index, plan)) <= -(-total // 32)
+        # ... on a tiny input too: two workers, two shards.
+        assert len(default_plan(dirty_blocks.entity_index, num_shards=2)) >= 2
+
+    def test_explicit_shard_size_is_plan_shards(self, big_index):
+        assert default_plan(big_index, max_pairs=250_000) == plan_shards(
+            big_index, max_pairs=250_000
+        )
+
+    def test_shard_count_is_bounded_on_huge_inputs(self):
+        # 200 blocks of 1,000 members: 99.9 M comparisons, none enumerated.
+        keyed = {
+            f"k{b}": set(range(b * 500, b * 500 + 1000)) for b in range(200)
+        }
+        index = build_blocks(keyed, is_clean_clean=False).entity_index
+        assert index.total_comparisons > MAX_DEFAULT_SHARDS * DEFAULT_SHARD_PAIRS
+        plan = default_plan(index)
+        cap = -(-index.total_comparisons // MAX_DEFAULT_SHARDS)
+        assert MAX_DEFAULT_SHARDS <= len(plan) <= MAX_DEFAULT_SHARDS + 8
+        assert max(_shard_comparisons(index, plan)) <= cap
+
+
 class TestShardEdges:
     def test_masses_are_opt_in(self, dirty_blocks):
         slim = ShardableIndex.from_entity_index(dirty_blocks.entity_index)
@@ -176,9 +242,10 @@ class TestParallelBackend:
 
     def test_empty_collection(self):
         empty = build_blocks({}, is_clean_clean=False)
-        assert parallel_metablocking(
-            empty, pruning=BlastPruning(), workers=1
-        ) == []
+        for plan in (None, []):
+            assert parallel_metablocking(
+                empty, pruning=BlastPruning(), workers=1, shard_plan=plan
+            ) == []
 
     @pytest.mark.parametrize("plan", [
         [],                      # nothing covered
@@ -224,12 +291,12 @@ class TestParallelBackend:
     def test_scheme_accepted_by_name(self, dirty_blocks):
         assert parallel_metablocking(
             dirty_blocks, weighting="cbs", pruning=BlastPruning(), workers=1
-        ) == vectorized_metablocking(
+        ) == reference_metablocking(
             dirty_blocks, weighting="cbs", pruning=BlastPruning()
         )
 
     def test_worker_pool_matches_serial(self, dirty_blocks):
-        serial = vectorized_metablocking(
+        serial = reference_metablocking(
             dirty_blocks, weighting=WeightingScheme.CHI_H,
             pruning=BlastPruning(),
         )
@@ -250,7 +317,7 @@ class TestShardLocalBlastPruning:
             blocks, weighting=WeightingScheme.CHI_H, pruning=BlastPruning(),
             shard_plan=[(0, 100), (100, num_ids)],
         )
-        assert retained == vectorized_metablocking(
+        assert retained == reference_metablocking(
             blocks, weighting=WeightingScheme.CHI_H, pruning=BlastPruning()
         )
         edges_total = sum(
@@ -309,7 +376,7 @@ class TestShardLocalBlastPruning:
             dirty_blocks, weighting=WeightingScheme.CHI_H,
             pruning=WeightEdgePruning(), shard_size=2,
         )
-        assert retained == vectorized_metablocking(
+        assert retained == reference_metablocking(
             dirty_blocks, weighting=WeightingScheme.CHI_H,
             pruning=WeightEdgePruning(),
         )
@@ -365,26 +432,71 @@ class TestShardLocalBlastPruning:
         index = blocks.entity_index
         shard_size = 4_000
         assert index.total_comparisons >= 20 * shard_size
-        kwargs = dict(weighting=WeightingScheme.CHI_H, pruning=BlastPruning())
-
-        def peak_bytes(run):
-            tracemalloc.start()
-            try:
-                result = run()
-                return result, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        one_shot, one_shot_peak = peak_bytes(
-            lambda: vectorized_metablocking(blocks, **kwargs)
+        kwargs = dict(
+            weighting=WeightingScheme.CHI_H, pruning=BlastPruning(), workers=1
         )
-        chunked, chunked_peak = peak_bytes(
+        one_shard, one_shard_peak = _peak_bytes(
             lambda: parallel_metablocking(
-                blocks, workers=1, shard_size=shard_size, **kwargs
+                blocks, shard_plan=[(0, index.node_block_counts.size)], **kwargs
             )
         )
-        assert chunked == one_shot
-        assert chunked_peak * 8 < one_shot_peak
+        chunked, chunked_peak = _peak_bytes(
+            lambda: parallel_metablocking(
+                blocks, shard_size=shard_size, **kwargs
+            )
+        )
+        assert chunked == one_shard == reference_metablocking(
+            blocks, weighting=WeightingScheme.CHI_H, pruning=BlastPruning()
+        )
+        assert chunked_peak * 8 < one_shard_peak
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemoryByDefault:
+    """No knob set: peak memory follows one default shard, not ``||B||``."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        blocks = random_blocks(13, profiles=4000, blocks=2400, largest=40)
+        assert blocks.entity_index.total_comparisons > 6 * DEFAULT_SHARD_PAIRS
+        return blocks
+
+    def test_vectorized_blast_peak_is_a_few_shards_at_most(self, blocks):
+        index = blocks.entity_index
+        kwargs = dict(weighting=WeightingScheme.CHI_H, pruning=BlastPruning())
+        # What the whole input costs when built at once: the one-shard plan.
+        one_shard, one_shard_peak = _peak_bytes(
+            lambda: parallel_metablocking(
+                blocks, workers=1,
+                shard_plan=[(0, index.node_block_counts.size)], **kwargs,
+            )
+        )
+        default, default_peak = _peak_bytes(
+            lambda: vectorized_metablocking(blocks, **kwargs)
+        )
+        assert default == one_shard  # any plan == the default plan
+        per_comparison = one_shard_peak / index.total_comparisons
+        assert default_peak < 2.5 * per_comparison * DEFAULT_SHARD_PAIRS
+
+    def test_distinct_pair_arrays_dedupes_shard_by_shard(self, blocks):
+        index = blocks.entity_index
+        index.shardable  # the index's own cache is not the call's memory
+        (src, dst), peak = _peak_bytes(index.distinct_pair_arrays)
+        assert list(zip(src.tolist(), dst.tolist())) == sorted(
+            {pair for block in blocks for pair in block.iter_pairs()}
+        )
+        # The sorted output, its packed form twice over (per shard, then
+        # concatenated) and one shard's transients come to 2.2x the
+        # output; enumerating everything at once took 4.7x.
+        assert peak < 3 * (src.nbytes + dst.nbytes)
 
 
 class TestMetaBlockerIntegration:
@@ -394,7 +506,7 @@ class TestMetaBlockerIntegration:
             backend_options={"workers": 1, "shard_size": 3},
         )
         assert meta.run(dirty_blocks).distinct_pairs() == MetaBlocker(
-            backend="vectorized"
+            backend="python"
         ).run(dirty_blocks).distinct_pairs()
 
     def test_config_derives_parallel_options(self):

@@ -173,11 +173,6 @@ class TestConcatSpillable:
         assert not isinstance(merged, np.memmap)
         assert os.listdir(tmp_path) == []
 
-    def test_empty_input_yields_canonical_empty(self):
-        merged = concat_spillable([], None, "merged")
-        assert merged.size == 0
-        assert merged.dtype == np.int64
-
     def test_memmap_inputs_merge_identically(self, tmp_path):
         chunks = self._chunks()
         spilled = [
