@@ -32,11 +32,8 @@ the paper's tables lives in the ``bench_table*.py`` files).
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -55,18 +52,11 @@ from repro.core.registry import BACKENDS  # noqa: E402
 from repro.core.stages import SchemaExtraction  # noqa: E402
 from repro.datasets import load_clean_clean  # noqa: E402
 from repro.experiments.runutils import (  # noqa: E402
-    pairs_digest,
-    peak_rss_mb,
     scale_for_profiles,
     write_json_report,
 )
 from repro.graph import MetaBlocker, WeightingScheme  # noqa: E402
 from repro.graph.pruning import BlastPruning  # noqa: E402
-
-
-def _pairs_digest(blocks: BlockCollection) -> str:
-    """Order-independent digest of the retained pair set (probe compare)."""
-    return pairs_digest(blocks.iter_distinct_pairs())
 
 
 def build_workload(profiles: int, seed: int) -> tuple[BlockCollection, int]:
@@ -175,94 +165,17 @@ def run_parallel_scaling(
     }
 
 
-def run_rss_probe(args: argparse.Namespace) -> int:
-    """Subprocess mode: one meta-blocking run, peak RSS reported as JSON.
-
-    ``ru_maxrss`` is a lifetime high-water mark, so the spill tier's
-    bounded-memory claim can only be measured in a process that never
-    held the in-memory merge — the parent spawns one probe per mode and
-    compares their digests for equivalence.
-    """
-    blocks, _ = build_workload(args.profiles, args.seed)
-    shard_size = max(10_000, blocks.count_distinct_pairs() // 8)
-    options: dict = {"workers": 1, "shard_size": shard_size}
-    if args.rss_probe == "spill":
-        options["spill_dir"] = args.spill_dir or tempfile.gettempdir()
-        options["spill_threshold_mb"] = args.spill_threshold_mb
-    meta = MetaBlocker(
-        weighting=WeightingScheme.CHI_H,
-        pruning=BlastPruning(),
-        backend="parallel",
-        backend_options=options,
-    )
-    start = time.perf_counter()
-    out = meta.run(blocks)
-    seconds = time.perf_counter() - start
-    print(json.dumps({
-        "mode": args.rss_probe,
-        "seconds": round(seconds, 6),
-        "peak_rss_mb": round(peak_rss_mb(), 2),
-        "digest": _pairs_digest(out),
-    }))
-    return 0
-
-
-def _spawn_rss_probe(args: argparse.Namespace, mode: str, spill_dir: str) -> dict:
-    command = [
-        sys.executable, str(Path(__file__).resolve()),
-        "--rss-probe", mode,
-        "--profiles", str(args.large_profiles),
-        "--seed", str(args.seed),
-        "--spill-threshold-mb", str(args.spill_threshold_mb),
-        "--spill-dir", spill_dir,
-    ]
-    completed = subprocess.run(
-        command, capture_output=True, text=True, check=True
-    )
-    return json.loads(completed.stdout.strip().splitlines()[-1])
-
-
 def run_large_tier(args: argparse.Namespace) -> dict:
-    """The ≥100k-profile tier: worker-pool scaling + spill RSS budget.
-
-    Two measurements at a scale where pool startup and the merge spike
-    actually register: (1) per-worker-count pool timings against the
-    serial vectorized baseline, (2) in-memory vs spilled
-    runs in fresh subprocesses, comparing peak RSS and asserting the
-    retained pair digests match.
-    """
-    print(
-        f"large tier (~{args.large_profiles} profiles, "
-        f"spill threshold {args.spill_threshold_mb} MiB) ..."
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-spill-") as spill_dir:
-        in_memory = _spawn_rss_probe(args, "memory", spill_dir)
-        spilled = _spawn_rss_probe(args, "spill", spill_dir)
-        leftovers = sorted(os.listdir(spill_dir))
-    equivalent = in_memory["digest"] == spilled["digest"]
-    print(
-        f"  in-memory: {in_memory['seconds']:8.3f}s | "
-        f"peak RSS {in_memory['peak_rss_mb']:8.1f} MiB"
-    )
-    print(
-        f"  spilled:   {spilled['seconds']:8.3f}s | "
-        f"peak RSS {spilled['peak_rss_mb']:8.1f} MiB | "
-        f"{'OK' if equivalent else 'MISMATCH'}"
-    )
-
+    """The ≥100k-profile tier: worker-pool scaling at a scale where pool
+    startup and the merge actually register — per-worker-count pool
+    timings against the serial vectorized baseline."""
+    print(f"large tier (~{args.large_profiles} profiles) ...")
     blocks, num_profiles = build_workload(args.large_profiles, args.seed)
     scaling = run_parallel_scaling(args, blocks)
     return {
         "profiles": num_profiles,
-        "spill_threshold_mb": args.spill_threshold_mb,
-        "in_memory": {k: v for k, v in in_memory.items() if k != "digest"},
-        "spilled": {k: v for k, v in spilled.items() if k != "digest"},
-        "spill_leftover_files": leftovers,
-        "equivalent": equivalent,
         "parallel_scaling": scaling,
-        "all_equivalent": equivalent
-        and not leftovers
-        and scaling["all_equivalent"],
+        "all_equivalent": scaling["all_equivalent"],
     }
 
 
@@ -447,21 +360,11 @@ def main(argv: list[str] | None = None) -> int:
                              "section (default: the machine's cpu count)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--large-tier", action="store_true",
-                        help="also run the out-of-core tier: worker-pool "
-                             "scaling and spill peak-RSS probes at "
-                             "--large-profiles scale")
+                        help="also run the worker-pool scaling section "
+                             "at --large-profiles scale")
     parser.add_argument("--large-profiles", type=int, default=100_000,
                         help="workload size of the large tier "
                              "(default: %(default)s)")
-    parser.add_argument("--spill-threshold-mb", type=float, default=16.0,
-                        help="spill byte budget of the large tier / probe "
-                             "(default: %(default)s)")
-    parser.add_argument("--max-spill-rss-mb", type=float, default=None,
-                        help="exit non-zero if the spilled large-tier run "
-                             "peaks above this resident-set budget")
-    parser.add_argument("--rss-probe", choices=("memory", "spill"),
-                        default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--spill-dir", default=None, help=argparse.SUPPRESS)
     parser.add_argument("--output", type=Path,
                         default=REPO_ROOT / "BENCH_metablocking.json",
                         help="JSON report path (default: %(default)s)")
@@ -476,8 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workers is not None and args.workers < 1:
         parser.error(f"--workers must be positive, got {args.workers}")
-    if args.rss_probe is not None:
-        return run_rss_probe(args)
 
     report = run(args)
     write_json_report(args.output, report)
@@ -517,19 +418,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: parallel speedup {parallel_speedup}x below the "
                   f"{args.min_parallel_speedup}x floor", file=sys.stderr)
             return 1
-    spilled_rss = (
-        report["large_tier"]["spilled"]["peak_rss_mb"]
-        if report["large_tier"] is not None
-        else None
-    )
-    if (
-        args.max_spill_rss_mb is not None
-        and spilled_rss is not None
-        and spilled_rss > args.max_spill_rss_mb
-    ):
-        print(f"error: spilled peak RSS {spilled_rss} MiB above the "
-              f"{args.max_spill_rss_mb} MiB budget", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -23,10 +23,6 @@ RL006   swallowed-exception            no bare ``except:``; broad catches
                                        never silently discard the error
 RL007   async-blocking-call            coroutines never call blocking
                                        IO/sleep/join primitives
-RL008   unreleased-resource-handle     SharedMemory/memmap handles are
-                                       released in a ``finally`` block, a
-                                       context manager, or by ownership
-                                       transfer
 ======  =============================  ==========================================
 """
 
@@ -42,7 +38,6 @@ from repro.analysis.rules.dtype import DtypeDisciplineRule
 from repro.analysis.rules.exceptions import SwallowedExceptionRule
 from repro.analysis.rules.pickling import PicklabilityRule
 from repro.analysis.rules.registry import RegistryContractRule
-from repro.analysis.rules.resources import ResourceLifecycleRule
 
 __all__ = [
     "AsyncBlockingCallRule",
@@ -53,7 +48,6 @@ __all__ = [
     "PicklabilityRule",
     "RawFinding",
     "RegistryContractRule",
-    "ResourceLifecycleRule",
     "SwallowedExceptionRule",
     "UnorderedIterationRule",
     "default_rules",
@@ -70,5 +64,4 @@ def default_rules() -> list[LintRule]:
         FloatAccumulationRule(),
         SwallowedExceptionRule(),
         AsyncBlockingCallRule(),
-        ResourceLifecycleRule(),
     ]

@@ -280,15 +280,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              "after shard failures/timeouts; shards still "
                              "unfinished afterwards run serially in-process "
                              "(default: 2)")
-    parser.add_argument("--spill-dir", type=str, default=None,
-                        help="directory for the out-of-core tier of the "
-                             "parallel backend; shard/merged edge arrays "
-                             "above --spill-threshold-mb stream to atomic "
-                             ".npy files there (set both flags together)")
-    parser.add_argument("--spill-threshold-mb", type=float, default=None,
-                        help="megabyte budget above which the parallel "
-                             "backend spills edge arrays to --spill-dir "
-                             "(set both flags together)")
     parser.add_argument("--induction", choices=("lmi", "ac"), default="lmi")
     parser.add_argument("--alpha", type=float, default=0.9)
     parser.add_argument("--use-lsh", action="store_true")
@@ -325,8 +316,6 @@ def _config_from(args: argparse.Namespace) -> BlastConfig:
         shard_size=args.shard_size,
         task_timeout=args.task_timeout,
         max_retries=args.max_retries,
-        spill_dir=args.spill_dir,
-        spill_threshold_mb=args.spill_threshold_mb,
         seed=args.seed,
     )
 

@@ -7,10 +7,12 @@ from dataclasses import dataclass, fields
 
 from repro.graph.weights import WeightingScheme
 
-#: Built-in backends that run serially and take no execution knobs;
-#: ``workers``/``shard_size`` are rejected for these (and forwarded to
-#: every other backend via :meth:`BlastConfig.backend_options`).
-_SERIAL_BACKENDS = frozenset({"python", "vectorized"})
+#: Built-in backends that run serially and take no execution knobs.
+SERIAL_BACKENDS = frozenset({"python", "vectorized"})
+
+#: The execution knobs: rejected for :data:`SERIAL_BACKENDS`, forwarded to
+#: every other backend via :meth:`BlastConfig.backend_options`.
+_EXECUTION_KNOBS = ("workers", "shard_size", "task_timeout", "max_retries")
 
 
 @dataclass(frozen=True)
@@ -95,13 +97,6 @@ class BlastConfig:
         after the retries degrade to serial in-process execution, so
         results are bit-identical either way).  Rejected with the serial
         built-ins, forwarded to custom backends.
-    spill_dir / spill_threshold_mb:
-        Out-of-core tier of the ``parallel`` backend: set together (and
-        only together) to stream shard and merged edge arrays above the
-        megabyte budget to atomic ``.npy`` files under a private
-        subdirectory of ``spill_dir`` (removed on every exit path),
-        bounding peak RSS with bit-identical results.  Rejected with the
-        serial built-ins, forwarded to custom backends.
     seed:
         Seed for the LSH hash functions.
 
@@ -164,8 +159,6 @@ class BlastConfig:
     shard_size: int | None = None
     task_timeout: float | None = None
     max_retries: int | None = None
-    spill_dir: str | None = None
-    spill_threshold_mb: float | None = None
     seed: int | None = None
     # Streaming
     stream_consistency: str = "exact"
@@ -247,44 +240,20 @@ class BlastConfig:
             raise ValueError(
                 f"max_retries must be >= 0 or None, got {self.max_retries}"
             )
-        if (
-            self.spill_threshold_mb is not None
-            and not self.spill_threshold_mb > 0
-        ):
-            raise ValueError(
-                f"spill_threshold_mb must be positive or None, "
-                f"got {self.spill_threshold_mb}"
-            )
-        if (self.spill_dir is None) != (self.spill_threshold_mb is None):
-            raise ValueError(
-                "spill_dir and spill_threshold_mb must be set together "
-                f"(got spill_dir={self.spill_dir!r}, "
-                f"spill_threshold_mb={self.spill_threshold_mb})"
-            )
         # Refuse, rather than silently ignore, execution knobs the chosen
         # backend will never see — `--workers 8` without `--backend
         # parallel` must not quietly run serial.  Only the known serial
         # built-ins are rejected: a custom registered backend receives the
         # knobs through backend_options() and may accept them (or fail
         # loudly with a TypeError of its own).
-        if self.backend in _SERIAL_BACKENDS and (
-            self.workers is not None
-            or self.shard_size is not None
-            or self.task_timeout is not None
-            or self.max_retries is not None
-            or self.spill_dir is not None
-            or self.spill_threshold_mb is not None
-        ):
+        if self.backend in SERIAL_BACKENDS and self._set_execution_knobs():
+            got = ", ".join(
+                f"{name}={getattr(self, name)}" for name in _EXECUTION_KNOBS
+            )
             raise ValueError(
-                f"workers/shard_size/task_timeout/max_retries/"
-                f"spill_dir/spill_threshold_mb do not apply to the serial "
+                f"{'/'.join(_EXECUTION_KNOBS)} do not apply to the serial "
                 f"{self.backend!r} backend; use backend='parallel' "
-                f"(got workers={self.workers}, "
-                f"shard_size={self.shard_size}, "
-                f"task_timeout={self.task_timeout}, "
-                f"max_retries={self.max_retries}, "
-                f"spill_dir={self.spill_dir!r}, "
-                f"spill_threshold_mb={self.spill_threshold_mb})"
+                f"(got {got})"
             )
         # Same deal for stream view names (STREAM_VIEWS registry).
         if not self.stream_consistency or not isinstance(
@@ -354,24 +323,19 @@ class BlastConfig:
         The serial built-ins receive no extras (their signatures stay the
         plain backend protocol; set knobs are rejected at construction);
         ``parallel`` — and any custom registered backend — receives the
-        ``workers``/``shard_size``/``task_timeout``/``max_retries``/
-        ``spill_dir``/``spill_threshold_mb`` knobs that were set.
-        ``None`` values are omitted so backend-side defaults (cpu count,
-        the default shard plan, no timeout, 2 retries, no spilling) apply.
+        ``workers``/``shard_size``/``task_timeout``/``max_retries`` knobs
+        that were set.  ``None`` values are omitted so backend-side
+        defaults (cpu count, the default shard plan, no timeout, 2
+        retries) apply.
         """
-        if self.backend in _SERIAL_BACKENDS:
+        if self.backend in SERIAL_BACKENDS:
             return {}
-        options: dict[str, object] = {}
-        if self.workers is not None:
-            options["workers"] = self.workers
-        if self.shard_size is not None:
-            options["shard_size"] = self.shard_size
-        if self.task_timeout is not None:
-            options["task_timeout"] = self.task_timeout
-        if self.max_retries is not None:
-            options["max_retries"] = self.max_retries
-        if self.spill_dir is not None:
-            options["spill_dir"] = self.spill_dir
-        if self.spill_threshold_mb is not None:
-            options["spill_threshold_mb"] = self.spill_threshold_mb
-        return options
+        return self._set_execution_knobs()
+
+    def _set_execution_knobs(self) -> dict[str, object]:
+        """The execution knobs that were set (not ``None``), by name."""
+        return {
+            name: getattr(self, name)
+            for name in _EXECUTION_KNOBS
+            if getattr(self, name) is not None
+        }

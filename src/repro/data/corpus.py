@@ -30,8 +30,6 @@ across restarts).
 
 from __future__ import annotations
 
-import json
-import os
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -213,77 +211,6 @@ class InternedCorpus:
             token_ids=np.asarray(flat_tokens, dtype=np.int32),
             offset2=offset2,
             is_clean_clean=dataset.is_clean_clean,
-        )
-
-    # -- out-of-core persistence ---------------------------------------------
-
-    def to_memmap(self, directory: str) -> None:
-        """Persist the columnar arrays to *directory* for memmapped reopen.
-
-        Writes one ``.npy`` file per array plus a ``corpus.json`` manifest
-        carrying the scalars, the attribute table, and the token
-        dictionary (strings in id order — the same stable-id payload the
-        streaming snapshots use).  Each file is written to a temp name
-        and published with ``os.replace``, so a crash mid-save never
-        leaves a directory that :meth:`from_memmap` would half-load.
-        """
-        os.makedirs(directory, exist_ok=True)
-        for stem, array in (
-            ("profile_ptr", self.profile_ptr),
-            ("attr_ids", self.attr_ids),
-            ("token_ids", self.token_ids),
-        ):
-            tmp = os.path.join(directory, f"{stem}.{os.getpid()}.tmp.npy")
-            with open(tmp, "wb") as handle:
-                np.save(handle, np.ascontiguousarray(array))
-            os.replace(tmp, os.path.join(directory, f"{stem}.npy"))
-        manifest = {
-            "format": 1,
-            "offset2": int(self.offset2),
-            "is_clean_clean": bool(self.is_clean_clean),
-            "attributes": [[source, name] for source, name in self.attributes],
-            "tokens": self.dictionary.to_payload(),
-        }
-        tmp = os.path.join(directory, f"corpus.{os.getpid()}.tmp.json")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-        os.replace(tmp, os.path.join(directory, "corpus.json"))
-
-    @classmethod
-    def from_memmap(cls, directory: str) -> "InternedCorpus":
-        """Reopen a :meth:`to_memmap` directory with memmapped arrays.
-
-        The id arrays come back as read-only ``np.memmap`` views —
-        bit-identical to the saved arrays, paged in on demand — so a
-        DBpedia-scale corpus opens in O(manifest) memory.  Token and
-        attribute ids are preserved exactly (:meth:`TokenDictionary.from_payload`
-        validates the id order).
-        """
-        with open(
-            os.path.join(directory, "corpus.json"), encoding="utf-8"
-        ) as handle:
-            manifest = json.load(handle)
-        if manifest.get("format") != 1:
-            raise ValueError(
-                f"unsupported corpus manifest format: {manifest.get('format')!r}"
-            )
-        return cls(
-            dictionary=TokenDictionary.from_payload(manifest["tokens"]),
-            attributes=tuple(
-                (int(source), str(name))
-                for source, name in manifest["attributes"]
-            ),
-            profile_ptr=np.load(
-                os.path.join(directory, "profile_ptr.npy"), mmap_mode="r"
-            ),
-            attr_ids=np.load(
-                os.path.join(directory, "attr_ids.npy"), mmap_mode="r"
-            ),
-            token_ids=np.load(
-                os.path.join(directory, "token_ids.npy"), mmap_mode="r"
-            ),
-            offset2=int(manifest["offset2"]),
-            is_clean_clean=bool(manifest["is_clean_clean"]),
         )
 
     # -- basic views ---------------------------------------------------------

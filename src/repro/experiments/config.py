@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from repro.core.config import BlastConfig
+from repro.core.config import SERIAL_BACKENDS, BlastConfig
 from repro.experiments.comparator import MetricSpec, Tolerance
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "PipelineSpec",
     "load_config",
 ]
-
-#: Backends that take no ``workers`` knob (mirrors core.config).
-_SERIAL_BACKENDS = frozenset({"python", "vectorized"})
 
 
 def _require_keys(mapping: Mapping[str, Any], allowed: Sequence[str],
@@ -160,7 +157,7 @@ class PipelineSpec:
         """The per-cell :class:`BlastConfig` for one grid point."""
         overrides: dict[str, Any] = dict(self.config)
         overrides.setdefault("seed", seed)
-        if workers is not None and backend not in _SERIAL_BACKENDS:
+        if workers is not None and backend not in SERIAL_BACKENDS:
             overrides["workers"] = workers
         return BlastConfig.from_mapping(
             {"weighting": self.weighting, "backend": backend, **overrides}

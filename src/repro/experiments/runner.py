@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.core.config import SERIAL_BACKENDS
 from repro.core.registry import build_pipeline
 from repro.experiments.runutils import (
     pairs_digest,
@@ -42,10 +43,6 @@ __all__ = [
     "run_cell",
     "run_cell_subprocess",
 ]
-
-#: Backends without a ``workers`` knob; grid worker counts do not expand
-#: for them (mirrors ``core.config._SERIAL_BACKENDS``).
-_SERIAL_BACKENDS = frozenset({"python", "vectorized"})
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,7 @@ def expand_grid(config: "ExperimentConfig") -> tuple[Cell, ...]:
         for pipeline in config.pipelines:
             for backend in config.backends:
                 counts: tuple[int | None, ...]
-                if backend in _SERIAL_BACKENDS:
+                if backend in SERIAL_BACKENDS:
                     counts = (None,)
                 else:
                     counts = config.workers

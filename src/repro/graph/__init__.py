@@ -18,13 +18,10 @@ from repro.graph.pruning import (
     WeightNodePruning,
 )
 from repro.graph.sharding import ShardableIndex, ShardEdges, plan_shards
-from repro.graph.spill import SpillJob, SpillSpec
 from repro.graph.vectorized import ArrayBlockingGraph, vectorized_metablocking
 from repro.graph.weights import WeightingScheme, compute_weights
 
 __all__ = [
-    "SpillJob",
-    "SpillSpec",
     "BlockingGraph",
     "EdgeStats",
     "EntityIndex",

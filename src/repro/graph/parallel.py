@@ -15,7 +15,7 @@ built-in pruning strategy, by construction: same driver, same shards.
 
 ``workers=1`` runs the shards in-process — no pool, no pickling — which
 is the ``vectorized`` backend with the planning knobs (``shard_size``,
-``shard_plan``) and the spill tier exposed.
+``shard_plan``) exposed.
 
 Fault tolerance (see DESIGN.md "Reliability & recovery"): pool dispatch
 is timeout-aware (``AsyncResult.get(task_timeout)``), failed or lost
@@ -29,12 +29,6 @@ Workers fire the ``parallel.worker`` fault site
 scenarios can deterministically kill, delay, or fail shard tasks.
 Nothing outlives the call: every pool is built, closed (or terminated)
 and joined inside it.
-
-``spill_dir``/``spill_threshold_mb`` arm the out-of-core tier: shard
-outputs above the byte budget stream to atomic ``.npy`` files
-(:mod:`repro.graph.spill`) and the concatenation merge writes into
-memmapped outputs, bounding peak RSS while staying bit-identical
-(preallocate-and-copy concatenation is byte-wise ``np.concatenate``).
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ import warnings
 from repro.blocking.base import BlockCollection
 from repro.graph.blocking_graph import Edge, KeyEntropyFn
 from repro.graph.pruning import PruningScheme
-from repro.graph.spill import SpillJob, SpillSpec
 from repro.graph.vectorized import (
     Collector,
     SharedState,
@@ -111,14 +104,10 @@ def pool_context() -> multiprocessing.context.BaseContext:
 #: the child inherits the parent's pages copy-on-write.
 _WORKER_STATE: SharedState | None = None
 
-#: Worker-process slot for the run's spill policy (set by ``_init_worker``).
-_WORKER_SPILL: SpillSpec | None = None
 
-
-def _init_worker(state: SharedState, spill: SpillSpec | None = None) -> None:
-    global _WORKER_STATE, _WORKER_SPILL
+def _init_worker(state: SharedState) -> None:
+    global _WORKER_STATE
     _WORKER_STATE = state
-    _WORKER_SPILL = spill
 
 
 def _run_shard_in_worker(bounds: tuple[int, int]) -> ShardResult:
@@ -132,13 +121,12 @@ def _run_shard_in_worker(bounds: tuple[int, int]) -> ShardResult:
     """
     FAULTS.fire(WORKER_FAULT_SITE)
     assert _WORKER_STATE is not None, "worker initialized without state"
-    return run_shard(_WORKER_STATE, bounds[0], bounds[1], _WORKER_SPILL)
+    return run_shard(_WORKER_STATE, bounds[0], bounds[1])
 
 
 def _dispatch_shards(
     state: SharedState,
     plan: list[tuple[int, int]],
-    spill: SpillSpec | None,
     collector: Collector,
     *,
     workers: int,
@@ -162,13 +150,14 @@ def _dispatch_shards(
        with the exact arrays a fault-free run would have produced.
 
     Pools are torn down deterministically on every path: ``close()`` after
-    a clean batch, ``terminate()`` when anything failed (a timed-out task
-    would otherwise keep its worker busy forever), and ``join()`` always —
-    no leaked workers or semaphores for ``pytest -x`` to trip over.  A
-    one-shard plan is not worth a fork and runs in-process.
+    a batch whose every result arrived, ``terminate()`` otherwise (a
+    timed-out task would keep its worker busy forever; after a Ctrl-C the
+    signalled workers have lost tasks ``close()`` would wait for), and
+    ``join()`` always — no leaked workers or semaphores for ``pytest -x``
+    to trip over.  A one-shard plan is not worth a fork and runs in-process.
     """
     if len(plan) < 2:
-        run_in_process(state, plan, spill, collector)
+        run_in_process(state, plan, collector)
         return
     pending = list(range(len(plan)))
     last_error: BaseException | None = None
@@ -182,9 +171,9 @@ def _dispatch_shards(
         pool = context.Pool(
             processes=min(workers, len(pending)),
             initializer=_init_worker,
-            initargs=(state, spill),
+            initargs=(state,),
         )
-        clean = True
+        clean = False
         try:
             handles = [
                 (index, pool.apply_async(_run_shard_in_worker, (plan[index],)))
@@ -199,10 +188,10 @@ def _dispatch_shards(
                     # killed workers and stuck tasks surface as
                     # multiprocessing.TimeoutError.  Either way the shard
                     # is unfinished and retryable.
-                    clean = False
                     last_error = exc
                     unfinished.append(index)
             pending = unfinished
+            clean = not unfinished
         finally:
             if clean:
                 pool.close()
@@ -219,7 +208,7 @@ def _dispatch_shards(
             RuntimeWarning,
             stacklevel=4,
         )
-        run_in_process(state, plan, spill, collector, pending)
+        run_in_process(state, plan, collector, pending)
 
 
 def parallel_metablocking(
@@ -235,8 +224,6 @@ def parallel_metablocking(
     task_timeout: float | None = None,
     max_retries: int | None = None,
     retry_policy: RetryPolicy | None = None,
-    spill_dir: str | None = None,
-    spill_threshold_mb: float | None = None,
 ) -> list[Edge]:
     """The ``parallel`` meta-blocking backend: sorted retained edges.
 
@@ -279,18 +266,9 @@ def parallel_metablocking(
         Full :class:`~repro.reliability.RetryPolicy` override (timeout,
         retries, seeded backoff).  Mutually exclusive with the
         ``task_timeout``/``max_retries`` shorthands.
-    spill_dir / spill_threshold_mb:
-        Set together to arm the out-of-core tier: shard and merged
-        arrays above the megabyte budget stream to atomic ``.npy`` files
-        under a private subdirectory of *spill_dir* (removed on every
-        exit path), bounding peak RSS with bit-identical results.
     """
     if shard_size is not None and shard_size < 1:
         raise ValueError(f"shard_size must be positive, got {shard_size}")
-    if (spill_dir is None) != (spill_threshold_mb is None):
-        raise ValueError(
-            "spill_dir and spill_threshold_mb must be set together"
-        )
     if retry_policy is None:
         retry_policy = RetryPolicy(
             max_retries=2 if max_retries is None else max_retries,
@@ -306,24 +284,14 @@ def parallel_metablocking(
         if workers > 1
         else run_in_process
     )
-    spill_job = (
-        SpillJob(spill_dir, spill_threshold_mb)
-        if spill_dir is not None and spill_threshold_mb is not None
-        else None
+    return sharded_metablocking(
+        collection,
+        weighting=weighting,
+        pruning=pruning,
+        entropy_boost=entropy_boost,
+        key_entropy=key_entropy,
+        run_shards=run_shards,
+        num_shards=workers,
+        shard_size=shard_size,
+        shard_plan=shard_plan,
     )
-    try:
-        return sharded_metablocking(
-            collection,
-            weighting=weighting,
-            pruning=pruning,
-            entropy_boost=entropy_boost,
-            key_entropy=key_entropy,
-            run_shards=run_shards,
-            num_shards=workers,
-            shard_size=shard_size,
-            shard_plan=shard_plan,
-            spill=spill_job.spec if spill_job is not None else None,
-        )
-    finally:
-        if spill_job is not None:
-            spill_job.cleanup()

@@ -72,15 +72,6 @@ from repro.graph.sharding import (
     default_plan,
     shard_edge_arrays,
 )
-from repro.graph.spill import (
-    SpilledArray,
-    SpilledShardEdges,
-    SpillSpec,
-    concat_spillable,
-    load_array,
-    resolve_shard,
-    spill_shard,
-)
 from repro.graph.weights import WeightingScheme
 
 __all__ = [
@@ -127,8 +118,8 @@ class ArrayBlockingGraph:
             need_arcs=True,
         )
         collector = Collector(state.index.num_ids)
-        run_in_process(state, default_plan(state.index), None, collector)
-        self._hold(index, collector.merge(None)[0])
+        run_in_process(state, default_plan(state.index), collector)
+        self._hold(index, collector.merge()[0])
 
     @classmethod
     def of_merged(
@@ -516,18 +507,12 @@ class SharedState:
     blast: tuple[float, float] | None = None
 
 
-#: One shard's result: edges and weights (possibly spilled by-path), plus
-#: BLAST's dense local maxima.
-ShardResult = tuple[
-    ShardEdges | SpilledShardEdges,
-    "np.ndarray | SpilledArray | None",
-    "np.ndarray | None",
-]
+#: One shard's result: edges, weights if the shard took them, and BLAST's
+#: dense local maxima.
+ShardResult = tuple[ShardEdges, "np.ndarray | None", "np.ndarray | None"]
 
 
-def run_shard(
-    state: SharedState, lo: int, hi: int, spill: SpillSpec | None = None
-) -> ShardResult:
+def run_shard(state: SharedState, lo: int, hi: int) -> ShardResult:
     """Shard body: one id range's edges, handed over as slim as pruning allows.
 
     What comes back depends on what is still read after the shard:
@@ -542,11 +527,6 @@ def run_shard(
       them (:func:`blast_retain_mask`), so every globally retained edge is
       among its shard's candidates; the driver re-applies the same test
       with the reduced global maxima.
-
-    With *spill* armed, an over-budget result is written to atomic
-    ``.npy`` files and returned by path (``shard-{lo}`` stems are unique
-    — plans tile the id space, and a retried shard overwrites its own
-    files with identical bytes).
     """
     edges = shard_edge_arrays(
         state.index,
@@ -555,9 +535,8 @@ def run_shard(
         block_entropies=state.block_entropies,
         need_arcs=state.need_arcs,
     )
-    tag = f"shard-{lo}"
     if state.scheme is None:
-        return (*spill_shard(edges, None, spill, tag), None)
+        return edges, None, None
     counts = state.node_block_counts
     src, dst = edges.src, edges.dst
     weights = compute_edge_weights(
@@ -576,13 +555,10 @@ def run_shard(
         maxima = node_maxima(src, dst, weights, state.index.num_ids)
         keep = blast_retain_mask(maxima, src, dst, weights, c=c, d=d)
         src, dst, weights = src[keep], dst[keep], weights[keep]
-    slim = ShardEdges(src=src, dst=dst, shared=None)
-    return (*spill_shard(slim, weights, spill, tag), maxima)
+    return ShardEdges(src=src, dst=dst, shared=None), weights, maxima
 
 
-def merge_shards(
-    shards: list[ShardEdges], spill: SpillSpec | None = None
-) -> ShardEdges:
+def merge_shards(shards: list[ShardEdges]) -> ShardEdges:
     """Concatenate per-shard edge arrays into the global edge arrays.
 
     Shards cover ascending ``src`` ranges and each shard is sorted
@@ -592,29 +568,21 @@ def merge_shards(
     single owning shard).  Fields the shards left out (``shared`` and the
     masses on slim, already-weighted results) stay ``None``; dropping
     edges inside a shard, as BLAST's candidate filter does, keeps the
-    order argument intact.  With *spill* armed the merged arrays land in
-    memmapped ``.npy`` files when over budget — same bytes, bounded
-    residency (:func:`~repro.graph.spill.concat_spillable`).
+    order argument intact.
     """
     if not shards:
         empty_i = np.zeros(0, dtype=np.int64)
         return ShardEdges(src=empty_i, dst=empty_i.copy(), shared=empty_i.copy())
     return ShardEdges(
-        src=concat_spillable([s.src for s in shards], spill, "merged-src"),
-        dst=concat_spillable([s.dst for s in shards], spill, "merged-dst"),
-        shared=concat_spillable(
-            [s.shared for s in shards], spill, "merged-shared"
-        )
+        src=np.concatenate([s.src for s in shards]),
+        dst=np.concatenate([s.dst for s in shards]),
+        shared=np.concatenate([s.shared for s in shards])
         if shards[0].shared is not None
         else None,
-        arcs_mass=concat_spillable(
-            [s.arcs_mass for s in shards], spill, "merged-arcs"
-        )
+        arcs_mass=np.concatenate([s.arcs_mass for s in shards])
         if shards[0].arcs_mass is not None
         else None,
-        entropy_mass=concat_spillable(
-            [s.entropy_mass for s in shards], spill, "merged-entropy"
-        )
+        entropy_mass=np.concatenate([s.entropy_mass for s in shards])
         if shards[0].entropy_mass is not None
         else None,
     )
@@ -650,11 +618,10 @@ def _validate_plan(plan: list[tuple[int, int]], num_ids: int) -> None:
 class Collector:
     """Where shard results land, keyed by plan position.
 
-    Keeps a shard's edges and weights (spilled ones reopened as memmaps:
-    pages fault in only as the merge copies them) and folds its BLAST
-    maxima into one running array straight away — ``np.maximum`` is exact
-    and order-free — so beside the candidates only one dense maxima array
-    outlives a shard, however many shards the plan has.
+    Keeps a shard's edges and weights and folds its BLAST maxima into one
+    running array straight away — ``np.maximum`` is exact and order-free —
+    so beside the candidates only one dense maxima array outlives a shard,
+    however many shards the plan has.
     """
 
     def __init__(self, num_ids: int) -> None:
@@ -665,27 +632,23 @@ class Collector:
         edges, weights, maxima = result
         if maxima is not None:
             np.maximum(self.maxima, maxima, out=self.maxima)
-        self.shards[position] = (resolve_shard(edges), load_array(weights))
+        self.shards[position] = (edges, weights)
 
-    def merge(
-        self, spill: SpillSpec | None
-    ) -> tuple[ShardEdges, np.ndarray | None]:
+    def merge(self) -> tuple[ShardEdges, np.ndarray | None]:
         """The merged edges, and the merged weights if the shards took any.
 
         Every plan position must have been added, whoever ran it.
         """
         results = [self.shards[position] for position in range(len(self.shards))]
-        edges = merge_shards([edges for edges, _ in results], spill)
+        edges = merge_shards([edges for edges, _ in results])
         if results[0][1] is None:
             return edges, None
-        shard_weights = [weights for _, weights in results]
-        return edges, concat_spillable(shard_weights, spill, "merged-weights")
+        return edges, np.concatenate([weights for _, weights in results])
 
 
 def run_in_process(
     state: SharedState,
     plan: list[tuple[int, int]],
-    spill: SpillSpec | None,
     collector: Collector,
     positions: list[int] | None = None,
 ) -> None:
@@ -697,13 +660,11 @@ def run_in_process(
     """
     for position in range(len(plan)) if positions is None else positions:
         lo, hi = plan[position]
-        collector.add(position, run_shard(state, lo, hi, spill))
+        collector.add(position, run_shard(state, lo, hi))
 
 
 #: Who runs the shards of a plan: fills *collector* at every position.
-ShardRunner = Callable[
-    [SharedState, list[tuple[int, int]], "SpillSpec | None", Collector], None
-]
+ShardRunner = Callable[[SharedState, list[tuple[int, int]], Collector], None]
 
 
 def sharded_metablocking(
@@ -717,7 +678,6 @@ def sharded_metablocking(
     num_shards: int = 1,
     shard_size: int | None = None,
     shard_plan: list[tuple[int, int]] | None = None,
-    spill: SpillSpec | None = None,
 ) -> list[Edge]:
     """The one array meta-blocking driver: sorted retained edges.
 
@@ -776,8 +736,8 @@ def sharded_metablocking(
         blast=blast,
     )
     collector = Collector(slim.num_ids)
-    run_shards(state, plan, spill, collector)
-    edges, weights = collector.merge(spill)
+    run_shards(state, plan, collector)
+    edges, weights = collector.merge()
     if blast is not None:
         # The merged arrays hold the shards' candidates only; the
         # decision is the whole-graph one — same test, global maxima.

@@ -38,7 +38,7 @@ def test_json_schema_shape() -> None:
 
     codes = [rule["code"] for rule in report["rules"]]
     assert codes == ["RL001", "RL002", "RL003", "RL004", "RL005",
-                     "RL006", "RL007", "RL008"]
+                     "RL006", "RL007"]
     for rule in report["rules"]:
         assert set(rule) == {"code", "name", "rationale"}
 

@@ -20,7 +20,6 @@ CASES = {
     "RL005": ("rl005_bad.py", 4, "rl005_good.py"),
     "RL006": ("rl006_bad.py", 8, "rl006_good.py"),
     "RL007": ("rl007_bad.py", 7, "rl007_good.py"),
-    "RL008": ("rl008_bad.py", 5, "rl008_good.py"),
 }
 
 

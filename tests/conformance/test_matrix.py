@@ -22,7 +22,7 @@ from _matrix import (
     prepared_blocks,
     run_backend,
 )
-from repro.core.registry import BACKENDS, PRUNERS, WEIGHTINGS
+from repro.core.registry import BACKENDS
 
 
 def _case_id(param: tuple) -> str:
@@ -77,42 +77,3 @@ class TestParallelWorkerPool:
         # The matrix must exercise multi-shard merging without a pool.
         assert BACKEND_OPTIONS["parallel"]["workers"] == 1
         assert BACKEND_OPTIONS["parallel"]["shard_size"] is not None
-
-
-class TestSpillMode:
-    """Out-of-core execution: a one-byte-scale threshold forces every
-    shard and merge through disk; results must not move by a single
-    edge, and the spill parent directory must be empty afterwards."""
-
-    @pytest.mark.parametrize("dataset_name", sorted(_matrix.DATASETS))
-    @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS.names()))
-    def test_spilled_run_matches_oracle(self, dataset_name, weighting, tmp_path):
-        blocks, key_entropy = prepared_blocks(dataset_name, "token")
-        expected = oracle_edges(dataset_name, "token", weighting, "blast")
-        actual = run_backend(
-            "parallel",
-            blocks,
-            key_entropy,
-            weighting=weighting,
-            pruning="blast",
-            spill_dir=str(tmp_path),
-            spill_threshold_mb=1e-6,
-        )
-        assert actual == expected
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("pruning", sorted(PRUNERS.names()))
-    def test_spilled_prunings_match_oracle(self, pruning, tmp_path):
-        blocks, key_entropy = prepared_blocks("dirty", "token")
-        expected = oracle_edges("dirty", "token", "chi_h", pruning)
-        actual = run_backend(
-            "parallel",
-            blocks,
-            key_entropy,
-            weighting="chi_h",
-            pruning=pruning,
-            spill_dir=str(tmp_path),
-            spill_threshold_mb=1e-6,
-        )
-        assert actual == expected
-        assert list(tmp_path.iterdir()) == []

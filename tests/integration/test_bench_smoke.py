@@ -109,15 +109,12 @@ def test_bench_scaling_large_tier_at_tiny_scale(tmp_path, capsys):
     code = bench_scaling.main(
         ["--profiles", "250", "--repeats", "1", "--schemes", "cbs",
          "--workers", "1", "--large-tier", "--large-profiles", "300",
-         "--spill-threshold-mb", "1e-6", "--output", str(output)]
+         "--output", str(output)]
     )
     capsys.readouterr()
     assert code == 0
     report = json.loads(output.read_text(encoding="utf-8"))
     tier = report["large_tier"]
-    assert tier["equivalent"] is True
-    assert tier["spill_leftover_files"] == []
-    assert tier["spilled"]["peak_rss_mb"] >= 0.0
     assert tier["parallel_scaling"]["all_equivalent"] is True
 
 

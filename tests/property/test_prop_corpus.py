@@ -181,33 +181,3 @@ class TestInternedSchemaMatchesStrings:
         interned = SchemaExtraction().extract(dataset)
         legacy = SchemaExtraction(interned=False).extract(dataset)
         assert interned.to_dict() == legacy.to_dict()
-
-
-class TestMemmapRoundTrip:
-    @settings(deadline=None, max_examples=30)
-    @given(datasets)
-    def test_round_trip_is_bit_identical(self, dataset):
-        # Out-of-core persistence contract: reopening a saved corpus
-        # yields byte-identical id arrays and the exact same token and
-        # attribute id assignments, so every downstream consumer is
-        # oblivious to whether the corpus lives on the heap or on disk.
-        import tempfile
-
-        from repro.data import InternedCorpus
-
-        corpus = dataset.corpus
-        with tempfile.TemporaryDirectory() as directory:
-            corpus.to_memmap(directory)
-            reopened = InternedCorpus.from_memmap(directory)
-            assert reopened.offset2 == corpus.offset2
-            assert reopened.is_clean_clean == corpus.is_clean_clean
-            assert reopened.attributes == corpus.attributes
-            for name in ("profile_ptr", "attr_ids", "token_ids"):
-                original = getattr(corpus, name)
-                restored = getattr(reopened, name)
-                assert restored.dtype == original.dtype
-                assert restored.tobytes() == original.tobytes()
-            for token in corpus.dictionary:
-                assert reopened.dictionary.id_of(token) == (
-                    corpus.dictionary.id_of(token)
-                )

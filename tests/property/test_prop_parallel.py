@@ -316,60 +316,3 @@ class TestPlanner:
             ShardableIndex.from_entity_index(index)
         )
         assert int(counts.sum()) == index.total_comparisons
-
-
-class TestSpilledMergeBitIdentical:
-    @given(collections, entropies, st.sampled_from(SHARD_COUNTS))
-    @settings(max_examples=40, deadline=None)
-    def test_spilled_shards_merge_like_heap_shards(
-        self, collection, key_entropy, num_shards
-    ):
-        # Force every shard through disk (threshold of one byte) and
-        # merge into memmap-backed outputs: the merged arrays must be
-        # byte-for-byte the default plan's heap arrays.
-        import tempfile
-
-        from repro.graph.spill import (
-            SpillSpec,
-            resolve_shard,
-            spill_shard,
-        )
-
-        index = collection.entity_index
-        slim = ShardableIndex.from_entity_index(index)
-        graph = ArrayBlockingGraph(collection, key_entropy=key_entropy)
-        block_entropies = index.block_entropies(key_entropy)
-        plan = plan_shards(slim, num_shards=num_shards)
-        with tempfile.TemporaryDirectory() as spill_dir:
-            spec = SpillSpec(directory=spill_dir, threshold_bytes=1)
-            shards = []
-            for lo, hi in plan:
-                edges = shard_edge_arrays(
-                    slim, lo, hi,
-                    block_entropies=block_entropies, need_arcs=True,
-                )
-                spilled, _ = spill_shard(edges, None, spec, f"shard-{lo}")
-                shards.append(resolve_shard(spilled))
-            merged = merge_shards(shards, spill=spec)
-            _bit_identical(merged, graph)
-
-
-class TestSpilledPipelineEquivalence:
-    @given(collections, st.sampled_from(PRUNINGS))
-    @settings(max_examples=25, deadline=None)
-    def test_spill_mode_matches_in_memory_backend(self, collection, pruning):
-        import os
-        import tempfile
-
-        serial = parallel_metablocking(
-            collection, weighting=WeightingScheme.CHI_H, pruning=pruning,
-            workers=1, shard_size=5,
-        )
-        with tempfile.TemporaryDirectory() as spill_dir:
-            spilled = parallel_metablocking(
-                collection, weighting=WeightingScheme.CHI_H, pruning=pruning,
-                workers=1, shard_size=5,
-                spill_dir=spill_dir, spill_threshold_mb=1e-6,
-            )
-            assert os.listdir(spill_dir) == []  # job dir swept on exit
-        assert spilled == serial

@@ -9,15 +9,17 @@ BLAST runs take the pre-pruned path (shards ship candidates and node
 maxima, the parent decides), so every scenario here also pins that a
 result assembled from any mix of worker-built, retried and serially
 degraded shards is the oracle's — and that nothing the call started
-outlives it: no child process, no spill file.
+outlives it, a Ctrl-C included: no child process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -248,39 +250,28 @@ class TestPrePrunedShardsUnderFaults:
             assert result == oracle
 
 
-class TestSpillLifecycle:
-    def run_spilling(self, blocks, tmp_path, **kwargs):
-        return run_parallel(
-            blocks, spill_dir=str(tmp_path), spill_threshold_mb=1e-6, **kwargs
-        )
-
-    def test_spill_directory_empty_after_run(self, blocks, oracle, tmp_path):
-        assert self.run_spilling(blocks, tmp_path) == oracle
-        assert os.listdir(tmp_path) == []
-
-    def test_spill_cleaned_after_injected_failure(
-        self, blocks, oracle, tmp_path, fork_only
+class TestInterruptedDispatch:
+    def test_keyboard_interrupt_does_not_wait_for_the_tasks(
+        self, blocks, fork_only
     ):
-        with FAULTS.injected(WORKER_FAULT_SITE, "raise", hits=1):
-            result = self.run_spilling(
-                blocks, tmp_path,
-                retry_policy=RetryPolicy(max_retries=2, backoff_base=0.0),
-            )
-        assert result == oracle
-        assert os.listdir(tmp_path) == []
-
-    def test_interrupt_releases_spill(self, blocks, tmp_path, monkeypatch):
-        # A Ctrl-C between dispatch and merge must sweep the spill
-        # directory (finally-guarded).
-        import repro.graph.vectorized as driver_module
-
-        def interrupted(*args, **kwargs):
+        # Every shard task sleeps 4 s; a Ctrl-C half a second in must
+        # terminate the pool, not close() it and sit the sleeps out.
+        def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(driver_module, "merge_shards", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            self.run_spilling(blocks, tmp_path)
-        assert os.listdir(tmp_path) == []
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            with FAULTS.injected(WORKER_FAULT_SITE, "delay", value=4.0):
+                started = time.monotonic()
+                signal.setitimer(signal.ITIMER_REAL, 0.5)
+                with pytest.raises(KeyboardInterrupt):
+                    run_parallel(blocks)
+                elapsed = time.monotonic() - started
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 2.0
+        assert_no_orphans()
 
 
 PIPELINE_SCRIPT = """
@@ -288,31 +279,60 @@ from repro import BlastConfig, build_pipeline
 from repro.datasets import load_clean_clean
 
 dataset = load_clean_clean("ar1", scale=0.05, seed=3)
+print("loaded", flush=True)
 result = build_pipeline(BlastConfig(backend="parallel", workers=2)).run(dataset)
 assert len(result.blocks) > 0
 print(len(result.blocks))
 """
 
-
-@pytest.mark.skipif(
+posix_only = pytest.mark.skipif(
     not hasattr(os, "killpg"), reason="process groups are POSIX-only"
 )
-def test_parallel_pipeline_leaves_its_process_group_empty():
+
+
+def spawn_pipeline_in_own_session(faults=None):
     # The whole pipeline in its own session: every process it forks
     # inherits the group, so once the leader has exited and been reaped,
     # signalling the group finds nobody unless a worker was orphaned.
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("REPRO_FAULTS", None)
-    process = subprocess.Popen(
+    if faults is not None:
+        env["REPRO_FAULTS"] = faults
+    return subprocess.Popen(
         [sys.executable, "-c", PIPELINE_SCRIPT],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         start_new_session=True,
     )
+
+
+@posix_only
+def test_parallel_pipeline_leaves_its_process_group_empty():
+    process = spawn_pipeline_in_own_session()
     stdout, stderr = process.communicate(timeout=120)
     assert process.returncode == 0, stderr.decode()
-    assert int(stdout) > 0
+    assert int(stdout.split()[-1]) > 0
     with pytest.raises(ProcessLookupError):
         os.killpg(process.pid, 0)
+
+
+@posix_only
+def test_sigint_to_the_group_ends_the_pipeline_and_its_workers(fork_only):
+    # What a terminal's Ctrl-C does: SIGINT reaches the leader and its
+    # workers alike, the workers die holding their tasks, and the leader
+    # must not wait for results that will never come.
+    process = spawn_pipeline_in_own_session("parallel.worker=delay:3")
+    try:
+        assert process.stdout.readline() == b"loaded\n"
+        time.sleep(1.0)  # the shards are dispatched and sleeping
+        os.killpg(process.pid, signal.SIGINT)
+        process.communicate(timeout=5)
+        assert process.returncode == -signal.SIGINT
+        with pytest.raises(ProcessLookupError):
+            os.killpg(process.pid, 0)
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()

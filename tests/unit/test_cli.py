@@ -219,6 +219,15 @@ class TestEvaluate:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --pool" in capsys.readouterr().err
 
+    def test_removed_spill_flag_rejected(self, generated, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--left", str(generated / "left.jsonl"),
+                  "--right", str(generated / "right.jsonl"),
+                  "--output", str(tmp_path / "pairs.csv"),
+                  "--backend", "parallel", "--spill-dir", "x"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --spill-dir" in capsys.readouterr().err
+
     def test_unregistered_component_rejected(self, generated):
         with pytest.raises(SystemExit):
             main(["evaluate",

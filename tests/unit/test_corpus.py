@@ -1,6 +1,5 @@
 """Tests for the interned columnar corpus (repro.data.corpus)."""
 
-import numpy as np
 import pytest
 
 from repro.data import (
@@ -216,68 +215,3 @@ def test_empty_dataset_corpus():
     rows, toks = corpus.distinct_profile_tokens(2)
     assert rows.size == 0 and toks.size == 0
     assert isinstance(InternedCorpus.build(dataset), InternedCorpus)
-
-
-class TestMemmapPersistence:
-    def test_round_trip_is_bit_identical(self, figure1_clean_clean, tmp_path):
-        corpus = figure1_clean_clean.corpus
-        corpus.to_memmap(str(tmp_path))
-        reopened = InternedCorpus.from_memmap(str(tmp_path))
-        assert reopened.offset2 == corpus.offset2
-        assert reopened.is_clean_clean == corpus.is_clean_clean
-        assert reopened.attributes == corpus.attributes
-        for name in ("profile_ptr", "attr_ids", "token_ids"):
-            original = getattr(corpus, name)
-            restored = getattr(reopened, name)
-            assert restored.dtype == original.dtype
-            assert restored.tobytes() == original.tobytes()
-
-    def test_reopened_arrays_are_memmapped(self, figure1_dirty, tmp_path):
-        figure1_dirty.corpus.to_memmap(str(tmp_path))
-        reopened = InternedCorpus.from_memmap(str(tmp_path))
-        assert isinstance(reopened.profile_ptr, np.memmap)
-        assert isinstance(reopened.token_ids, np.memmap)
-
-    def test_token_ids_survive_round_trip(self, figure1_dirty, tmp_path):
-        corpus = figure1_dirty.corpus
-        corpus.to_memmap(str(tmp_path))
-        reopened = InternedCorpus.from_memmap(str(tmp_path))
-        for token in corpus.dictionary:
-            assert reopened.dictionary.id_of(token) == corpus.dictionary.id_of(
-                token
-            )
-
-    def test_no_temp_files_left_behind(self, figure1_dirty, tmp_path):
-        figure1_dirty.corpus.to_memmap(str(tmp_path))
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == [
-            "attr_ids.npy",
-            "corpus.json",
-            "profile_ptr.npy",
-            "token_ids.npy",
-        ]
-
-    def test_save_overwrites_previous_snapshot(self, figure1_dirty, tmp_path):
-        figure1_dirty.corpus.to_memmap(str(tmp_path))
-        figure1_dirty.corpus.to_memmap(str(tmp_path))  # idempotent re-save
-        reopened = InternedCorpus.from_memmap(str(tmp_path))
-        assert reopened.num_profiles == figure1_dirty.corpus.num_profiles
-
-    def test_unknown_format_rejected(self, figure1_dirty, tmp_path):
-        import json
-
-        figure1_dirty.corpus.to_memmap(str(tmp_path))
-        manifest = json.loads((tmp_path / "corpus.json").read_text())
-        manifest["format"] = 99
-        (tmp_path / "corpus.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format"):
-            InternedCorpus.from_memmap(str(tmp_path))
-
-    def test_empty_corpus_round_trips(self, tmp_path):
-        dataset = ERDataset(
-            EntityCollection([]), None, GroundTruth([], clean_clean=False)
-        )
-        dataset.corpus.to_memmap(str(tmp_path))
-        reopened = InternedCorpus.from_memmap(str(tmp_path))
-        assert reopened.num_profiles == 0
-        assert reopened.num_occurrences == 0

@@ -222,6 +222,13 @@ class TestBlastConfigFromMapping:
         with pytest.raises(ValueError, match="unknown BlastConfig field.* pool;"):
             BlastConfig.from_mapping({"backend": "parallel", "pool": "per-run"})
 
+    def test_removed_spill_knobs_are_unknown_fields(self):
+        with pytest.raises(
+            ValueError,
+            match="unknown BlastConfig field.* spill_dir, spill_threshold_mb;",
+        ):
+            BlastConfig.from_mapping({"spill_dir": "x", "spill_threshold_mb": 1})
+
     def test_valid_mapping_builds(self):
         config = BlastConfig.from_mapping({"alpha": 0.5, "weighting": "cbs"})
         assert config.alpha == 0.5

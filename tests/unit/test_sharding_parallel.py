@@ -240,6 +240,13 @@ class TestParallelBackend:
                 dirty_blocks, pruning=BlastPruning(), shard_size=0
             )
 
+    def test_removed_spill_parameters_rejected(self, dirty_blocks):
+        with pytest.raises(TypeError, match="spill_dir"):
+            parallel_metablocking(
+                dirty_blocks, pruning=BlastPruning(),
+                spill_dir="x", spill_threshold_mb=1,
+            )
+
     def test_empty_collection(self):
         empty = build_blocks({}, is_clean_clean=False)
         for plan in (None, []):
@@ -520,6 +527,25 @@ class TestMetaBlockerIntegration:
             BlastConfig(backend="vectorized", workers=2)
         with pytest.raises(ValueError, match="serial"):
             BlastConfig(backend="python", shard_size=100)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("workers", 2),
+        ("shard_size", 100),
+        ("task_timeout", 1.5),
+        ("max_retries", 0),  # a set knob (no retries), not an unset one
+    ])
+    def test_rejection_names_every_knob_and_value(self, knob, value):
+        got = ", ".join(
+            f"{name}={value if name == knob else None}"
+            for name in ("workers", "shard_size", "task_timeout", "max_retries")
+        )
+        with pytest.raises(ValueError) as error:
+            BlastConfig(backend="vectorized", **{knob: value})
+        assert str(error.value) == (
+            "workers/shard_size/task_timeout/max_retries do not apply to "
+            "the serial 'vectorized' backend; use backend='parallel' "
+            f"(got {got})"
+        )
 
     def test_knobs_forwarded_to_custom_backends(self):
         # A registered non-built-in backend may accept execution knobs;
