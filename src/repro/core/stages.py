@@ -206,36 +206,55 @@ class SchemaExtraction(BaseStage):
 
     def extract(self, dataset: ERDataset) -> AttributePartitioning:
         """Run the extraction directly, outside a pipeline."""
-        from repro.lsh.banding import lsh_candidate_pairs
         from repro.schema.attribute_clustering import AttributeClustering
-        from repro.schema.attribute_profile import build_attribute_profiles
+        from repro.schema.attribute_graph import AttributeGraph
         from repro.schema.entropy import extract_loose_schema_entropies
         from repro.schema.lmi import LooseAttributeMatchInduction
 
         config = self.config
+        floor = config.min_token_length
         corpus = dataset.corpus if self.interned else None
         if config.representation == "tfidf":
             # TF-IDF vectors keep the Counter path: their cosine sums are
             # order-sensitive, so reordering terms is not behavior-free.
-            return extract_loose_schema_entropies(
-                self._extract_with_tfidf(dataset),
-                dataset.collection1,
-                dataset.collection2,
-                corpus=corpus,
-            )
+            partitioning = self._extract_with_tfidf(dataset)
+        else:
+            if config.induction == "lmi":
+                induction = LooseAttributeMatchInduction(
+                    alpha=config.alpha, glue_cluster=config.glue_cluster
+                )
+            else:
+                induction = AttributeClustering(glue_cluster=config.glue_cluster)
+            if corpus is not None and not config.use_lsh:
+                graph = AttributeGraph.from_corpus(corpus, floor)
+                partitioning = induction.decide(graph, graph.jaccard())
+            else:
+                partitioning = induction.induce(
+                    *self._profiles_and_candidates(dataset, corpus)
+                )
+        return extract_loose_schema_entropies(
+            partitioning,
+            dataset.collection1,
+            dataset.collection2,
+            corpus=corpus,
+            min_token_length=floor,
+        )
+
+    def _profiles_and_candidates(self, dataset: ERDataset, corpus):
+        """String profiles, for MinHash signatures and the string-era twin."""
+        from repro.lsh.banding import lsh_candidate_pairs
+        from repro.schema.attribute_profile import build_attribute_profiles
+
+        config = self.config
+        floor = config.min_token_length
         profiles1 = build_attribute_profiles(
-            dataset.collection1, source=0,
-            min_token_length=config.min_token_length, corpus=corpus,
+            dataset.collection1, 0, floor, corpus=corpus
         )
         profiles2 = (
-            build_attribute_profiles(
-                dataset.collection2, source=1,
-                min_token_length=config.min_token_length, corpus=corpus,
-            )
+            build_attribute_profiles(dataset.collection2, 1, floor, corpus=corpus)
             if dataset.collection2 is not None
             else None
         )
-
         candidates = None
         if config.use_lsh:
             candidates = lsh_candidate_pairs(
@@ -245,17 +264,7 @@ class SchemaExtraction(BaseStage):
                 num_hashes=config.lsh_num_hashes,
                 seed=config.seed,
             )
-
-        if config.induction == "lmi":
-            induction = LooseAttributeMatchInduction(
-                alpha=config.alpha, glue_cluster=config.glue_cluster
-            )
-        else:
-            induction = AttributeClustering(glue_cluster=config.glue_cluster)
-        partitioning = induction.induce(profiles1, profiles2, candidates)
-        return extract_loose_schema_entropies(
-            partitioning, dataset.collection1, dataset.collection2, corpus=corpus
-        )
+        return profiles1, profiles2, candidates
 
     def _extract_with_tfidf(self, dataset: ERDataset) -> AttributePartitioning:
         from repro.schema.representation import (

@@ -1,6 +1,7 @@
 """Loose schema information extraction (the paper's Phase 1)."""
 
 from repro.schema.attribute_clustering import AttributeClustering
+from repro.schema.attribute_graph import AttributeGraph
 from repro.schema.attribute_profile import AttributeProfile, build_attribute_profiles
 from repro.schema.entropy import (
     aggregate_entropies,
@@ -18,6 +19,7 @@ from repro.schema.similarity import cosine, dice, jaccard
 __all__ = [
     "TfIdfAttributeModel",
     "tfidf_attribute_match_induction",
+    "AttributeGraph",
     "AttributeProfile",
     "build_attribute_profiles",
     "LooseAttributeMatchInduction",

@@ -11,90 +11,35 @@ behaviour the paper contrasts with LMI's cohesive clusters.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Set
+import numpy as np
 
-from repro.schema.attribute_profile import AttributeProfile
-from repro.schema.partition import AttributePartitioning, AttributeRef
-from repro.schema.similarity import jaccard
-from repro.utils.unionfind import UnionFind
-
-SimilarityFn = Callable[[Set[str], Set[str]], float]
+from repro.schema.attribute_graph import AttributeMatchInduction
 
 
-class AttributeClustering:
+class AttributeClustering(AttributeMatchInduction):
     """AC: best-match linking plus connected components.
 
     Parameters
     ----------
-    similarity:
-        Set-similarity function over token sets (Jaccard by default).
     glue_cluster:
         Whether singletons are gathered in the glue cluster.
     """
 
-    def __init__(
-        self, similarity: SimilarityFn = jaccard, glue_cluster: bool = True
-    ) -> None:
-        self.similarity = similarity
+    def __init__(self, glue_cluster: bool = True) -> None:
         self.glue_cluster = glue_cluster
 
-    def induce(
-        self,
-        profiles1: Iterable[AttributeProfile],
-        profiles2: Iterable[AttributeProfile] | None = None,
-        candidate_pairs: Iterable[tuple[AttributeRef, AttributeRef]] | None = None,
-    ) -> AttributePartitioning:
-        """Partition the attribute name space (same interface as LMI)."""
-        by_ref: dict[AttributeRef, AttributeProfile] = {}
-        for profile in profiles1:
-            by_ref[profile.ref] = profile
-        if profiles2 is not None:
-            for profile in profiles2:
-                if profile.ref in by_ref:
-                    raise ValueError(f"duplicate attribute ref {profile.ref!r}")
-                by_ref[profile.ref] = profile
+    def _links(
+        self, src: np.ndarray, dst: np.ndarray, sim: np.ndarray, maxima: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every attribute with its best partner.
 
-        if candidate_pairs is not None:
-            pairs = sorted(
-                {
-                    (min(a, b), max(a, b))
-                    for a, b in candidate_pairs
-                    if a != b and a in by_ref and b in by_ref
-                }
-            )
-        else:
-            refs = sorted(by_ref)
-            if profiles2 is not None:
-                left = [r for r in refs if r[0] == 0]
-                right = [r for r in refs if r[0] == 1]
-                pairs = [(a, b) for a in left for b in right]
-            else:
-                pairs = [
-                    (refs[i], refs[j])
-                    for i in range(len(refs))
-                    for j in range(i + 1, len(refs))
-                ]
-
-        # Track each attribute's best partner; ties resolved toward the
-        # lexicographically smaller ref for determinism.
-        best: dict[AttributeRef, tuple[float, AttributeRef]] = {}
-        for ref_i, ref_j in pairs:
-            value = self.similarity(by_ref[ref_i].tokens, by_ref[ref_j].tokens)
-            if value <= 0.0:
-                continue
-            if ref_i not in best or value > best[ref_i][0]:
-                best[ref_i] = (value, ref_j)
-            if ref_j not in best or value > best[ref_j][0]:
-                best[ref_j] = (value, ref_i)
-
-        links = UnionFind(by_ref.keys())
-        for ref, (_, partner) in best.items():
-            links.union(ref, partner)
-
-        clusters = [c for c in links.components() if len(c) > 1]
-        clustered = set().union(*clusters) if clusters else set()
-        singletons = set(by_ref) - clustered
-        return AttributePartitioning(
-            clusters=sorted(clusters, key=lambda c: sorted(c)),
-            glue=singletons if self.glue_cluster else None,
-        )
+        Ties go to the smallest id, i.e. the lexicographically smallest
+        ref, for determinism.
+        """
+        unlinked = maxima.size
+        best = np.full(maxima.size, unlinked, dtype=np.int64)
+        at_src, at_dst = sim == maxima[src], sim == maxima[dst]
+        np.minimum.at(best, src[at_src], dst[at_src])
+        np.minimum.at(best, dst[at_dst], src[at_dst])
+        linked = np.flatnonzero(best < unlinked)
+        return linked, best[linked]

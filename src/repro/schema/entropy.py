@@ -137,14 +137,17 @@ def extract_loose_schema_entropies(
     collection1: EntityCollection,
     collection2: EntityCollection | None = None,
     corpus: "InternedCorpus | None" = None,
+    min_token_length: int = 2,
 ) -> AttributePartitioning:
     """Attach aggregate entropies to *partitioning* (Phase 1, step 2).
 
-    Returns a new partitioning; the input is unchanged.
+    *min_token_length* is the blocker's token floor: entropies are taken
+    over the tokens that become blocking keys.  Returns a new partitioning;
+    the input is unchanged.
     """
-    entropies = attribute_entropies(collection1, source=0, corpus=corpus)
+    entropies = attribute_entropies(collection1, 0, min_token_length, corpus)
     if collection2 is not None:
         entropies.update(
-            attribute_entropies(collection2, source=1, corpus=corpus)
+            attribute_entropies(collection2, 1, min_token_length, corpus)
         )
     return partitioning.with_entropies(aggregate_entropies(partitioning, entropies))

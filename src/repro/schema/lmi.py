@@ -3,9 +3,10 @@
 LMI pairs up "nearly most similar" attributes across two sources and takes
 the connected components of the *mutual* candidate edges as clusters:
 
-1. compute the similarity of every attribute-profile pair (or only of the
-   LSH candidate pairs when the optional pre-processing step is enabled),
-   tracking each attribute's maximum similarity;
+1. compute the similarity of every attribute pair sharing a token — every
+   other pair scores zero — (or only of the LSH candidate pairs among them
+   when the optional pre-processing step is enabled), tracking each
+   attribute's maximum similarity;
 2. mark ``a_j`` as a candidate of ``a_i`` when ``sim(a_i, a_j) >= alpha *
    max_i`` (and symmetrically);
 3. keep the edge ``<a_i, a_j>`` only if each is a candidate of the other;
@@ -18,17 +19,12 @@ versus Attribute Clustering's best-match chaining (Section 4.3).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Set
+import numpy as np
 
-from repro.schema.attribute_profile import AttributeProfile
-from repro.schema.partition import AttributePartitioning, AttributeRef
-from repro.schema.similarity import jaccard
-from repro.utils.unionfind import UnionFind
-
-SimilarityFn = Callable[[Set[str], Set[str]], float]
+from repro.schema.attribute_graph import AttributeMatchInduction
 
 
-class LooseAttributeMatchInduction:
+class LooseAttributeMatchInduction(AttributeMatchInduction):
     """LMI: clusters of mutually nearly-most-similar attributes.
 
     Parameters
@@ -37,113 +33,24 @@ class LooseAttributeMatchInduction:
         The "nearly similar" factor of Algorithm 1; a pair is a candidate
         when its similarity reaches ``alpha`` times the maximum similarity
         of either endpoint.  The paper's example value is 0.9.
-    similarity:
-        Set-similarity function over token sets; Jaccard by default (and
-        required when combined with MinHash LSH).
     glue_cluster:
         Whether singleton attributes are gathered in the glue cluster
         (cluster id 0).  Disable to reproduce the Figure 10 setting.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.9,
-        similarity: SimilarityFn = jaccard,
-        glue_cluster: bool = True,
-    ) -> None:
+    def __init__(self, alpha: float = 0.9, glue_cluster: bool = True) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
-        self.similarity = similarity
         self.glue_cluster = glue_cluster
 
-    def induce(
-        self,
-        profiles1: Iterable[AttributeProfile],
-        profiles2: Iterable[AttributeProfile] | None = None,
-        candidate_pairs: Iterable[tuple[AttributeRef, AttributeRef]] | None = None,
-    ) -> AttributePartitioning:
-        """Partition the attribute name space.
+    def _links(
+        self, src: np.ndarray, dst: np.ndarray, sim: np.ndarray, maxima: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The mutual candidates (Algorithm 1, lines 9-16).
 
-        Parameters
-        ----------
-        profiles1, profiles2:
-            Attribute profiles of the two sources; leave *profiles2* as
-            ``None`` for dirty ER, where similar attributes are sought within
-            the single source.
-        candidate_pairs:
-            If given (by the LSH pre-processing step), similarities are
-            computed only for these pairs instead of the full cross product.
-
-        Returns
-        -------
-        AttributePartitioning
-            Clusters of size >= 2, plus the glue cluster when enabled.
+        ``>=`` against the float64 product ``alpha * max_i``, on both
+        endpoints: the reciprocal form of a node-maxima threshold.
         """
-        by_ref: dict[AttributeRef, AttributeProfile] = {}
-        for profile in profiles1:
-            by_ref[profile.ref] = profile
-        if profiles2 is not None:
-            for profile in profiles2:
-                if profile.ref in by_ref:
-                    raise ValueError(f"duplicate attribute ref {profile.ref!r}")
-                by_ref[profile.ref] = profile
-
-        pairs = self._pairs_to_score(by_ref, profiles2 is not None, candidate_pairs)
-
-        # Pass 1 (Algorithm 1, lines 2-8): similarities and per-attribute maxima.
-        sims: dict[tuple[AttributeRef, AttributeRef], float] = {}
-        max_sim: dict[AttributeRef, float] = {}
-        for ref_i, ref_j in pairs:
-            value = self.similarity(by_ref[ref_i].tokens, by_ref[ref_j].tokens)
-            if value <= 0.0:
-                continue
-            sims[(ref_i, ref_j)] = value
-            if value > max_sim.get(ref_i, 0.0):
-                max_sim[ref_i] = value
-            if value > max_sim.get(ref_j, 0.0):
-                max_sim[ref_j] = value
-
-        # Pass 2 (lines 9-13): candidate generation against alpha * max.
-        candidates: dict[AttributeRef, set[AttributeRef]] = {}
-        for (ref_i, ref_j), value in sims.items():
-            if value >= self.alpha * max_sim[ref_i]:
-                candidates.setdefault(ref_i, set()).add(ref_j)
-            if value >= self.alpha * max_sim[ref_j]:
-                candidates.setdefault(ref_j, set()).add(ref_i)
-
-        # Pass 3 (lines 14-16): mutual candidates become edges.
-        links = UnionFind(by_ref.keys())
-        for ref_i, cands in candidates.items():
-            for ref_j in cands:
-                if ref_i in candidates.get(ref_j, ()):  # mutual
-                    links.union(ref_i, ref_j)
-
-        # Line 17: components with cardinality > 1 are the clusters.
-        clusters = [c for c in links.components() if len(c) > 1]
-        clustered = set().union(*clusters) if clusters else set()
-        singletons = set(by_ref) - clustered
-        return AttributePartitioning(
-            clusters=sorted(clusters, key=lambda c: sorted(c)),
-            glue=singletons if self.glue_cluster else None,
-        )
-
-    @staticmethod
-    def _pairs_to_score(
-        by_ref: dict[AttributeRef, AttributeProfile],
-        clean_clean: bool,
-        candidate_pairs: Iterable[tuple[AttributeRef, AttributeRef]] | None,
-    ) -> list[tuple[AttributeRef, AttributeRef]]:
-        if candidate_pairs is not None:
-            deduped = {
-                (min(a, b), max(a, b))
-                for a, b in candidate_pairs
-                if a != b and a in by_ref and b in by_ref
-            }
-            return sorted(deduped)
-        refs = sorted(by_ref)
-        if clean_clean:
-            left = [r for r in refs if r[0] == 0]
-            right = [r for r in refs if r[0] == 1]
-            return [(a, b) for a in left for b in right]
-        return [(refs[i], refs[j]) for i in range(len(refs)) for j in range(i + 1, len(refs))]
+        mutual = (sim >= self.alpha * maxima[src]) & (sim >= self.alpha * maxima[dst])
+        return src[mutual], dst[mutual]

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Set
+from collections.abc import Iterable
+
+import numpy as np
 
 from repro.data.collection import EntityCollection
-from repro.schema.attribute_profile import AttributeProfile
 from repro.schema.partition import AttributePartitioning, AttributeRef
-
-#: Separator used to smuggle an attribute ref through a token set (it can
-#: never appear in a real token, which are normalize()d words).
-_MARKER_SEP = "\x00"
 
 
 class TfIdfAttributeModel:
@@ -114,44 +111,31 @@ def tfidf_attribute_match_induction(
 ) -> AttributePartitioning:
     """Attribute-match induction over the TF-IDF/cosine representation.
 
-    Reuses the LMI / Attribute Clustering machinery with the similarity
-    slot swapped: each attribute profile carries a single marker token
-    encoding its ref, and the similarity function resolves the pair
-    against *model* — so candidate generation, mutuality, and connected
-    components behave exactly as in the binary-presence variants.
+    Shares the LMI / Attribute Clustering decision with the binary-presence
+    variants and swaps only the scores: the term-sharing attribute pairs —
+    the only ones whose cosine is non-zero, every tf-idf weight being
+    positive — come from the same attribute x token index, are scored with
+    :meth:`TfIdfAttributeModel.cosine`, and candidate generation,
+    mutuality and connected components run on those similarities.
     """
+    from repro.schema.attribute_clustering import AttributeClustering
+    from repro.schema.attribute_graph import AttributeGraph
+    from repro.schema.lmi import LooseAttributeMatchInduction
+
     if method not in ("lmi", "ac"):
         raise ValueError(f"method must be 'lmi' or 'ac', got {method!r}")
-
-    def similarity(a: Set[str], b: Set[str]) -> float:
-        return model.cosine(_decode(next(iter(a))), _decode(next(iter(b))))
-
+    graph = AttributeGraph.from_token_sets(
+        {ref: model.vector(ref) for ref in model.refs},
+        clean_clean=any(source == 1 for source, _ in model.refs),
+    ).restricted_to(candidate_pairs)
+    refs = graph.refs
+    sim = np.asarray(
+        [
+            model.cosine(refs[i], refs[j])
+            for i, j in zip(graph.src.tolist(), graph.dst.tolist())
+        ],
+        dtype=np.float64,
+    )
     if method == "lmi":
-        from repro.schema.lmi import LooseAttributeMatchInduction
-
-        induction = LooseAttributeMatchInduction(
-            alpha=alpha, similarity=similarity, glue_cluster=glue_cluster
-        )
-    else:
-        from repro.schema.attribute_clustering import AttributeClustering
-
-        induction = AttributeClustering(
-            similarity=similarity, glue_cluster=glue_cluster
-        )
-
-    profiles1 = [
-        AttributeProfile(s, n, frozenset({f"{s}{_MARKER_SEP}{n}"}))
-        for s, n in model.refs
-        if s == 0
-    ]
-    profiles2 = [
-        AttributeProfile(s, n, frozenset({f"{s}{_MARKER_SEP}{n}"}))
-        for s, n in model.refs
-        if s == 1
-    ] or None
-    return induction.induce(profiles1, profiles2, candidate_pairs)
-
-
-def _decode(marker: str) -> AttributeRef:
-    source, _, name = marker.partition(_MARKER_SEP)
-    return (int(source), name)
+        return LooseAttributeMatchInduction(alpha, glue_cluster).decide(graph, sim)
+    return AttributeClustering(glue_cluster).decide(graph, sim)

@@ -1,5 +1,7 @@
 """Tests for the Attribute Clustering baseline, contrasted with LMI."""
 
+import pytest
+
 from repro.schema.attribute_clustering import AttributeClustering
 from repro.schema.attribute_profile import AttributeProfile
 from repro.schema.lmi import LooseAttributeMatchInduction
@@ -78,3 +80,44 @@ class TestAttributeClustering:
         p2 = [_profile(1, "b", {"y"})]
         part = AttributeClustering(glue_cluster=False).induce(p1, p2)
         assert part.cluster_of(0, "a") is None
+
+    def test_similarity_slot_is_gone(self):
+        with pytest.raises(TypeError):
+            AttributeClustering(similarity=lambda a, b: 1.0)
+
+    def test_tie_goes_to_smallest_ref_clean_clean(self):
+        # sim(a, b1) = 1/3 and sim(a, b2) = 2/6 tie: a links to b1 only,
+        # and b2's own best is c, so b2 stays out of a's cluster.
+        a = _profile(0, "a", {"x", "y", "z"})
+        c = _profile(0, "c", {"y", "z", "q1", "q2", "q3"})
+        b1 = _profile(1, "b1", {"x"})
+        b2 = _profile(1, "b2", {"y", "z", "q1", "q2", "q3"})
+        part = AttributeClustering().induce([a, c], [b1, b2])
+        assert part.to_dict()["clusters"] == [
+            [[0, "a"], [1, "b1"]],
+            [[0, "c"], [1, "b2"]],
+        ]
+
+    def test_tie_goes_to_smaller_id_partner_dirty(self):
+        # m's partners k (smaller ref) and p, q (larger refs) tie at 1/2;
+        # p and q are each other's best.  m links to k, not to p or q.
+        profiles = [
+            _profile(0, "k", {"t1"}),
+            _profile(0, "m", {"t1", "t2"}),
+            _profile(0, "p", {"t2"}),
+            _profile(0, "q", {"t2"}),
+        ]
+        part = AttributeClustering().induce(profiles, None)
+        assert part.to_dict()["clusters"] == [
+            [[0, "k"], [0, "m"]],
+            [[0, "p"], [0, "q"]],
+        ]
+
+    def test_token_less_attribute_lands_in_glue(self):
+        p1 = [_profile(0, "a", {"x"}), _profile(0, "void", set())]
+        p2 = [_profile(1, "b", {"x"})]
+        part = AttributeClustering().induce(p1, p2)
+        assert part.cluster_of(0, "a") == part.cluster_of(1, "b") == 1
+        assert part.members(0) == {(0, "void")}
+        bare = AttributeClustering(glue_cluster=False).induce(p1, p2)
+        assert bare.cluster_of(0, "void") is None

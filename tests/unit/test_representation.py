@@ -95,3 +95,56 @@ class TestTfIdfInduction:
         model = TfIdfAttributeModel(*collections)
         with pytest.raises(ValueError, match="method"):
             tfidf_attribute_match_induction(model, method="magic")
+
+    @pytest.mark.parametrize("method", ["lmi", "ac"])
+    @pytest.mark.parametrize("glue_cluster", [True, False])
+    def test_equals_the_set_oracle_driven_by_model_cosine(self, method, glue_cluster):
+        from _schema_oracles import ac_oracle, lmi_oracle
+        from repro.schema.attribute_profile import AttributeProfile
+
+        left = EntityCollection(
+            [
+                EntityProfile.from_dict(
+                    "a1", {"name": "john abram", "nick": "john", "year": "1985 ."}
+                ),
+                EntityProfile.from_dict(
+                    "a2", {"name": "ellen smith", "nick": "ellen ellen", "year": "1990"}
+                ),
+            ],
+            "L",
+        )
+        right = EntityCollection(
+            [
+                EntityProfile.from_dict(
+                    "b1", {"fullname": "john abram smith", "born": "1985", "memo": "?"}
+                ),
+                EntityProfile.from_dict("b2", {"fullname": "ellen", "born": "1990 1985"}),
+            ],
+            "R",
+        )
+        model = TfIdfAttributeModel(left, right)
+        assert len(model.refs) == 6
+
+        # The oracle scores token sets: hand it each ref as its only "token".
+        def by_ref(a, b):
+            return model.cosine(next(iter(a)), next(iter(b)))
+
+        profiles = [AttributeProfile(s, n, frozenset({(s, n)})) for s, n in model.refs]
+        profiles1 = [p for p in profiles if p.source == 0]
+        profiles2 = [p for p in profiles if p.source == 1]
+        for alpha in (0.5, 0.9, 1.0):
+            got = tfidf_attribute_match_induction(
+                model, method=method, alpha=alpha, glue_cluster=glue_cluster
+            )
+            if method == "lmi":
+                want = lmi_oracle(
+                    profiles1, profiles2, alpha=alpha,
+                    glue_cluster=glue_cluster, similarity=by_ref,
+                )
+            else:
+                want = ac_oracle(
+                    profiles1, profiles2, glue_cluster=glue_cluster, similarity=by_ref
+                )
+            assert got.to_dict() == want.to_dict()
+            assert got.cluster_of(1, "memo") == (0 if glue_cluster else None)
+            assert got.num_clusters >= 2

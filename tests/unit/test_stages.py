@@ -220,3 +220,40 @@ class TestAblationCompositions:
             ),
         ]).run(tiny_clean_clean)
         assert len(wsh.blocks) > 0
+
+
+class TestSchemaExtractionStage:
+    @pytest.mark.parametrize("interned", [True, False])
+    @pytest.mark.parametrize("representation", ["binary", "tfidf"])
+    def test_entropies_respect_the_token_floor(
+        self, seeded_benchmark, interned, representation
+    ):
+        # Entropies weight blocking keys, so they are taken over the tokens
+        # the blocker emits: a non-default floor must reach them.
+        from repro.schema.entropy import aggregate_entropies, attribute_entropies
+
+        config = BlastConfig(min_token_length=4, representation=representation)
+        part = SchemaExtraction(config, interned=interned).extract(seeded_benchmark)
+        entropies = attribute_entropies(seeded_benchmark.collection1, 0, 4)
+        entropies.update(attribute_entropies(seeded_benchmark.collection2, 1, 4))
+        expected = aggregate_entropies(part, entropies)
+        assert part.to_dict()["entropies"] == {
+            str(cid): value for cid, value in expected.items()
+        }
+        at_default_floor = attribute_entropies(seeded_benchmark.collection1, 0)
+        at_default_floor.update(attribute_entropies(seeded_benchmark.collection2, 1))
+        assert aggregate_entropies(part, at_default_floor) != expected
+
+    def test_default_run_builds_no_attribute_profile(self, seeded_benchmark):
+        from unittest import mock
+
+        from repro.schema.attribute_profile import AttributeProfile
+
+        def fail(*args, **kwargs):
+            raise AssertionError("AttributeProfile built on the default path")
+
+        reference = SchemaExtraction(interned=False).extract(seeded_benchmark)
+        with mock.patch.object(AttributeProfile, "__init__", fail):
+            part = SchemaExtraction().extract(seeded_benchmark)
+        assert part.to_dict() == reference.to_dict()
+        assert part.num_clusters > 1
