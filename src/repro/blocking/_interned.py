@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.blocking.base import BlockCollection
 from repro.graph.entity_index import EntityIndex
+from repro.utils.arrays import sorted_unique
 
 #: Bits reserved for the row (profile) part of a packed (key, row) id.
 _ROW_SHIFT = np.int64(31)
@@ -69,7 +70,7 @@ def group_assignments(
     # Compact arbitrary int64 key codes to dense indices so a single
     # (key, row) int64 pack both deduplicates and key-major sorts.
     group_codes, key_idx = np.unique(codes, return_inverse=True)
-    packed = np.unique((key_idx.astype(np.int64) << _ROW_SHIFT) | rows)
+    packed = sorted_unique((key_idx.astype(np.int64) << _ROW_SHIFT) | rows)
     key_part = packed >> _ROW_SHIFT
     members = packed & _ROW_MASK
     starts = np.flatnonzero(np.r_[True, key_part[1:] != key_part[:-1]])

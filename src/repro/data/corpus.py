@@ -13,7 +13,7 @@ columnar arrays over interned integer ids:
   profile order — parallel ``attr_ids``/``token_ids`` arrays with a CSR
   ``profile_ptr`` delimiting each profile's span — so multiplicities
   survive (entropy extraction counts frequencies) while distinct-token
-  views are a single ``np.unique`` away.
+  views are a single sort away.
 
 Consumers downstream (``repro.blocking``, ``repro.schema``, the CSR
 lowering of ``repro.graph.entity_index`` and the benchmarks) derive their
@@ -30,13 +30,15 @@ across restarts).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.utils.tokenize import qgrams, suffixes, tokenize
+from repro.utils.arrays import sorted_unique
+from repro.utils.tokenize import VALUE_BOUNDARY, qgrams, suffixes, tokenize_many
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset -> here)
     from repro.data.dataset import ERDataset
@@ -46,6 +48,10 @@ AttributeRef = tuple[int, str]
 
 #: Token ids are int32; the dictionary refuses to grow past this.
 MAX_TOKEN_ID = 2**31 - 1
+
+#: Values per ``tokenize_many`` call: bounds the transient token strings and
+#: confines a non-ASCII value's slower Unicode branch to its own batch.
+_BATCH_VALUES = 8192
 
 
 class TokenDictionary:
@@ -107,10 +113,18 @@ class TokenDictionary:
     def __repr__(self) -> str:
         return f"TokenDictionary(size={len(self)})"
 
+    def ids_of(self, tokens: Sequence[str], default: int) -> np.ndarray:
+        """``int64`` id per string of *tokens*; *default* where never interned."""
+        return np.fromiter(
+            map(self._ids.get, tokens, repeat(default)),
+            dtype=np.int64,
+            count=len(tokens),
+        )
+
     def lengths(self) -> np.ndarray:
         """Character length of every interned string, indexed by id."""
         return np.fromiter(
-            (len(t) for t in self._tokens), dtype=np.int32, count=len(self._tokens)
+            map(len, self._tokens), dtype=np.int32, count=len(self._tokens)
         )
 
     def to_payload(self) -> list[str]:
@@ -172,24 +186,23 @@ class InternedCorpus:
     def build(cls, dataset: "ERDataset") -> "InternedCorpus":
         """Tokenize *dataset* once — the single pass everything else shares.
 
+        One Python pass collects the value strings; tokenizing, interning
+        and array assembly then run per batch of values, not per occurrence.
+
         Tokens are kept down to length 1 (``min_length=1``); consumers
         apply their own length floors through the cached
         :attr:`token_lengths` array, so one corpus serves every
         ``min_token_length`` setting.
         """
-        dictionary = TokenDictionary()
-        attributes: list[AttributeRef] = []
-        attr_index: dict[AttributeRef, int] = {}
-        ptr: list[int] = [0]
-        flat_attrs: list[int] = []
-        flat_tokens: list[int] = []
         num_profiles = dataset.num_profiles
         if num_profiles > MAX_TOKEN_ID:
             raise OverflowError("corpus profile space exceeds int32")
         offset2 = dataset.offset2 if dataset.is_clean_clean else num_profiles
-        intern = dictionary.intern
-        append_attr = flat_attrs.append
-        append_token = flat_tokens.append
+        attributes: list[AttributeRef] = []
+        attr_index: dict[AttributeRef, int] = {}
+        values: list[str] = []
+        value_attrs: list[int] = []
+        value_ptr: list[int] = [0]
         for gidx, profile in dataset.iter_profiles():
             source = 0 if gidx < offset2 else 1
             for name, value in profile.iter_pairs():
@@ -199,16 +212,32 @@ class InternedCorpus:
                     aid = len(attributes)
                     attr_index[ref] = aid
                     attributes.append(ref)
-                for token in tokenize(value, min_length=1):
-                    append_attr(aid)
-                    append_token(intern(token))
-            ptr.append(len(flat_tokens))
+                value_attrs.append(aid)
+                values.append(value)
+            value_ptr.append(len(values))
+        # Everything per token runs at C level, a bounded batch at a time.
+        dictionary = TokenDictionary()
+        token_chunks = [np.zeros(0, dtype=np.int32)]
+        count_chunks = [np.zeros(0, dtype=np.int64)]
+        for lo in range(0, len(values), _BATCH_VALUES):
+            stream = tokenize_many(values[lo : lo + _BATCH_VALUES])
+            # dict order is first-occurrence order: per-occurrence ids.
+            for token in dict.fromkeys(stream):
+                if token != VALUE_BOUNDARY:
+                    dictionary.intern(token)
+            codes = dictionary.ids_of(stream, default=-1)
+            # A boundary (the only -1) ends every value but the batch's last.
+            ends = np.flatnonzero(np.r_[codes < 0, True])
+            count_chunks.append(np.diff(ends, prepend=-1) - 1)
+            token_chunks.append(codes[codes >= 0].astype(np.int32))
+        counts = np.concatenate(count_chunks)
+        token_ptr = np.r_[0, np.cumsum(counts)]
         return cls(
             dictionary=dictionary,
             attributes=tuple(attributes),
-            profile_ptr=np.asarray(ptr, dtype=np.int64),
-            attr_ids=np.asarray(flat_attrs, dtype=np.int32),
-            token_ids=np.asarray(flat_tokens, dtype=np.int32),
+            profile_ptr=token_ptr[np.asarray(value_ptr, dtype=np.int64)],
+            attr_ids=np.repeat(np.asarray(value_attrs, dtype=np.int32), counts),
+            token_ids=np.concatenate(token_chunks),
             offset2=offset2,
             is_clean_clean=dataset.is_clean_clean,
         )
@@ -277,7 +306,7 @@ class InternedCorpus:
             mask = self.token_lengths[self.token_ids] >= min_token_length
             rows = self.occurrence_rows[mask]
             toks = self.token_ids[mask].astype(np.int64)
-            packed = np.unique((rows << np.int64(31)) | toks)
+            packed = sorted_unique((rows << np.int64(31)) | toks)
             cached = (packed >> np.int64(31), packed & np.int64(MAX_TOKEN_ID))
             self._cache[key] = cached
         return cached

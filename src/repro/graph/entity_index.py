@@ -29,6 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base -> here)
     from repro.blocking.base import BlockCollection
     from repro.graph.sharding import ShardableIndex
@@ -311,7 +313,7 @@ class EntityIndex:
         packed = []
         for lo, hi in default_plan(slim):
             src, dst, _ = enumerate_shard_pairs(slim, lo, hi)
-            packed.append(np.unique(pack_pairs(src, dst)))
+            packed.append(sorted_unique(pack_pairs(src, dst)))
         return unpack_pairs(np.concatenate(packed))
 
 

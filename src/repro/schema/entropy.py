@@ -62,14 +62,14 @@ def attribute_entropies(
 
     Token occurrences are counted across all values of the attribute (with
     multiplicity — a token repeated in many records makes the attribute more
-    predictable, lowering its entropy).  With a *corpus*, counting runs
-    over the interned ``(attribute, token)`` id arrays instead of
-    re-tokenizing the collection.
+    predictable, lowering its entropy).  With the dataset's *corpus*, the
+    counts come from its interned ``(attribute, token)`` id arrays and the
+    attribute space from its refs of *source* — every ``(name, value)``
+    pair got an attribute id before tokenizing — so nothing is re-tokenized
+    and the collection is not walked.
     """
     if corpus is not None:
-        return _attribute_entropies_interned(
-            collection, source, min_token_length, corpus
-        )
+        return _attribute_entropies_interned(source, min_token_length, corpus)
     counters: dict[str, Counter[str]] = {}
     for profile in collection:
         for name, value in profile.iter_pairs():
@@ -83,10 +83,7 @@ def attribute_entropies(
 
 
 def _attribute_entropies_interned(
-    collection: EntityCollection,
-    source: int,
-    min_token_length: int,
-    corpus: "InternedCorpus",
+    source: int, min_token_length: int, corpus: "InternedCorpus"
 ) -> dict[AttributeRef, float]:
     import numpy as np
 
@@ -100,11 +97,11 @@ def _attribute_entropies_interned(
             starts.tolist(), ends.tolist(), attrs[starts].tolist()
         ):
             by_attr[attr] = shannon_entropy(counts_list[start:end])
-    out: dict[AttributeRef, float] = {}
-    for name in collection.attribute_names:
-        aid = corpus.attr_id_of(source, name)
-        out[(source, name)] = by_attr.get(aid, 0.0) if aid is not None else 0.0
-    return out
+    return {
+        ref: by_attr.get(aid, 0.0)
+        for aid, ref in enumerate(corpus.attributes)
+        if ref[0] == source
+    }
 
 
 def aggregate_entropies(

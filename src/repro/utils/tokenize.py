@@ -11,9 +11,20 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 _TOKEN_RE = re.compile(r"[\W_]+", re.UNICODE)
+
+#: Between values in ``tokenize_many`` output; it is ``\W``, so never inside a token.
+VALUE_BOUNDARY = "\x00"
+_BOUNDARY_JOIN = f" {VALUE_BOUNDARY} "
+_TERM_RE = re.compile(rf"[^\W_]+|{VALUE_BOUNDARY}", re.UNICODE)
+#: ``normalize`` on ASCII as a byte table: alphanumerics lower-cased, the
+#: boundary kept, everything else (the ASCII part of ``[\W_]``) a space.
+_ASCII_TABLE = bytes(
+    ord(chr(b).lower()) if chr(b).isalnum() or chr(b) == VALUE_BOUNDARY else 32
+    for b in range(128)
+).ljust(256)
 
 #: Tokens shorter than this carry almost no discriminating power and are
 #: dropped by default (single characters, stray punctuation remnants).
@@ -48,6 +59,30 @@ def tokenize(value: str, min_length: int = MIN_TOKEN_LENGTH) -> list[str]:
     ['abram', 'st', '30', 'ny']
     """
     return [t for t in normalize(value).split() if len(t) >= min_length]
+
+
+def tokenize_many(values: Sequence[str]) -> list[str]:
+    """``tokenize(v, min_length=1)`` of every value in one normalization pass.
+
+    Returns one flat list: each value's tokens in order, with
+    :data:`VALUE_BOUNDARY` between consecutive values.  The values are
+    joined on the boundary and normalized as one text — sound because space
+    and the boundary are NFKC starters that compose with nothing and
+    ``casefold`` is context-free.  All-ASCII text, where NFKC is the
+    identity and ``casefold`` is ``lower``, takes a byte-table shortcut.
+
+    >>> tokenize_many(["Abram St.", "", "３０ NY"])
+    ['abram', 'st', '\\x00', '\\x00', '30', 'ny']
+    """
+    if not values:
+        return []
+    text = _BOUNDARY_JOIN.join(values)
+    if text.count(VALUE_BOUNDARY) != len(values) - 1:
+        # A raw boundary character inside a value is just another ``\W``.
+        text = _BOUNDARY_JOIN.join([v.replace(VALUE_BOUNDARY, " ") for v in values])
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TABLE).decode("ascii").split()
+    return _TERM_RE.findall(unicodedata.normalize("NFKC", text).casefold())
 
 
 def token_set(values: Iterable[str], min_length: int = MIN_TOKEN_LENGTH) -> set[str]:

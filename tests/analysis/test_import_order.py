@@ -28,6 +28,8 @@ PACKAGES = (
     "repro.lsh",
     "repro.streaming",
     "repro.serving",
+    "repro.data",
+    "repro.utils",
 )
 
 

@@ -1,7 +1,9 @@
 """Tests for the interned columnar corpus (repro.data.corpus)."""
 
+import numpy as np
 import pytest
 
+from repro.data import corpus as corpus_module
 from repro.data import (
     EntityCollection,
     EntityProfile,
@@ -51,6 +53,19 @@ class TestTokenDictionary:
             TokenDictionary.from_payload(["abram", "abram"])
 
 
+    def test_ids_of_codes_a_stream_with_a_default_for_unknowns(self):
+        d = TokenDictionary(["abram", "st"])
+        codes = d.ids_of(["st", "nope", "abram", "st"], default=-1)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [1, -1, 0, 1]
+        assert d.ids_of([], default=-1).size == 0
+        assert "nope" not in d
+
+    def test_lengths_are_int32_by_id(self):
+        lengths = TokenDictionary(["abram", "st", "a"]).lengths()
+        assert lengths.dtype == np.int32 and lengths.tolist() == [5, 2, 1]
+
+
 class TestCorpusBuild:
     def test_one_row_per_occurrence_with_multiplicity(self):
         profile = EntityProfile.from_dict("p1", {"name": "st st abram"})
@@ -87,6 +102,47 @@ class TestCorpusBuild:
         )
         corpus = dataset.corpus
         assert "a" in corpus.dictionary
+
+
+    def test_tokenless_values_and_pairless_profiles_keep_their_rows(self):
+        dataset = ERDataset(
+            EntityCollection(
+                [
+                    EntityProfile("p0", ()),
+                    EntityProfile("p1", (("junk", "..."), ("name", "a b"))),
+                    EntityProfile("p2", ()),
+                    EntityProfile("p3", (("name", "b"), ("junk", "\x00"))),
+                ]
+            ),
+            None,
+            GroundTruth([], clean_clean=False),
+        )
+        corpus = dataset.corpus
+        assert corpus.attributes == ((0, "junk"), (0, "name"))
+        assert corpus.profile_ptr.tolist() == [0, 0, 2, 2, 3]
+        assert corpus.attr_ids.tolist() == [1, 1, 1]
+        assert corpus.token_ids.tolist() == [0, 1, 1]
+        assert corpus.dictionary.to_payload() == ["a", "b"]
+
+    def test_vocabulary_overflow_is_still_refused(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "MAX_TOKEN_ID", 1)
+        dataset = ERDataset(
+            EntityCollection([profile_with("p1", "a b a c")]),
+            None,
+            GroundTruth([], clean_clean=False),
+        )
+        with pytest.raises(OverflowError, match="token dictionary"):
+            InternedCorpus.build(dataset)
+
+    def test_profile_space_overflow_is_still_refused(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "MAX_TOKEN_ID", 1)
+        dataset = ERDataset(
+            EntityCollection([profile_with(f"p{i}", "a") for i in range(3)]),
+            None,
+            GroundTruth([], clean_clean=False),
+        )
+        with pytest.raises(OverflowError, match="profile space"):
+            InternedCorpus.build(dataset)
 
 
 class TestDistinctViews:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.data import EntityCollection, EntityProfile
+from repro.data import EntityCollection, EntityProfile, ERDataset, GroundTruth
 from repro.schema.entropy import (
     aggregate_entropies,
     attribute_entropies,
@@ -59,6 +59,35 @@ class TestAttributeEntropies:
             [EntityProfile.from_dict("1", {"junk": "..."})], "c"
         )
         assert attribute_entropies(c, source=0)[(0, "junk")] == 0.0
+
+
+    @pytest.mark.parametrize(
+        "profiles",
+        [
+            # an attribute whose every value tokenizes to nothing
+            [
+                EntityProfile.from_dict("1", {"name": "john abram", "junk": "..."}),
+                EntityProfile.from_dict("2", {"junk": "--", "year": "1985"}),
+            ],
+            # an empty profile among the others
+            [
+                EntityProfile.from_dict("1", {"name": "john abram"}),
+                EntityProfile("2", ()),
+                EntityProfile.from_dict("3", {"year": "1985"}),
+            ],
+        ],
+        ids=["tokenless-attribute", "empty-profile"],
+    )
+    def test_corpus_attribute_space_is_the_collections(self, profiles):
+        collection = EntityCollection(profiles, "c")
+        other = EntityCollection(
+            [EntityProfile.from_dict("x", {"title": "abram", "junk": "!"})], "d"
+        )
+        corpus = ERDataset(collection, other, GroundTruth([])).corpus
+        for source, side in ((0, collection), (1, other)):
+            interned = attribute_entropies(side, source, corpus=corpus)
+            assert {name for _, name in interned} == side.attribute_names
+            assert interned == attribute_entropies(side, source)
 
 
 class TestAggregateEntropies:

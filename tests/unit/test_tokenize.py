@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.utils.tokenize import normalize, qgrams, suffixes, token_set, tokenize
+from repro.utils.tokenize import (
+    VALUE_BOUNDARY,
+    normalize,
+    qgrams,
+    suffixes,
+    token_set,
+    tokenize,
+    tokenize_many,
+)
 
 
 class TestNormalize:
@@ -63,6 +71,46 @@ class TestTokenize:
 
     def test_empty_value(self):
         assert tokenize("") == []
+
+
+class TestTokenizeMany:
+    """Pinned cases; the property suite (test_prop_corpus_build) hammers it."""
+
+    B = VALUE_BOUNDARY
+
+    def test_one_boundary_between_consecutive_values(self):
+        assert tokenize_many(["Abram St.", "30 NY"]) == ["abram", "st", self.B, "30", "ny"]
+        assert tokenize_many(["Abram St."]) == ["abram", "st"]
+        assert tokenize_many([]) == []
+
+    def test_values_without_tokens_keep_their_boundaries(self):
+        assert tokenize_many(["", "...", " ", "a"]) == [self.B, self.B, self.B, "a"]
+        assert tokenize_many(["", ""]) == [self.B]
+
+    def test_single_character_tokens_are_kept(self):
+        assert tokenize_many(["a b", "c"]) == ["a", "b", self.B, "c"]
+
+    @pytest.mark.parametrize("tail", ["", " é"], ids=["ascii", "unicode"])
+    def test_boundary_character_inside_a_value_is_a_separator(self, tail):
+        values = ["a\x00b", "\x00", "c" + tail]
+        expected = ["a", "b", self.B, self.B, "c", *tokenize(tail, 1)]
+        assert tokenize_many(values) == expected
+
+    def test_unicode_batch_matches_per_value_normalization(self):
+        values = ["３０ Ａbram", "ﬁn", "Straße", "İx", "ΣΑΣ", "x"]
+        stream = tokenize_many(values)
+        assert stream.count(self.B) == len(values) - 1
+        assert [t for t in stream if t != self.B] == [
+            token for value in values for token in tokenize(value, 1)
+        ]
+
+    def test_leading_combining_mark_does_not_reach_across_the_boundary(self):
+        # NFKC would compose "e" + U+0301 if nothing stood between them.
+        assert tokenize_many(["e", "\u0301a"]) == ["e", self.B, "a"]
+        assert tokenize("e\u0301a", 1) == ["éa"]
+
+    def test_underscore_and_separators_split_in_the_ascii_branch(self):
+        assert tokenize_many(["a_b-c\x1fd", "E"]) == ["a", "b", "c", "d", self.B, "e"]
 
 
 class TestTokenSet:
