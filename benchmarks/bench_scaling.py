@@ -12,12 +12,6 @@ serial vectorized baseline (same workload, CHI_H weighting) across
 worker counts, plus the ``workers=1`` chunked low-memory mode, and
 records the serial-vs-parallel speedup.
 
-A second section times the full *tokenize -> schema -> block ->
-meta-block* pipeline twice — once through the string-era per-layer
-re-tokenization paths (``interned=False``) and once through the shared
-:class:`~repro.data.InternedCorpus` — and records the per-phase wall
-clock, proving the single-pass win end to end.
-
 Results are appended per weighting scheme and written as JSON (default:
 ``BENCH_metablocking.json`` at the repository root), so the speedup is a
 recorded, regression-checkable artifact::
@@ -41,15 +35,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.blocking.base import BlockCollection  # noqa: E402
-from repro.blocking.filtering import block_filtering  # noqa: E402
-from repro.blocking.purging import block_purging  # noqa: E402
-from repro.blocking.schema_aware import (  # noqa: E402
-    LooselySchemaAwareBlocking,
-    make_key_entropy,
-)
 from repro.core import prepare_blocks  # noqa: E402
 from repro.core.registry import BACKENDS  # noqa: E402
-from repro.core.stages import SchemaExtraction  # noqa: E402
 from repro.datasets import load_clean_clean  # noqa: E402
 from repro.experiments.runutils import (  # noqa: E402
     scale_for_profiles,
@@ -179,105 +166,6 @@ def run_large_tier(args: argparse.Namespace) -> dict:
     }
 
 
-def time_pipeline_phases(
-    profiles: int, seed: int, interned: bool, repeats: int
-) -> tuple[dict[str, float], BlockCollection]:
-    """Best-of-*repeats* seconds for each pipeline phase, one mode.
-
-    Every repetition rebuilds the dataset from scratch so neither the
-    cached corpus nor the per-profile token memoization leaks work across
-    timings; the phases are tokenize (corpus build, interned mode only),
-    schema (attribute profiling + LMI + entropies), blocking
-    (cluster-disambiguated token blocking), restructure (purging +
-    filtering) and metablocking (vectorized backend).
-    """
-    scale = scale_for_profiles("ar1", profiles)
-    best: dict[str, float] = {}
-    out = None
-
-    def record(phase: str, seconds: float) -> None:
-        best[phase] = min(best.get(phase, float("inf")), seconds)
-
-    for _ in range(repeats):
-        dataset = load_clean_clean("ar1", scale=scale, seed=seed)
-        if interned:
-            start = time.perf_counter()
-            dataset.corpus  # noqa: B018 - the one shared tokenization pass
-            record("tokenize", time.perf_counter() - start)
-        else:
-            # The string era has no separate tokenize phase: the regex
-            # runs inside schema and blocking.  Record 0 so both modes
-            # carry the same phase keys in the JSON artifact.
-            record("tokenize", 0.0)
-
-        start = time.perf_counter()
-        partitioning = SchemaExtraction(interned=interned).extract(dataset)
-        record("schema", time.perf_counter() - start)
-
-        start = time.perf_counter()
-        blocks = LooselySchemaAwareBlocking(
-            partitioning, interned=interned
-        ).build(dataset)
-        record("blocking", time.perf_counter() - start)
-
-        start = time.perf_counter()
-        blocks = block_purging(blocks, dataset.num_profiles)
-        blocks = block_filtering(blocks)
-        record("restructure", time.perf_counter() - start)
-
-        start = time.perf_counter()
-        meta = MetaBlocker(
-            weighting=WeightingScheme.CHI_H,
-            pruning=BlastPruning(),
-            key_entropy=make_key_entropy(partitioning),
-            backend="vectorized",
-        )
-        out = meta.run(blocks)
-        record("metablocking", time.perf_counter() - start)
-    return best, out
-
-
-def run_phase_breakdown(args: argparse.Namespace, profiles: int) -> dict:
-    """The tokenize->block->metablock breakdown: string era vs interned."""
-    print("phase breakdown (string era vs interned corpus) ...")
-    legacy, legacy_out = time_pipeline_phases(
-        profiles, args.seed, interned=False, repeats=args.repeats
-    )
-    interned, interned_out = time_pipeline_phases(
-        profiles, args.seed, interned=True, repeats=args.repeats
-    )
-    equivalent = legacy_out.distinct_pairs() == interned_out.distinct_pairs()
-
-    # The phases the corpus refactor targets: everything from raw strings
-    # to a block collection.  Meta-blocking is reported but not part of
-    # the ratio — it consumed arrays before this refactor already.
-    legacy_front = legacy["schema"] + legacy["blocking"]
-    interned_front = (
-        interned["tokenize"] + interned["schema"] + interned["blocking"]
-    )
-    speedup = legacy_front / interned_front if interned_front > 0 else float("inf")
-
-    for mode, phases in (("string-era", legacy), ("interned", interned)):
-        line = " | ".join(
-            f"{name} {seconds:7.3f}s" for name, seconds in phases.items()
-        )
-        print(f"  {mode:>10}: {line}")
-    print(
-        f"  tokenize+schema+blocking: {legacy_front:.3f}s -> "
-        f"{interned_front:.3f}s ({speedup:.1f}x) | "
-        f"{'OK' if equivalent else 'MISMATCH'}"
-    )
-    return {
-        "phases": ["tokenize", "schema", "blocking", "restructure", "metablocking"],
-        "legacy_seconds": {k: round(v, 6) for k, v in legacy.items()},
-        "interned_seconds": {k: round(v, 6) for k, v in interned.items()},
-        "legacy_tokenize_schema_blocking": round(legacy_front, 6),
-        "interned_tokenize_schema_blocking": round(interned_front, 6),
-        "speedup_tokenize_schema_blocking": round(speedup, 2),
-        "equivalent": equivalent,
-    }
-
-
 def run(args: argparse.Namespace) -> dict:
     profiles = 1_500 if args.smoke else args.profiles
     print(f"building workload (~{profiles} profiles, seed={args.seed}) ...")
@@ -316,7 +204,6 @@ def run(args: argparse.Namespace) -> dict:
         )
 
     parallel = run_parallel_scaling(args, blocks)
-    breakdown = run_phase_breakdown(args, profiles)
     large_tier = run_large_tier(args) if args.large_tier else None
 
     speedups = [r["speedup"] for r in runs]
@@ -333,13 +220,11 @@ def run(args: argparse.Namespace) -> dict:
         "backends": list(BACKENDS.names()),
         "runs": runs,
         "parallel_scaling": parallel,
-        "phase_breakdown": breakdown,
         "large_tier": large_tier,
         "speedup_min": min(speedups),
         "speedup_max": max(speedups),
         "all_equivalent": all(r["equivalent"] for r in runs)
         and parallel["all_equivalent"]
-        and breakdown["equivalent"]
         and (large_tier is None or large_tier["all_equivalent"]),
     }
     return report
@@ -370,9 +255,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="JSON report path (default: %(default)s)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="exit non-zero if any scheme speeds up less")
-    parser.add_argument("--min-phase-speedup", type=float, default=None,
-                        help="exit non-zero if the interned corpus speeds "
-                             "up tokenize+schema+blocking less than this")
     parser.add_argument("--min-parallel-speedup", type=float, default=None,
                         help="exit non-zero if the best parallel-backend "
                              "speedup over serial vectorized is below this")
@@ -391,14 +273,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.min_speedup is not None and report["speedup_min"] < args.min_speedup:
         print(f"error: speedup {report['speedup_min']}x below the "
               f"{args.min_speedup}x floor", file=sys.stderr)
-        return 1
-    phase_speedup = report["phase_breakdown"]["speedup_tokenize_schema_blocking"]
-    if (
-        args.min_phase_speedup is not None
-        and phase_speedup < args.min_phase_speedup
-    ):
-        print(f"error: phase speedup {phase_speedup}x below the "
-              f"{args.min_phase_speedup}x floor", file=sys.stderr)
         return 1
     parallel_speedup = report["parallel_scaling"]["best_speedup"]
     if report["large_tier"] is not None:

@@ -1,15 +1,15 @@
 """repro-lint: AST-based static checks for the repo's determinism contracts.
 
 Every guarantee the reproduction makes — serial/parallel/streaming backends
-bit-identical to the python oracle, interned vs string-era block identity —
-rests on a handful of coding contracts that runtime tests can only sample:
-no unordered ``set`` iteration may flow into an ordered output, numpy
-arrays on the CSR hot path must pin their dtypes explicitly, registered
-components must match the registry protocols, and objects shipped to
-worker processes must be picklable.  This package checks those contracts
-*statically*, so a violation fails ``repro lint`` (and the CI
-``lint-static`` job, and the pytest self-check) before it can flake on
-another platform.
+bit-identical to the python oracle, corpus-built blocks identical to the
+string-keyed oracle — rests on a handful of coding contracts that runtime
+tests can only sample: no unordered ``set`` iteration may flow into an
+ordered output, numpy arrays on the CSR hot path must pin their dtypes
+explicitly, registered components must match the registry protocols, and
+objects shipped to worker processes must be picklable.  This package
+checks those contracts *statically*, so a violation fails ``repro lint``
+(and the CI ``lint-static`` job, and the pytest self-check) before it can
+flake on another platform.
 
 Usage::
 

@@ -3,10 +3,8 @@
 Every token-derived blocker reduces to the same shape of work: produce
 ``(profile, key)`` assignments, deduplicate them, group by key, drop the
 groups that imply no comparison, and emit the blocks in sorted-key order.
-The legacy implementations did all of that through dicts of strings and
-Python sets; the kernels here run the whole reduction in numpy over
-interned ids and materialize strings exactly once per *distinct* key, at
-the API boundary.
+The kernels here run the whole reduction in numpy over interned ids and
+materialize strings exactly once per *distinct* key, at the API boundary.
 
 Because the grouping already produces the flat CSR member layout, the
 :class:`~repro.graph.entity_index.EntityIndex` is built directly from the
@@ -15,9 +13,9 @@ born from it (:meth:`BlockCollection.from_index`) — no ``Block`` object is
 constructed unless a consumer iterates the collection, and the vectorized
 meta-blocking backend never lowers anything.
 
-The output is bit-for-bit identical to the string-era path: same keys,
-same sorted-key block order, same member frozensets, same CSR arrays (the
-equivalence property suite in ``tests/property/test_prop_corpus.py``
+The output is bit-for-bit identical to the string-keyed dict loop kept in
+``tests/_blocker_oracles.py``: same keys, same sorted-key block order, same
+member frozensets, same CSR arrays (``tests/property/test_prop_corpus.py``
 enforces this).
 """
 

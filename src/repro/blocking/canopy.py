@@ -6,14 +6,21 @@ Jaccard here).  Repeatedly pick a random seed profile; every profile within
 ``loose_threshold`` joins its canopy; those within ``tight_threshold`` are
 removed from the candidate pool and can seed no further canopy.  Canopies
 become blocks.
+
+Token sets come from the dataset's interned corpus: Jaccard over token-id
+sets equals Jaccard over the token strings, and the corpus sets skip the
+per-profile regex.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping, Set
 
 from repro.blocking.base import Block, BlockCollection
 from repro.data.dataset import ERDataset
 from repro.schema.similarity import jaccard
 from repro.utils.rng import make_rng
+from repro.utils.tokenize import MIN_TOKEN_LENGTH
 
 
 class CanopyBlocking:
@@ -35,7 +42,6 @@ class CanopyBlocking:
         loose_threshold: float = 0.15,
         tight_threshold: float = 0.5,
         seed: int | None = None,
-        interned: bool = True,
     ) -> None:
         if not 0.0 < loose_threshold <= tight_threshold <= 1.0:
             raise ValueError(
@@ -45,22 +51,16 @@ class CanopyBlocking:
         self.loose_threshold = loose_threshold
         self.tight_threshold = tight_threshold
         self.seed = seed
-        self.interned = interned
 
     def build(self, dataset: ERDataset) -> BlockCollection:
         """Index *dataset* and return the canopy block collection."""
-        if self.interned:
-            # Jaccard over interned token-id sets equals Jaccard over the
-            # token strings; the corpus sets skip the per-profile regex.
-            from repro.utils.tokenize import MIN_TOKEN_LENGTH
+        id_sets = dataset.corpus.profile_token_id_sets(MIN_TOKEN_LENGTH)
+        return self.cluster(dict(enumerate(id_sets)), dataset)
 
-            id_sets = dataset.corpus.profile_token_id_sets(MIN_TOKEN_LENGTH)
-            tokens = dict(enumerate(id_sets))
-        else:
-            tokens = {
-                gidx: frozenset(profile.tokens())
-                for gidx, profile in dataset.iter_profiles()
-            }
+    def cluster(
+        self, tokens: Mapping[int, Set], dataset: ERDataset
+    ) -> BlockCollection:
+        """Canopies over *tokens*, one token set per global profile index."""
         rng = make_rng(self.seed)
         pool = list(tokens)
         order = [pool[i] for i in rng.permutation(len(pool))]

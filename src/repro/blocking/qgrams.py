@@ -4,16 +4,16 @@ A schema-agnostic baseline from the paper's related work (Section 5): every
 character q-gram of every token is a blocking key, trading more redundancy
 (and typo tolerance) for larger blocks than Token Blocking.
 
-The interned path grams each *distinct* token exactly once through the
-corpus q-gram table instead of re-deriving grams per occurrence.
+Each *distinct* token is grammed exactly once through the corpus q-gram
+table instead of re-deriving grams per occurrence.
 """
 
 from __future__ import annotations
 
 from repro.blocking._interned import collection_from_assignments
-from repro.blocking.base import BlockCollection, build_blocks
+from repro.blocking.base import BlockCollection
 from repro.data.dataset import ERDataset
-from repro.utils.tokenize import MIN_TOKEN_LENGTH, qgrams, tokenize
+from repro.utils.tokenize import MIN_TOKEN_LENGTH
 
 
 class QGramsBlocking:
@@ -23,40 +23,15 @@ class QGramsBlocking:
     ----------
     q:
         The gram length; 3 (trigrams) is the customary default.
-    interned:
-        Derive keys from the dataset's :class:`~repro.data.InternedCorpus`
-        (default) or re-tokenize through the legacy string path.
     """
 
-    def __init__(self, q: int = 3, interned: bool = True) -> None:
+    def __init__(self, q: int = 3) -> None:
         if q < 2:
             raise ValueError(f"q must be at least 2, got {q}")
         self.q = q
-        self.interned = interned
 
     def build(self, dataset: ERDataset) -> BlockCollection:
         """Index *dataset* and return the q-gram block collection."""
-        if self.interned:
-            return self._build_interned(dataset)
-        if dataset.is_clean_clean:
-            keyed_cc: dict[str, tuple[set[int], set[int]]] = {}
-            for gidx, profile in dataset.iter_profiles():
-                side = dataset.source_of(gidx)
-                for key in self._keys_of(profile):
-                    entry = keyed_cc.get(key)
-                    if entry is None:
-                        entry = (set(), set())
-                        keyed_cc[key] = entry
-                    entry[side].add(gidx)
-            return build_blocks(keyed_cc, is_clean_clean=True)
-
-        keyed: dict[str, set[int]] = {}
-        for gidx, profile in dataset.iter_profiles():
-            for key in self._keys_of(profile):
-                keyed.setdefault(key, set()).add(gidx)
-        return build_blocks(keyed, is_clean_clean=False)
-
-    def _build_interned(self, dataset: ERDataset) -> BlockCollection:
         corpus = dataset.corpus
         rows, toks = corpus.distinct_profile_tokens(MIN_TOKEN_LENGTH)
         table = corpus.qgram_table(self.q)
@@ -68,10 +43,3 @@ class QGramsBlocking:
             is_clean_clean=dataset.is_clean_clean,
             offset2=corpus.offset2,
         )
-
-    def _keys_of(self, profile) -> set[str]:
-        keys: set[str] = set()
-        for _, value in profile.iter_pairs():
-            for token in tokenize(value):
-                keys.update(qgrams(token, self.q))
-        return keys

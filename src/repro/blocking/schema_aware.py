@@ -5,6 +5,11 @@ the attribute cluster it originates from: token ``abram`` occurring in a
 person-name attribute and in a street attribute yields the distinct keys
 ``abram#1`` and ``abram#2``, splitting the block and removing superfluous
 cross-role comparisons before meta-blocking even starts.
+
+The blocker derives its keys from the dataset's interned corpus;
+:func:`profile_blocking_keys` derives the same keys from one profile's
+strings, for the streaming index (and, under ``tests/``, as the oracle the
+corpus path is checked against).
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from repro.blocking._interned import (
     group_assignments,
     packed_key_of,
 )
-from repro.blocking.base import BlockCollection, build_blocks
+from repro.blocking.base import BlockCollection
 from repro.data.dataset import ERDataset
 from repro.data.profile import EntityProfile
 from repro.schema.partition import AttributePartitioning
-from repro.utils.tokenize import MIN_TOKEN_LENGTH
+from repro.utils.tokenize import MIN_TOKEN_LENGTH, qgrams
 
 #: Separator between token and cluster id in disambiguated keys.  Chosen
 #: outside the normalized-token alphabet so keys can be split back apart.
@@ -66,8 +71,6 @@ def profile_blocking_keys(
 def _transform(token: str, transformation: str, q: int) -> list[str]:
     if transformation == "token":
         return [token]
-    from repro.utils.tokenize import qgrams
-
     return qgrams(token, q)
 
 
@@ -111,9 +114,6 @@ class LooselySchemaAwareBlocking:
         disambiguation scheme.
     q:
         Gram length when ``transformation="qgram"``.
-    interned:
-        Derive keys from the dataset's :class:`~repro.data.InternedCorpus`
-        (default) or re-tokenize through the legacy string path.
     """
 
     def __init__(
@@ -122,7 +122,6 @@ class LooselySchemaAwareBlocking:
         min_token_length: int = 2,
         transformation: str = "token",
         q: int = 3,
-        interned: bool = True,
     ) -> None:
         if transformation not in ("token", "qgram"):
             raise ValueError(
@@ -134,48 +133,13 @@ class LooselySchemaAwareBlocking:
         self.min_token_length = min_token_length
         self.transformation = transformation
         self.q = q
-        self.interned = interned
 
     def build(self, dataset: ERDataset) -> BlockCollection:
-        """Index *dataset* and return the disambiguated block collection."""
-        if self.interned:
-            return self._build_interned(dataset)
-        if dataset.is_clean_clean:
-            keyed_cc: dict[str, tuple[set[int], set[int]]] = {}
-            for gidx, profile in dataset.iter_profiles():
-                side = dataset.source_of(gidx)
-                for key in self._keys_of(profile, side):
-                    entry = keyed_cc.get(key)
-                    if entry is None:
-                        entry = (set(), set())
-                        keyed_cc[key] = entry
-                    entry[side].add(gidx)
-            return build_blocks(keyed_cc, is_clean_clean=True)
+        """Index *dataset* and return the disambiguated block collection.
 
-        keyed: dict[str, set[int]] = {}
-        for gidx, profile in dataset.iter_profiles():
-            for key in self._keys_of(profile, 0):
-                keyed.setdefault(key, set()).add(gidx)
-        return build_blocks(keyed, is_clean_clean=False)
-
-    def _keys_of(self, profile, source: int) -> set[str]:
-        return profile_blocking_keys(
-            profile,
-            source,
-            self.partitioning,
-            min_token_length=self.min_token_length,
-            transformation=self.transformation,
-            q=self.q,
-        )
-
-    # -- interned (corpus) path ---------------------------------------------
-
-    def _build_interned(self, dataset: ERDataset) -> BlockCollection:
-        """Disambiguated keys as ``(term_id, cluster_id)`` pairs.
-
-        Keys live as packed integer codes (``term * C + cluster``) through
-        dedup/grouping and become ``token#cluster`` strings only once per
-        distinct surviving key.
+        Keys are ``(term_id, cluster_id)`` pairs packed into integer codes
+        (``term * C + cluster``) through dedup/grouping; they become
+        ``token#cluster`` strings only once per distinct surviving key.
         """
         corpus = dataset.corpus
         partitioning = self.partitioning

@@ -14,6 +14,11 @@ Two key modes are provided:
   Token Blocking exploiting the schema mapping, and it is the one that makes
   Standard Blocking comparable with (and, on fully mappable data, identical
   to) BLAST's loosely schema-aware blocking.
+
+Token keys are derived from the dataset's interned corpus; whole-value keys
+have no token-level form there, so ``"value"`` mode walks the profiles'
+strings (its only path).  The string-keyed reference of ``"token"`` mode
+lives in ``tests/_blocker_oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from repro.blocking._interned import collection_from_assignments, packed_key_of
 from repro.blocking.base import BlockCollection, build_blocks
 from repro.data.dataset import ERDataset
 from repro.data.profile import EntityProfile
-from repro.utils.tokenize import MIN_TOKEN_LENGTH, normalize, tokenize
+from repro.utils.tokenize import MIN_TOKEN_LENGTH, normalize
 
 
 class StandardBlocking:
@@ -40,18 +45,10 @@ class StandardBlocking:
         attribute name to itself (or use :meth:`for_dirty`).
     key_mode:
         ``"value"`` or ``"token"`` (see module docstring).
-    interned:
-        ``"token"`` keys derive from the dataset's interned corpus by
-        default; ``"value"`` keys are whole normalized values, which the
-        token-level corpus cannot express, so that mode always takes the
-        string path.
     """
 
     def __init__(
-        self,
-        alignment: Mapping[str, str],
-        key_mode: str = "value",
-        interned: bool = True,
+        self, alignment: Mapping[str, str], key_mode: str = "value"
     ) -> None:
         if key_mode not in ("value", "token"):
             raise ValueError(f"unknown key_mode {key_mode!r}")
@@ -59,7 +56,6 @@ class StandardBlocking:
             raise ValueError("alignment must map at least one attribute")
         self.alignment = dict(alignment)
         self.key_mode = key_mode
-        self.interned = interned
 
     @classmethod
     def for_dirty(
@@ -70,27 +66,21 @@ class StandardBlocking:
 
     def build(self, dataset: ERDataset) -> BlockCollection:
         """Index *dataset* on the aligned attributes."""
-        if self.interned and self.key_mode == "token":
-            return self._build_interned(dataset)
-        if dataset.is_clean_clean:
-            keyed_cc: dict[str, tuple[set[int], set[int]]] = {}
-            for gidx, profile in dataset.iter_profiles():
-                side = dataset.source_of(gidx)
-                for key in self._keys_of(profile, side):
-                    entry = keyed_cc.get(key)
-                    if entry is None:
-                        entry = (set(), set())
-                        keyed_cc[key] = entry
-                    entry[side].add(gidx)
-            return build_blocks(keyed_cc, is_clean_clean=True)
-
-        keyed: dict[str, set[int]] = {}
+        if self.key_mode == "token":
+            return self._build_tokens(dataset)
+        # Whole-value keys have no token-level corpus form: walk the strings.
+        keyed: dict[str, tuple[set[int], set[int]]] = {}
         for gidx, profile in dataset.iter_profiles():
-            for key in self._keys_of(profile, 0):
-                keyed.setdefault(key, set()).add(gidx)
-        return build_blocks(keyed, is_clean_clean=False)
+            side = dataset.source_of(gidx)
+            for key in self._value_keys(profile, side):
+                keyed.setdefault(key, (set(), set()))[side].add(gidx)
+        if dataset.is_clean_clean:
+            return build_blocks(keyed, is_clean_clean=True)
+        return build_blocks(
+            {key: left for key, (left, _) in keyed.items()}, is_clean_clean=False
+        )
 
-    def _build_interned(self, dataset: ERDataset) -> BlockCollection:
+    def _build_tokens(self, dataset: ERDataset) -> BlockCollection:
         """Token-mode keys (``token@group``) from the interned corpus.
 
         Groups are walked one by one (alignments are tiny) because two
@@ -136,16 +126,11 @@ class StandardBlocking:
             offset2=corpus.offset2,
         )
 
-    def _keys_of(self, profile: EntityProfile, side: int) -> set[str]:
+    def _value_keys(self, profile: EntityProfile, side: int) -> set[str]:
         keys: set[str] = set()
-        for group, (attr1, attr2) in enumerate(sorted(self.alignment.items())):
-            attribute = attr1 if side == 0 else attr2
-            for value in profile.values(attribute):
-                if self.key_mode == "value":
-                    normalized = normalize(value)
-                    if normalized:
-                        keys.add(f"{normalized}@{group}")
-                else:
-                    for token in tokenize(value):
-                        keys.add(f"{token}@{group}")
+        for group, names in enumerate(sorted(self.alignment.items())):
+            for value in profile.values(names[side]):
+                normalized = normalize(value)
+                if normalized:
+                    keys.add(f"{normalized}@{group}")
         return keys

@@ -5,17 +5,16 @@ token is a blocking key, and oversized blocks — suffixes shared by too many
 profiles — are discarded, which is the technique's built-in frequency
 pruning.
 
-The interned path expands each *distinct* token's suffixes exactly once
-through the corpus suffix table and drops oversized groups array-side
-before any block object is materialized.
+Each *distinct* token's suffixes are expanded exactly once through the
+corpus suffix table, and oversized groups are dropped array-side before
+any block object is materialized.
 """
 
 from __future__ import annotations
 
 from repro.blocking._interned import collection_from_assignments
-from repro.blocking.base import BlockCollection, build_blocks
+from repro.blocking.base import BlockCollection
 from repro.data.dataset import ERDataset
-from repro.utils.tokenize import suffixes
 
 
 class SuffixArrayBlocking:
@@ -28,51 +27,18 @@ class SuffixArrayBlocking:
     max_block_size:
         Blocks with more member profiles than this are dropped (the
         suffix-array equivalent of purging stop-word keys).
-    interned:
-        Derive keys from the dataset's :class:`~repro.data.InternedCorpus`
-        (default) or re-tokenize through the legacy string path.
     """
 
-    def __init__(
-        self,
-        min_suffix_length: int = 4,
-        max_block_size: int = 50,
-        interned: bool = True,
-    ) -> None:
+    def __init__(self, min_suffix_length: int = 4, max_block_size: int = 50) -> None:
         if min_suffix_length < 1:
             raise ValueError("min_suffix_length must be positive")
         if max_block_size < 2:
             raise ValueError("max_block_size must allow at least one pair")
         self.min_suffix_length = min_suffix_length
         self.max_block_size = max_block_size
-        self.interned = interned
 
     def build(self, dataset: ERDataset) -> BlockCollection:
         """Index *dataset* and return the suffix block collection."""
-        if self.interned:
-            return self._build_interned(dataset)
-        if dataset.is_clean_clean:
-            keyed_cc: dict[str, tuple[set[int], set[int]]] = {}
-            for gidx, profile in dataset.iter_profiles():
-                side = dataset.source_of(gidx)
-                for key in self._keys_of(profile):
-                    entry = keyed_cc.get(key)
-                    if entry is None:
-                        entry = (set(), set())
-                        keyed_cc[key] = entry
-                    entry[side].add(gidx)
-            collection = build_blocks(keyed_cc, is_clean_clean=True)
-        else:
-            keyed: dict[str, set[int]] = {}
-            for gidx, profile in dataset.iter_profiles():
-                for key in self._keys_of(profile):
-                    keyed.setdefault(key, set()).add(gidx)
-            collection = build_blocks(keyed, is_clean_clean=False)
-        return collection.filter_blocks(
-            lambda block: block.size <= self.max_block_size
-        )
-
-    def _build_interned(self, dataset: ERDataset) -> BlockCollection:
         corpus = dataset.corpus
         # suffixes() tokenizes with min_length=1, so every token expands.
         rows, toks = corpus.distinct_profile_tokens(1)
@@ -86,9 +52,3 @@ class SuffixArrayBlocking:
             offset2=corpus.offset2,
             max_block_size=self.max_block_size,
         )
-
-    def _keys_of(self, profile) -> set[str]:
-        keys: set[str] = set()
-        for _, value in profile.iter_pairs():
-            keys.update(suffixes(value, self.min_suffix_length))
-        return keys

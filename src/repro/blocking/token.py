@@ -5,16 +5,15 @@ a profile's values is a blocking key, regardless of the attribute it appears
 in.  High recall, low precision — exactly the redundancy the meta-blocking
 phase is designed to exploit.
 
-Keys are derived from the dataset's interned corpus by default (token-id
-arrays, one shared tokenization pass); ``interned=False`` keeps the
-string-era reference path, which the equivalence suite and the phase
-benchmark compare against.
+Keys are derived from the dataset's interned corpus (token-id arrays, one
+shared tokenization pass); the string-keyed reference lives in
+``tests/_blocker_oracles.py``.
 """
 
 from __future__ import annotations
 
 from repro.blocking._interned import collection_from_assignments
-from repro.blocking.base import BlockCollection, build_blocks
+from repro.blocking.base import BlockCollection
 from repro.data.dataset import ERDataset
 from repro.utils.tokenize import MIN_TOKEN_LENGTH
 
@@ -26,24 +25,13 @@ class TokenBlocking:
     ----------
     min_token_length:
         Tokens shorter than this are not used as blocking keys.
-    interned:
-        Derive keys from the dataset's :class:`~repro.data.InternedCorpus`
-        (default) or re-tokenize through the legacy string path.
     """
 
-    def __init__(self, min_token_length: int = 2, interned: bool = True) -> None:
+    def __init__(self, min_token_length: int = 2) -> None:
         self.min_token_length = min_token_length
-        self.interned = interned
 
     def build(self, dataset: ERDataset) -> BlockCollection:
         """Index *dataset* and return the token block collection."""
-        if self.interned:
-            return self._build_interned(dataset)
-        if dataset.is_clean_clean:
-            return self._build_clean_clean(dataset)
-        return self._build_dirty(dataset)
-
-    def _build_interned(self, dataset: ERDataset) -> BlockCollection:
         corpus = dataset.corpus
         # EntityProfile.tokens() applies the default length floor before a
         # blocker ever sees a token, so the effective floor is the max.
@@ -57,30 +45,3 @@ class TokenBlocking:
             is_clean_clean=dataset.is_clean_clean,
             offset2=corpus.offset2,
         )
-
-    def _tokens_of(self, dataset: ERDataset, global_index: int) -> set[str]:
-        profile = dataset.profile(global_index)
-        return {
-            token
-            for token in profile.tokens()
-            if len(token) >= self.min_token_length
-        }
-
-    def _build_clean_clean(self, dataset: ERDataset) -> BlockCollection:
-        keyed: dict[str, tuple[set[int], set[int]]] = {}
-        for gidx, _ in dataset.iter_profiles():
-            side = dataset.source_of(gidx)
-            for token in self._tokens_of(dataset, gidx):
-                entry = keyed.get(token)
-                if entry is None:
-                    entry = (set(), set())
-                    keyed[token] = entry
-                entry[side].add(gidx)
-        return build_blocks(keyed, is_clean_clean=True)
-
-    def _build_dirty(self, dataset: ERDataset) -> BlockCollection:
-        keyed: dict[str, set[int]] = {}
-        for gidx, _ in dataset.iter_profiles():
-            for token in self._tokens_of(dataset, gidx):
-                keyed.setdefault(token, set()).add(gidx)
-        return build_blocks(keyed, is_clean_clean=False)

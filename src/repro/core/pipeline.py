@@ -21,22 +21,10 @@ same pipeline with stages swapped.
 from __future__ import annotations
 
 from repro.blocking.base import BlockCollection
-from repro.blocking.schema_aware import make_key_entropy
 from repro.core.config import BlastConfig
 from repro.core.registry import build_pipeline
-from repro.core.stages import (
-    BlastResult,
-    BlockFilteringStage,
-    BlockPurgingStage,
-    Pipeline,
-    PipelineContext,
-    SchemaAwareBlockingStage,
-    SchemaExtraction,
-    TokenBlockingStage,
-)
+from repro.core.stages import BlastResult, Pipeline, PipelineContext, SchemaExtraction
 from repro.data.dataset import ERDataset
-from repro.graph.metablocking import MetaBlocker
-from repro.graph.pruning import BlastPruning
 from repro.schema.partition import AttributePartitioning
 
 __all__ = ["Blast", "BlastResult", "prepare_blocks"]
@@ -80,35 +68,6 @@ class Blast:
         """Phase 1: attributes partitioning + aggregate entropies."""
         return SchemaExtraction(self.config).extract(dataset)
 
-    def build_blocks(
-        self, dataset: ERDataset, partitioning: AttributePartitioning
-    ) -> BlockCollection:
-        """Phase 2: disambiguated Token Blocking + purging + filtering."""
-        config = self.config
-        context = PipelineContext(dataset, partitioning=partitioning)
-        Pipeline([
-            SchemaAwareBlockingStage(min_token_length=config.min_token_length),
-            BlockPurgingStage(max_profile_ratio=config.purging_ratio),
-            BlockFilteringStage(ratio=config.filtering_ratio),
-        ]).execute(context)
-        assert context.blocks is not None
-        return context.blocks
-
-    def meta_block(
-        self, blocks: BlockCollection, partitioning: AttributePartitioning
-    ) -> BlockCollection:
-        """Phase 3: chi-squared x entropy weighting, max-based pruning."""
-        config = self.config
-        meta = MetaBlocker(
-            weighting=config.weighting,
-            pruning=BlastPruning(c=config.pruning_c, d=config.pruning_d),
-            entropy_boost=config.entropy_boost,
-            key_entropy=make_key_entropy(partitioning) if config.use_entropy else None,
-            backend=config.backend,
-            backend_options=config.backend_options(),
-        )
-        return meta.run(blocks)
-
 
 def prepare_blocks(
     dataset: ERDataset,
@@ -122,19 +81,19 @@ def prepare_blocks(
     Token Blocking — plain when *partitioning* is ``None`` (the "T" rows of
     Tables 4/5), disambiguated otherwise (the "L" rows) — followed by Block
     Purging and Block Filtering.  Every comparison in the evaluation starts
-    from a collection produced here.  Expressed as a pipeline composition
-    over a pre-seeded context.
+    from a collection produced here: the blocking-phase stages of
+    :func:`build_pipeline`, run over a context seeded with *partitioning*.
     """
-    blocking = (
-        TokenBlockingStage(min_token_length=min_token_length)
-        if partitioning is None
-        else SchemaAwareBlockingStage(min_token_length=min_token_length)
+    config = BlastConfig(
+        purging_ratio=purging_ratio,
+        filtering_ratio=filtering_ratio,
+        min_token_length=min_token_length,
     )
+    blocker = "token" if partitioning is None else "schema-aware"
+    stages = build_pipeline(config, blocker=blocker).stages
     context = PipelineContext(dataset, partitioning=partitioning)
-    Pipeline([
-        blocking,
-        BlockPurgingStage(max_profile_ratio=purging_ratio),
-        BlockFilteringStage(ratio=filtering_ratio),
-    ]).execute(context)
+    Pipeline([stage for stage in stages if stage.phase == "blocking"]).execute(
+        context
+    )
     assert context.blocks is not None
     return context.blocks

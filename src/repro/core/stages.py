@@ -186,20 +186,16 @@ class SchemaExtraction(BaseStage):
 
     Produces ``context.partitioning``.  All tunables come from a
     :class:`BlastConfig`; the stage is the single implementation behind
-    ``Blast.extract_loose_schema``.
+    ``Blast.extract_loose_schema``.  Token sets and entropies are read from
+    the dataset's interned corpus; the string-keyed reference lives in
+    ``tests/_blocker_oracles.py``.
     """
 
     name = "schema-extraction"
     phase = "schema"
 
-    def __init__(
-        self, config: BlastConfig | None = None, interned: bool = True
-    ) -> None:
+    def __init__(self, config: BlastConfig | None = None) -> None:
         self.config = config or BlastConfig()
-        #: Consume the dataset's shared InternedCorpus (default) or
-        #: re-tokenize per step — the string-era reference path the phase
-        #: benchmark compares against.
-        self.interned = interned
 
     def apply(self, context: PipelineContext) -> None:
         context.partitioning = self.extract(context.dataset)
@@ -213,7 +209,7 @@ class SchemaExtraction(BaseStage):
 
         config = self.config
         floor = config.min_token_length
-        corpus = dataset.corpus if self.interned else None
+        corpus = dataset.corpus
         if config.representation == "tfidf":
             # TF-IDF vectors keep the Counter path: their cosine sums are
             # order-sensitive, so reordering terms is not behavior-free.
@@ -225,13 +221,13 @@ class SchemaExtraction(BaseStage):
                 )
             else:
                 induction = AttributeClustering(glue_cluster=config.glue_cluster)
-            if corpus is not None and not config.use_lsh:
+            if config.use_lsh:
+                partitioning = induction.induce(
+                    *self._profiles_and_candidates(dataset)
+                )
+            else:
                 graph = AttributeGraph.from_corpus(corpus, floor)
                 partitioning = induction.decide(graph, graph.jaccard())
-            else:
-                partitioning = induction.induce(
-                    *self._profiles_and_candidates(dataset, corpus)
-                )
         return extract_loose_schema_entropies(
             partitioning,
             dataset.collection1,
@@ -240,13 +236,15 @@ class SchemaExtraction(BaseStage):
             min_token_length=floor,
         )
 
-    def _profiles_and_candidates(self, dataset: ERDataset, corpus):
-        """String profiles, for MinHash signatures and the string-era twin."""
+    def _profiles_and_candidates(self, dataset: ERDataset):
+        """String attribute profiles and their LSH candidate pairs: MinHash
+        signatures are taken over token strings."""
         from repro.lsh.banding import lsh_candidate_pairs
         from repro.schema.attribute_profile import build_attribute_profiles
 
         config = self.config
         floor = config.min_token_length
+        corpus = dataset.corpus
         profiles1 = build_attribute_profiles(
             dataset.collection1, 0, floor, corpus=corpus
         )
@@ -255,15 +253,13 @@ class SchemaExtraction(BaseStage):
             if dataset.collection2 is not None
             else None
         )
-        candidates = None
-        if config.use_lsh:
-            candidates = lsh_candidate_pairs(
-                profiles1,
-                profiles2,
-                threshold=config.lsh_threshold,
-                num_hashes=config.lsh_num_hashes,
-                seed=config.seed,
-            )
+        candidates = lsh_candidate_pairs(
+            profiles1,
+            profiles2,
+            threshold=config.lsh_threshold,
+            num_hashes=config.lsh_num_hashes,
+            seed=config.seed,
+        )
         return profiles1, profiles2, candidates
 
     def _extract_with_tfidf(self, dataset: ERDataset) -> AttributePartitioning:
@@ -434,18 +430,6 @@ class MetaBlockingStage(BaseStage):
         self.use_entropy = use_entropy
         self.backend = backend
         self.backend_options = dict(backend_options or {})
-
-    @classmethod
-    def from_config(cls, config: BlastConfig) -> "MetaBlockingStage":
-        """The stage matching ``Blast``'s Phase 3 for *config*."""
-        return cls(
-            weighting=config.weighting,
-            pruning=BlastPruning(c=config.pruning_c, d=config.pruning_d),
-            entropy_boost=config.entropy_boost,
-            use_entropy=config.use_entropy,
-            backend=config.backend,
-            backend_options=config.backend_options(),
-        )
 
     def apply(self, context: PipelineContext) -> None:
         blocks = context.require_blocks(self)

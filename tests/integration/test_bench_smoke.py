@@ -64,7 +64,6 @@ def test_bench_scaling_runs_at_tiny_scale(tmp_path, capsys):
     assert scaling["all_equivalent"] is True
     assert {run["workers"] for run in scaling["runs"]} >= {1, 2}
     assert scaling["chunked"]["equivalent"] is True
-    assert report["phase_breakdown"]["equivalent"] is True
 
 
 def test_bench_scaling_speedup_floor_enforced(tmp_path, capsys, monkeypatch):

@@ -1,25 +1,32 @@
-"""Property-based equivalence: interned corpus paths vs the string era.
+"""Property-based equivalence: interned corpus paths vs string keys.
 
-The interned corpus refactor's headline guarantee: every consumer that
-switched from re-tokenized strings to interned id arrays — the blockers,
-entropy extraction, attribute profiling — produces *identical* output.
-Hypothesis hammers that with random clean-clean and dirty datasets: same
-blocks in the same order with the same members, the same pre-lowered CSR
-entity index, and the same schema statistics.
+The interned corpus layer's headline guarantee: every consumer that reads
+interned id arrays instead of re-tokenized strings — the blockers, schema
+extraction, entropies, attribute profiling — produces *identical* output
+to the string-keyed oracle in ``tests/_blocker_oracles.py``.  Hypothesis
+hammers that with random clean-clean and dirty datasets: same blocks in the
+same order with the same members, the same pre-lowered CSR entity index,
+and the same schema statistics.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from _block_oracles import assert_same_index
+from _blocker_oracles import string_blocks, string_schema
+from repro.blocking.canopy import CanopyBlocking
 from repro.blocking.qgrams import QGramsBlocking
 from repro.blocking.schema_aware import LooselySchemaAwareBlocking
+from repro.blocking.standard import StandardBlocking
 from repro.blocking.suffix_array import SuffixArrayBlocking
 from repro.blocking.token import TokenBlocking
+from repro.core.config import BlastConfig
 from repro.core.stages import SchemaExtraction
 from repro.data import EntityCollection, EntityProfile, ERDataset, GroundTruth
 from repro.graph.entity_index import EntityIndex
 from repro.schema.attribute_profile import build_attribute_profiles
 from repro.schema.entropy import attribute_entropies
+from repro.schema.partition import AttributePartitioning
 
 ATTRIBUTES = ("name", "job", "city")
 WORDS = ("abram", "ellen", "smith", "jones", "retail", "seller",
@@ -79,9 +86,24 @@ clean_clean_datasets = st.tuples(profile_lists, profile_lists).map(
 
 datasets = st.one_of(dirty_datasets, clean_clean_datasets)
 
+#: ``zip`` never occurs in the data; two entries may name one attribute.
+alignments = st.dictionaries(
+    st.sampled_from(ATTRIBUTES + ("zip",)),
+    st.sampled_from(ATTRIBUTES + ("zip",)),
+    min_size=1,
+    max_size=4,
+)
 
-def assert_identical(interned, legacy):
+canopy_thresholds = st.tuples(
+    st.floats(min_value=0.01, max_value=1.0),
+    st.floats(min_value=0.01, max_value=1.0),
+).map(sorted)
+
+
+def assert_identical(blocker, dataset):
     """Blocks, order, members and the CSR lowering must all agree."""
+    interned = blocker.build(dataset)
+    legacy = string_blocks(blocker, dataset)
     assert [b.key for b in interned] == [b.key for b in legacy]
     for a, b in zip(interned, legacy):
         assert a.left == b.left and a.right == b.right
@@ -92,22 +114,15 @@ class TestInternedBlockingMatchesStrings:
     @settings(deadline=None, max_examples=40)
     @given(datasets, st.integers(min_value=1, max_value=4))
     def test_token_blocking(self, dataset, min_length):
-        assert_identical(
-            TokenBlocking(min_token_length=min_length).build(dataset),
-            TokenBlocking(min_token_length=min_length, interned=False).build(
-                dataset
-            ),
-        )
+        assert_identical(TokenBlocking(min_token_length=min_length), dataset)
 
     @settings(deadline=None, max_examples=25)
-    @given(datasets)
-    def test_schema_aware_blocking(self, dataset):
+    @given(datasets, st.integers(min_value=1, max_value=4))
+    def test_schema_aware_blocking(self, dataset, min_length):
         partitioning = SchemaExtraction().extract(dataset)
         assert_identical(
-            LooselySchemaAwareBlocking(partitioning).build(dataset),
-            LooselySchemaAwareBlocking(partitioning, interned=False).build(
-                dataset
-            ),
+            LooselySchemaAwareBlocking(partitioning, min_token_length=min_length),
+            dataset,
         )
 
     @settings(deadline=None, max_examples=25)
@@ -115,21 +130,14 @@ class TestInternedBlockingMatchesStrings:
     def test_schema_aware_qgram_transformation(self, dataset, q):
         partitioning = SchemaExtraction().extract(dataset)
         assert_identical(
-            LooselySchemaAwareBlocking(
-                partitioning, transformation="qgram", q=q
-            ).build(dataset),
-            LooselySchemaAwareBlocking(
-                partitioning, transformation="qgram", q=q, interned=False
-            ).build(dataset),
+            LooselySchemaAwareBlocking(partitioning, transformation="qgram", q=q),
+            dataset,
         )
 
     @settings(deadline=None, max_examples=25)
     @given(datasets, st.integers(min_value=2, max_value=4))
     def test_qgrams_blocking(self, dataset, q):
-        assert_identical(
-            QGramsBlocking(q=q).build(dataset),
-            QGramsBlocking(q=q, interned=False).build(dataset),
-        )
+        assert_identical(QGramsBlocking(q=q), dataset)
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -138,12 +146,18 @@ class TestInternedBlockingMatchesStrings:
         st.integers(min_value=2, max_value=8),
     )
     def test_suffix_array_blocking(self, dataset, min_suffix, max_size):
-        assert_identical(
-            SuffixArrayBlocking(min_suffix, max_size).build(dataset),
-            SuffixArrayBlocking(min_suffix, max_size, interned=False).build(
-                dataset
-            ),
-        )
+        assert_identical(SuffixArrayBlocking(min_suffix, max_size), dataset)
+
+    @settings(deadline=None, max_examples=30)
+    @given(datasets, alignments)
+    def test_standard_blocking_token_mode(self, dataset, alignment):
+        assert_identical(StandardBlocking(alignment, key_mode="token"), dataset)
+
+    @settings(deadline=None, max_examples=30)
+    @given(datasets, canopy_thresholds, st.integers(0, 2**16))
+    def test_canopy_blocking(self, dataset, thresholds, seed):
+        loose, tight = thresholds
+        assert_identical(CanopyBlocking(loose, tight, seed=seed), dataset)
 
 
 class TestInternedSchemaMatchesStrings:
@@ -176,8 +190,32 @@ class TestInternedSchemaMatchesStrings:
             ) == build_attribute_profiles(collection, source, min_length)
 
     @settings(deadline=None, max_examples=20)
-    @given(datasets)
-    def test_schema_extraction_partitionings_agree(self, dataset):
-        interned = SchemaExtraction().extract(dataset)
-        legacy = SchemaExtraction(interned=False).extract(dataset)
-        assert interned.to_dict() == legacy.to_dict()
+    @given(
+        datasets,
+        st.sampled_from(["lmi", "ac"]),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_schema_extraction_partitionings_agree(self, dataset, induction, floor):
+        config = BlastConfig(induction=induction, min_token_length=floor)
+        interned = SchemaExtraction(config).extract(dataset)
+        assert interned.to_dict() == string_schema(dataset, config).to_dict()
+
+
+#: The constructors that must offer no ``interned`` switch (one path per
+#: blocker), with the arguments each requires.
+KNOBLESS = {
+    "canopy": (CanopyBlocking, ()),
+    "qgrams": (QGramsBlocking, ()),
+    "schema-aware": (LooselySchemaAwareBlocking, (AttributePartitioning([]),)),
+    "schema-extraction": (SchemaExtraction, ()),
+    "standard": (StandardBlocking, ({"name": "name"},)),
+    "suffix-array": (SuffixArrayBlocking, ()),
+    "token": (TokenBlocking, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOBLESS))
+def test_no_constructor_takes_interned(name):
+    cls, args = KNOBLESS[name]
+    with pytest.raises(TypeError):
+        cls(*args, interned=False)

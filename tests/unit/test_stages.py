@@ -2,6 +2,7 @@
 
 import pytest
 
+from _blocker_oracles import string_schema
 from repro.blocking.qgrams import QGramsBlocking
 from repro.core import (
     Blast,
@@ -21,6 +22,7 @@ from repro.core import (
     prepare_blocks,
 )
 from repro.datasets import load_clean_clean
+from repro.graph.pruning import BlastPruning
 
 
 def canonical(collection):
@@ -61,7 +63,14 @@ class TestPipelineEquivalence:
             SchemaAwareBlockingStage(min_token_length=config.min_token_length),
             BlockPurgingStage(max_profile_ratio=config.purging_ratio),
             BlockFilteringStage(ratio=config.filtering_ratio),
-            MetaBlockingStage.from_config(config),
+            MetaBlockingStage(
+                weighting=config.weighting,
+                pruning=BlastPruning(c=config.pruning_c, d=config.pruning_d),
+                entropy_boost=config.entropy_boost,
+                use_entropy=config.use_entropy,
+                backend=config.backend,
+                backend_options=config.backend_options(),
+            ),
         ]).run(seeded_benchmark)
         facade = Blast(config).run(seeded_benchmark)
         assert canonical(explicit.blocks) == canonical(facade.blocks)
@@ -233,7 +242,10 @@ class TestSchemaExtractionStage:
         from repro.schema.entropy import aggregate_entropies, attribute_entropies
 
         config = BlastConfig(min_token_length=4, representation=representation)
-        part = SchemaExtraction(config, interned=interned).extract(seeded_benchmark)
+        if interned:
+            part = SchemaExtraction(config).extract(seeded_benchmark)
+        else:
+            part = string_schema(seeded_benchmark, config)
         entropies = attribute_entropies(seeded_benchmark.collection1, 0, 4)
         entropies.update(attribute_entropies(seeded_benchmark.collection2, 1, 4))
         expected = aggregate_entropies(part, entropies)
@@ -252,7 +264,7 @@ class TestSchemaExtractionStage:
         def fail(*args, **kwargs):
             raise AssertionError("AttributeProfile built on the default path")
 
-        reference = SchemaExtraction(interned=False).extract(seeded_benchmark)
+        reference = string_schema(seeded_benchmark)
         with mock.patch.object(AttributeProfile, "__init__", fail):
             part = SchemaExtraction().extract(seeded_benchmark)
         assert part.to_dict() == reference.to_dict()
