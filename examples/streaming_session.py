@@ -27,7 +27,9 @@ def main() -> None:
     config = BlastConfig()
 
     # 1. Arrival-time serving: upsert + query per arriving profile.
-    serving = StreamingSession(config, clean_clean=True, consistency="fast")
+    serving = StreamingSession(
+        BlastConfig(stream_consistency="fast"), clean_clean=True
+    )
     arrivals = matches = 0
     first_match = None
     for gidx, profile in dataset.iter_profiles():

@@ -140,10 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="registered node-centric pruning scheme "
                              "(blast, wnp1/wnp2, cnp1/cnp2; default: "
                              "%(default)s)")
-    stream.add_argument("--backend", choices=("python", "vectorized"),
-                        default="vectorized",
-                        help="per-query arithmetic backend "
-                             "(default: %(default)s)")
     stream.add_argument("--consistency", choices=STREAM_VIEWS.names(),
                         default="fast",
                         help="query view: 'fast' serves from incremental "
@@ -425,7 +421,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         weighting=args.weighting,
         pruning_c=args.pruning_c,
         pruning_d=args.pruning_d,
-        backend=args.backend,
         stream_consistency=args.consistency,
         stream_query_k=args.query_k,
     )

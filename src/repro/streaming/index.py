@@ -82,10 +82,6 @@ class PostingList:
         (self.left if side == 0 else self.right).discard(node)
         self._arrays = None
 
-    def side(self, side: int) -> set[int]:
-        """The member set of one source (``left`` for dirty indexes)."""
-        return self.left if side == 0 else (self.right or set())
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Sorted ``(left, right)`` member arrays (cached until mutated)."""
         if self._arrays is None:

@@ -7,14 +7,15 @@ node against the live index and applying a node-centric pruning scheme to
 that neighbourhood.
 
 Weighting supports CBS, ECBS, JS, ARCS and BLAST's CHI_H (EJS needs the
-global degree distribution and is rejected).  The arithmetic deliberately
-mirrors the batch implementations operation-for-operation — shared-block
-masses are accumulated in block order, ECBS log factors and the
-chi-squared contingency cells are evaluated in the canonical ``(i, j)``
+global degree distribution and is rejected).  A neighbourhood is weighted
+by :func:`repro.graph.vectorized.compute_edge_weights`, the kernel the
+batch shards run: the views accumulate shared-block masses in block
+order, and ``|B_i|``/``|B_j|`` are handed over in canonical ``(i, j)``
 endpoint order — so that, over the ``exact`` view of a frozen index, a
-query reproduces the batch edge weights *bit for bit* and the retained
-neighbourhood equals the batch pruning output (the property suite in
-``tests/property/test_prop_streaming.py`` enforces this).
+query reproduces the batch python reference's edge weights *bit for bit*
+and the retained neighbourhood equals the batch pruning output (the
+property suite in ``tests/property/test_prop_streaming.py`` enforces
+this).
 
 Pruning supports the node-centric schemes: BLAST's max-based rule, WNP and
 CNP (redefined and reciprocal).  On views that can answer neighbor-side
@@ -22,11 +23,6 @@ thresholds (``exact``), the full two-endpoint rules run, with per-node
 threshold summaries cached per index version; on one-sided views
 (``fast``) only the query node's local threshold applies.  The
 edge-centric WEP/CEP have no per-node formulation and are rejected.
-
-Two arithmetic backends exist, mirroring the batch registry names:
-``vectorized`` evaluates a neighbourhood with numpy kernels,
-``python`` with the reference scalar formulas — both produce identical
-results and the python path doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.contingency import chi_squared
 from repro.graph.pruning import (
     BlastPruning,
     CardinalityNodePruning,
@@ -44,12 +39,11 @@ from repro.graph.pruning import (
     WeightNodePruning,
 )
 from repro.graph.vectorized import (
-    _chi_squared,
     _clears as _clears_arr,
-    _safe_log as _safe_log_arr,
     _sequential_sum,
+    compute_edge_weights,
 )
-from repro.graph.weights import WeightingScheme, _safe_log
+from repro.graph.weights import WeightingScheme
 from repro.streaming.index import IncrementalBlockIndex
 from repro.streaming.views import NeighborStats
 
@@ -57,9 +51,6 @@ __all__ = ["Candidate", "StreamingMetaBlocker"]
 
 #: Pruning schemes with a per-node (node-centric) formulation.
 _NODE_CENTRIC = (BlastPruning, WeightNodePruning, CardinalityNodePruning)
-
-#: Streaming query backends (arithmetic paths, result-identical).
-_BACKENDS = ("vectorized", "python")
 
 
 @dataclass(frozen=True)
@@ -103,9 +94,6 @@ class StreamingMetaBlocker:
         Name of the query view, resolved through
         :data:`repro.core.registry.STREAM_VIEWS` (``"exact"`` or
         ``"fast"`` built in).
-    backend:
-        ``"vectorized"`` (numpy kernels) or ``"python"`` (reference scalar
-        arithmetic); result-identical.
     """
 
     def __init__(
@@ -116,7 +104,6 @@ class StreamingMetaBlocker:
         pruning: PruningScheme | None = None,
         entropy_boost: bool = False,
         consistency: str = "exact",
-        backend: str = "vectorized",
     ) -> None:
         if callable(weighting) and not isinstance(weighting, (str, WeightingScheme)):
             raise TypeError(
@@ -137,17 +124,11 @@ class StreamingMetaBlocker:
                 "pruning must be one of BlastPruning, WeightNodePruning, "
                 "CardinalityNodePruning"
             )
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown streaming backend {backend!r}; "
-                f"choose from {', '.join(_BACKENDS)}"
-            )
         self.index = index
         self.weighting = weighting
         self.pruning = pruning
         self.entropy_boost = entropy_boost
         self.consistency = consistency
-        self.backend = backend
         self._view = None
         self._view_version: int | None = None
         self._summaries: dict[int, _NodeSummary] = {}
@@ -227,91 +208,23 @@ class StreamingMetaBlocker:
             for node, weight in zip(nodes, kept_weights[order].tolist())
         ]
 
-    def _weights(
-        self, stats: NeighborStats, canonical: int, view
-    ) -> np.ndarray:
-        if stats.degree == 0:
-            return np.zeros(0, dtype=np.float64)
-        if self.backend == "python":
-            return self._weights_python(stats, canonical, view)
-        return self._weights_vectorized(stats, canonical, view)
-
-    def _weights_vectorized(
-        self, stats: NeighborStats, q: int, view
-    ) -> np.ndarray:
-        scheme = self.weighting
-        shared = stats.shared
-        total = view.total_blocks
+    def _weights(self, stats: NeighborStats, q: int, view) -> np.ndarray:
         blocks_q = view.node_blocks_scalar(q)
         blocks_n = view.node_blocks(stats.neighbors)
-        # Canonical endpoint order (i < j): arithmetic below evaluates the
-        # i-side factor first, exactly like the batch loop, so rounding
-        # agrees whether the query node is the smaller or larger endpoint.
+        # Canonical endpoint order (i < j), as every batch edge is stored,
+        # so the kernel's i-side factors come first whether the query node
+        # is the smaller or the larger endpoint.
         n_is_lower = stats.neighbors < q
-        blocks_i = np.where(n_is_lower, blocks_n, blocks_q)
-        blocks_j = np.where(n_is_lower, blocks_q, blocks_n)
-
-        if scheme is WeightingScheme.CBS:
-            weights = shared.astype(np.float64)
-        elif scheme is WeightingScheme.ECBS:
-            log_n = _safe_log_arr(total, blocks_n)
-            ratio = total / blocks_q if blocks_q else 0.0
-            log_q = math.log10(ratio) if ratio > 1.0 else 0.0
-            log_i = np.where(n_is_lower, log_n, log_q)
-            log_j = np.where(n_is_lower, log_q, log_n)
-            weights = shared * log_i * log_j
-        elif scheme is WeightingScheme.JS:
-            weights = shared / (blocks_i + blocks_j - shared)
-        elif scheme is WeightingScheme.ARCS:
-            weights = stats.arcs_mass.copy()
-        else:  # CHI_H
-            expected = blocks_i * blocks_j / total
-            chi = _chi_squared(shared, blocks_i, blocks_j, total)
-            weights = np.where(
-                shared <= expected,
-                0.0,
-                chi * (stats.entropy_mass / shared),
-            )
-        if self.entropy_boost and scheme is not WeightingScheme.CHI_H:
-            weights = weights * (stats.entropy_mass / shared)
-        return weights
-
-    def _weights_python(
-        self, stats: NeighborStats, q: int, view
-    ) -> np.ndarray:
-        scheme = self.weighting
-        total = view.total_blocks
-        blocks_q = view.node_blocks_scalar(q)
-        blocks_n = view.node_blocks(stats.neighbors).tolist()
-        out = np.zeros(stats.degree, dtype=np.float64)
-        for position, neighbor in enumerate(stats.neighbors.tolist()):
-            shared = int(stats.shared[position])
-            b_n = blocks_n[position]
-            b_i, b_j = (b_n, blocks_q) if neighbor < q else (blocks_q, b_n)
-            if scheme is WeightingScheme.CBS:
-                weight = float(shared)
-            elif scheme is WeightingScheme.ECBS:
-                weight = (
-                    shared
-                    * _safe_log(total / b_i)
-                    * _safe_log(total / b_j)
-                )
-            elif scheme is WeightingScheme.JS:
-                weight = shared / (b_i + b_j - shared)
-            elif scheme is WeightingScheme.ARCS:
-                weight = float(stats.arcs_mass[position])
-            else:  # CHI_H
-                expected = b_i * b_j / total
-                if shared <= expected:
-                    weight = 0.0
-                else:
-                    weight = chi_squared(shared, b_i, b_j, total) * (
-                        float(stats.entropy_mass[position]) / shared
-                    )
-            if self.entropy_boost and scheme is not WeightingScheme.CHI_H:
-                weight *= float(stats.entropy_mass[position]) / shared
-            out[position] = weight
-        return out
+        return compute_edge_weights(
+            self.weighting,
+            shared=stats.shared,
+            blocks_i=np.where(n_is_lower, blocks_n, blocks_q),
+            blocks_j=np.where(n_is_lower, blocks_q, blocks_n),
+            num_blocks=view.total_blocks,
+            arcs_mass=stats.arcs_mass,
+            entropy_mass=stats.entropy_mass,
+            entropy_boost=self.entropy_boost,
+        )
 
     # -- node-centric pruning ------------------------------------------------
 
@@ -436,5 +349,5 @@ class StreamingMetaBlocker:
         return (
             f"StreamingMetaBlocker(weighting={self.weighting.value}, "
             f"pruning={type(self.pruning).__name__}, "
-            f"consistency={self.consistency!r}, backend={self.backend!r})"
+            f"consistency={self.consistency!r})"
         )

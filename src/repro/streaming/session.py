@@ -28,7 +28,7 @@ contract by giving every tenant session exactly one actor task.
 Crash safety (see DESIGN.md "Reliability & recovery"): snapshots are
 written atomically (same-directory temp file + ``fsync`` + ``os.replace``)
 and carry a CRC32 checksum verified on :meth:`StreamingSession.restore` —
-a truncated, bit-flipped, or future-format snapshot raises
+a truncated, bit-flipped, or other-format snapshot raises
 :class:`SnapshotCorruptionError` naming the file and the reason.  With
 ``journal=`` set, every ``upsert``/``delete`` is appended to a JSON-lines
 write-ahead journal *before* it is applied, and
@@ -61,7 +61,6 @@ from repro.graph.pruning import (
     PruningScheme,
     WeightNodePruning,
 )
-from repro.graph.weights import WeightingScheme
 from repro.reliability import FAULTS
 from repro.schema.partition import AttributePartitioning
 from repro.streaming.index import IncrementalBlockIndex
@@ -78,10 +77,9 @@ __all__ = [
     "parse_stream_record",
 ]
 
-#: Version stamp of the snapshot file layout.  Format 2 wraps the payload
-#: in a ``{"format", "checksum", "payload"}`` envelope whose CRC32 is
-#: verified on restore; format-1 snapshots (no envelope, no checksum)
-#: still restore.
+#: Version stamp of the snapshot file layout, the only one restore reads:
+#: the payload sits in a ``{"format", "checksum", "payload"}`` envelope
+#: whose CRC32 is verified on restore.
 SNAPSHOT_FORMAT = 2
 
 #: Disambiguates concurrent same-process snapshot temp files (e.g. an
@@ -92,8 +90,8 @@ _SNAPSHOT_TMP_IDS = itertools.count()
 
 class SnapshotCorruptionError(ValueError):
     """A snapshot (or its journal) cannot be trusted: truncated gzip,
-    checksum mismatch, undecodable JSON, or a format newer than this
-    library understands.  The message always names the file and reason."""
+    checksum mismatch, undecodable JSON, or a format other than the one
+    this library writes.  The message always names the file and reason."""
 
 
 class ConcurrentWriterError(RuntimeError):
@@ -169,9 +167,11 @@ class StreamingSession:
     Parameters
     ----------
     config:
-        Pipeline tunables (token length, purging/filtering ratios,
-        weighting, BLAST pruning constants, ``stream_consistency``,
-        ``backend``); defaults to :class:`BlastConfig`'s paper defaults.
+        Every tunable a session reads (token length, purging/filtering
+        ratios, ``weighting``, ``entropy_boost``, BLAST pruning constants,
+        ``stream_consistency``, ``stream_query_k``); defaults to
+        :class:`BlastConfig`'s paper defaults.  ``backend`` and its
+        options select *batch* meta-blocking and are not read here.
     clean_clean:
         Two-source (every record carries ``source`` 0/1) or dirty.
     partitioning:
@@ -179,10 +179,9 @@ class StreamingSession:
         entropy-aware weighting — e.g. extracted from a warm-up batch via
         :meth:`from_dataset`.
     pruning:
-        Node-centric pruning override; defaults to BLAST's rule with the
-        config's ``pruning_c``/``pruning_d``.
-    weighting / consistency / backend:
-        Per-parameter overrides of the config values.
+        Node-centric pruning scheme (WNP / CNP are not expressible in
+        ``BlastConfig``); defaults to BLAST's rule with the config's
+        ``pruning_c``/``pruning_d``.
     journal:
         Optional path of an append-only JSON-lines write-ahead journal.
         Every ``upsert``/``delete`` is appended (and flushed) *before* it
@@ -209,9 +208,6 @@ class StreamingSession:
         clean_clean: bool = False,
         partitioning: AttributePartitioning | None = None,
         pruning: PruningScheme | None = None,
-        weighting: WeightingScheme | str | None = None,
-        consistency: str | None = None,
-        backend: str | None = None,
         journal: str | Path | None = None,
     ) -> None:
         config = config or BlastConfig()
@@ -229,19 +225,14 @@ class StreamingSession:
         )
         self.metablocker = StreamingMetaBlocker(
             self.index,
-            weighting=weighting if weighting is not None else config.weighting,
+            weighting=config.weighting,
             pruning=(
                 pruning
                 if pruning is not None
                 else BlastPruning(c=config.pruning_c, d=config.pruning_d)
             ),
             entropy_boost=config.entropy_boost,
-            consistency=(
-                consistency
-                if consistency is not None
-                else config.stream_consistency
-            ),
-            backend=backend if backend is not None else config.backend,
+            consistency=config.stream_consistency,
         )
         self.default_k = config.stream_query_k
         self._writer_lock = threading.Lock()
@@ -275,7 +266,8 @@ class StreamingSession:
         The batch Phase 1 (LMI/AC + entropy extraction) runs once over the
         dataset when *extract_schema* is set; the profiles are then
         replayed in dataset order, so the session's canonical ids equal
-        the batch global indices.
+        the batch global indices.  *overrides* (``pruning``, ``journal``)
+        go to the constructor.
         """
         config = config or BlastConfig()
         partitioning = None
@@ -447,7 +439,6 @@ class StreamingSession:
                 "weighting": self.metablocker.weighting.value,
                 "entropy_boost": self.metablocker.entropy_boost,
                 "consistency": self.metablocker.consistency,
-                "backend": self.metablocker.backend,
                 "pruning": _pruning_to_payload(self.metablocker.pruning),
             },
             "default_k": self.default_k,
@@ -487,7 +478,7 @@ class StreamingSession:
 
         Raises :class:`SnapshotCorruptionError` when the file is
         truncated, fails its checksum, is not decodable JSON, or claims a
-        format this library does not understand.
+        format other than :data:`SNAPSHOT_FORMAT`.
         """
         return cls._from_payload(_read_snapshot(path))
 
@@ -512,9 +503,8 @@ class StreamingSession:
             entropy_boost=meta["entropy_boost"],
             pruning_c=getattr(pruning, "c", 2.0),
             pruning_d=getattr(pruning, "d", 2.0),
-            backend=meta["backend"],
             stream_consistency=meta["consistency"],
-            stream_query_k=payload.get("default_k"),
+            stream_query_k=payload["default_k"],
         )
         session.index = IncrementalBlockIndex(
             clean_clean=payload["kind"] == "clean-clean",
@@ -525,9 +515,7 @@ class StreamingSession:
             purging_ratio=index_cfg["purging_ratio"],
             max_comparisons=index_cfg["max_comparisons"],
             filtering_ratio=index_cfg["filtering_ratio"],
-            key_dictionary=TokenDictionary.from_payload(
-                payload.get("dictionary") or ()
-            ),
+            key_dictionary=TokenDictionary.from_payload(payload["dictionary"]),
         )
         session.metablocker = StreamingMetaBlocker(
             session.index,
@@ -535,14 +523,13 @@ class StreamingSession:
             pruning=pruning,
             entropy_boost=meta["entropy_boost"],
             consistency=meta["consistency"],
-            backend=meta["backend"],
         )
-        session.index.seed_node_map(payload.get("nodes") or ())
-        session.default_k = payload.get("default_k")
+        session.index.seed_node_map(payload["nodes"])
+        session.default_k = session.config.stream_query_k
         session._writer_lock = threading.Lock()
         session._journal_path = None
         session._journal_handle = None
-        session._journal_seq = int(payload.get("journal_seq", 0))
+        session._journal_seq = int(payload["journal_seq"])
         for record in payload["profiles"]:
             session._apply_upsert(
                 profile_from_record(record), source=int(record.get("source", 0))
@@ -690,11 +677,10 @@ def _canonical_payload_bytes(payload: dict) -> bytes:
 
 
 def _read_snapshot(path: str | Path) -> dict:
-    """Read, verify, and unwrap a snapshot file; returns the payload.
+    """Read, verify, and unwrap a format-2 snapshot; returns the payload.
 
-    Understands the format-2 checksum envelope and bare format-1
-    documents.  Every way the file can be untrustworthy — truncated gzip
-    stream, undecodable JSON, checksum mismatch, future format — raises
+    Every way the file can be untrustworthy — truncated gzip stream,
+    undecodable JSON, checksum mismatch, any other format — raises
     :class:`SnapshotCorruptionError` naming the path and the reason.
     """
     path = Path(path)
@@ -717,13 +703,10 @@ def _read_snapshot(path: str | Path) -> dict:
             f"{path}: snapshot is not a JSON object"
         )
     version = document.get("format")
-    if version == 1:
-        # Pre-envelope layout: the document *is* the payload, unchecked.
-        return document
     if version != SNAPSHOT_FORMAT:
         raise SnapshotCorruptionError(
             f"{path}: unsupported snapshot format {version!r} "
-            f"(this library reads formats 1..{SNAPSHOT_FORMAT})"
+            f"(this library reads format {SNAPSHOT_FORMAT})"
         )
     payload = document.get("payload")
     if not isinstance(payload, dict):

@@ -41,7 +41,8 @@ class StreamingStage(BaseStage):
     ----------
     config:
         Session tunables (weighting, BLAST pruning constants, ratios,
-        ``stream_consistency``, ``backend``).
+        ``stream_consistency``); a config naming any batch ``backend``
+        works, since the session does not read it.
     pruning:
         Optional node-centric pruning override.
 

@@ -9,10 +9,12 @@ at query time.  Two built-ins are registered under
 
 ``exact``
     Lazily materializes the *batch* semantics: on first query after a
-    mutation the live postings are lowered to a
-    :class:`~repro.blocking.base.BlockCollection`, run through the very
-    same :func:`~repro.blocking.purging.block_purging` and
-    :func:`~repro.blocking.filtering.block_filtering` code the batch
+    mutation the live postings are assembled into an index-born
+    :class:`~repro.blocking.base.BlockCollection` by the id kernel the
+    batch blockers use
+    (:func:`~repro.blocking._interned.collection_from_assignments`), run
+    through the very same :func:`~repro.blocking.purging.block_purging`
+    and :func:`~repro.blocking.filtering.block_filtering` code the batch
     pipeline executes, and cached (with the CSR
     :class:`~repro.graph.entity_index.EntityIndex`) until the next
     mutation.  Queries against a frozen index reproduce the batch blocking
@@ -39,7 +41,7 @@ from math import ceil
 
 import numpy as np
 
-from repro.blocking.base import build_blocks
+from repro.blocking._interned import collection_from_assignments
 from repro.blocking.filtering import block_filtering
 from repro.blocking.purging import block_purging
 from repro.streaming.index import IncrementalBlockIndex
@@ -128,26 +130,32 @@ class ExactStreamView:
         else:
             self.offset2 = len(live)
         self._nodes = live  # canonical id -> index node id
-        gidx = {node: position for position, node in enumerate(live)}
-        self._canonical = gidx  # index node id -> canonical id
+        # index node id -> canonical id
+        self._canonical = {node: position for position, node in enumerate(live)}
 
-        key_string = index.key_string
-        if index.clean_clean:
-            keyed_cc: dict[str, tuple[set[int], set[int]]] = {}
-            for kid in index.key_ids():
-                posting = index.posting_by_id(kid)
-                keyed_cc[key_string(kid)] = (
-                    {gidx[n] for n in posting.left},
-                    {gidx[n] for n in posting.right or ()},
-                )
-            collection = build_blocks(keyed_cc, is_clean_clean=True)
-        else:
-            keyed: dict[str, set[int]] = {}
-            for kid in index.key_ids():
-                keyed[key_string(kid)] = {
-                    gidx[n] for n in index.posting_by_id(kid).left
-                }
-            collection = build_blocks(keyed, is_clean_clean=False)
+        # One (canonical member, key id) assignment per posting entry; the
+        # blockers' id kernel groups them, drops the blocks that imply no
+        # comparison and emits the rest in key-string order.
+        key_ids = sorted(index.key_ids())
+        postings = [index.posting_by_id(kid) for kid in key_ids]
+        members = [
+            side
+            for posting in postings
+            for side in posting.arrays()
+            if side is not None
+        ]
+        canonical = np.zeros(max(live, default=-1) + 1, dtype=np.int64)
+        canonical[live] = np.arange(len(live), dtype=np.int64)
+        collection = collection_from_assignments(
+            canonical[np.concatenate(members)] if members else canonical[:0],
+            np.repeat(
+                np.asarray(key_ids, dtype=np.int64),
+                [posting.size for posting in postings],
+            ),
+            index.key_string,
+            index.clean_clean,
+            self.offset2,
+        )
 
         if len(collection) and index.num_profiles:
             collection = block_purging(
@@ -300,13 +308,9 @@ class FastStreamView:
     def node_blocks_scalar(self, canonical: int) -> int:
         return self.index.node_block_count(canonical)
 
-    def surviving_keys(self, node: int) -> list[str]:
-        """The query node's keys after lazy purging + query-side filtering."""
-        index = self.index
-        return [index.key_string(kid) for kid in self._surviving_key_ids(node)]
-
     def _surviving_key_ids(self, node: int) -> list[int]:
-        """Interned-id form of :meth:`surviving_keys` (same order).
+        """The query node's key ids after lazy purging + query-side
+        filtering, smallest posting first.
 
         Filtering ties on equal posting sizes break by key *string* — the
         batch position order of key-sorted collections — so the sort key

@@ -28,7 +28,7 @@ def profile(pid: str, text: str) -> EntityProfile:
 
 def make_session(journal=None) -> StreamingSession:
     return StreamingSession(
-        BlastConfig(purging_ratio=1.0), weighting="cbs", journal=journal
+        BlastConfig(purging_ratio=1.0, weighting="cbs"), journal=journal
     )
 
 
@@ -236,8 +236,8 @@ class TestCrashInTheCommitWindow:
             "from repro.core import BlastConfig\n"
             "from repro.data import EntityProfile\n"
             "from repro.streaming import StreamingSession\n"
-            "s = StreamingSession(BlastConfig(purging_ratio=1.0),"
-            f" weighting='cbs', journal={str(journal)!r})\n"
+            "s = StreamingSession(BlastConfig(purging_ratio=1.0,"
+            f" weighting='cbs'), journal={str(journal)!r})\n"
             "def prof(pid, name):\n"
             "    return EntityProfile.from_dict(pid, {'name': name})\n"
             "s.upsert(prof('a', 'john abram'))\n"
@@ -272,8 +272,8 @@ class TestCrashInTheCommitWindow:
             "from repro.core import BlastConfig\n"
             "from repro.data import EntityProfile\n"
             "from repro.streaming import StreamingSession\n"
-            "s = StreamingSession(BlastConfig(purging_ratio=1.0),"
-            f" weighting='cbs', journal={str(journal)!r})\n"
+            "s = StreamingSession(BlastConfig(purging_ratio=1.0,"
+            f" weighting='cbs'), journal={str(journal)!r})\n"
             "def prof(pid, name):\n"
             "    return EntityProfile.from_dict(pid, {'name': name})\n"
             "s.upsert(prof('a', 'john abram'))\n"

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core import BlastConfig
 from repro.data import EntityProfile
 from repro.reliability import FAULTS
 from repro.streaming import SnapshotCorruptionError, StreamingSession
+from repro.streaming.session import SNAPSHOT_FORMAT
 
 
 def profile(pid: str, text: str) -> EntityProfile:
@@ -22,7 +24,7 @@ def profile(pid: str, text: str) -> EntityProfile:
 
 def warmed_session() -> StreamingSession:
     session = StreamingSession(
-        BlastConfig(purging_ratio=1.0), weighting="cbs"
+        BlastConfig(purging_ratio=1.0, weighting="cbs")
     )
     session.upsert(profile("a", "john abram"))
     session.upsert(profile("b", "john abram"))
@@ -93,8 +95,8 @@ class TestAtomicity:
             "from repro.core import BlastConfig\n"
             "from repro.data import EntityProfile\n"
             "from repro.streaming import StreamingSession\n"
-            "s = StreamingSession(BlastConfig(purging_ratio=1.0),"
-            " weighting='cbs')\n"
+            "s = StreamingSession(BlastConfig(purging_ratio=1.0,"
+            " weighting='cbs'))\n"
             "s.upsert(EntityProfile.from_dict('z', {'name': 'new state'}))\n"
             f"s.snapshot({str(path)!r})\n"
         )
@@ -124,14 +126,38 @@ class TestAtomicity:
 
 
 class TestFormatCompatibility:
-    def test_format_1_documents_still_restore(self, tmp_path):
+    def test_format_1_documents_are_rejected(self, tmp_path):
         session = warmed_session()
         v2 = tmp_path / "v2.json.gz"
         session.snapshot(v2)
         with gzip.open(v2, "rt", encoding="utf-8") as handle:
             payload = json.load(handle)["payload"]
-        payload["format"] = 1
+        payload["format"] = 1  # the pre-envelope layout: no checksum
         v1 = tmp_path / "v1.json"
         v1.write_text(json.dumps(payload), encoding="utf-8")
-        restored = StreamingSession.restore(v1)
-        assert restored.candidates("a") == session.candidates("a")
+        with pytest.raises(SnapshotCorruptionError) as excinfo:
+            StreamingSession.restore(v1)
+        message = str(excinfo.value)
+        assert str(v1) in message
+        assert "unsupported snapshot format 1" in message
+        assert f"reads format {SNAPSHOT_FORMAT})" in message
+
+    def test_format_2_with_a_backend_key_still_restores(self, tmp_path):
+        # Earlier format-2 snapshots carried metablocker.backend; restore
+        # ignores it.
+        session = warmed_session()
+        path = tmp_path / "snap.json"
+        session.snapshot(path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        payload = document["payload"]
+        payload["metablocker"]["backend"] = "python"
+        document["checksum"] = zlib.crc32(
+            json.dumps(
+                payload, ensure_ascii=False, sort_keys=True,
+                separators=(",", ":"),
+            ).encode("utf-8")
+        )
+        path.write_text(json.dumps(document), encoding="utf-8")
+        restored = StreamingSession.restore(path)
+        for pid in ("a", "b", "c"):
+            assert restored.candidates(pid) == session.candidates(pid)

@@ -331,6 +331,14 @@ class TestStream:
         assert code == 1
         assert "node-centric" in capsys.readouterr().err
 
+    def test_removed_backend_flag_rejected(self, dirty_stream, capsys):
+        # --backend selects batch meta-blocking only; stream has no twin.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "--input", str(dirty_stream),
+                  "--backend", "python"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
     def test_ejs_weighting_reported_as_error(self, dirty_stream, capsys):
         code = main(["stream", "--input", str(dirty_stream),
                      "--weighting", "ejs"])

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import prepare_blocks
+from repro.core import BlastConfig, prepare_blocks
+from repro.core.registry import BACKENDS, build_pipeline
 from repro.data import EntityProfile
 from repro.graph import BlockingGraph, WeightingScheme
 from repro.graph.pruning import (
@@ -13,7 +14,11 @@ from repro.graph.pruning import (
     WeightNodePruning,
 )
 from repro.graph.weights import compute_weights
-from repro.streaming import IncrementalBlockIndex, StreamingMetaBlocker
+from repro.streaming import (
+    IncrementalBlockIndex,
+    StreamingMetaBlocker,
+    StreamingSession,
+)
 
 
 def build_index(dataset):
@@ -73,9 +78,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="node-centric"):
             StreamingMetaBlocker(IncrementalBlockIndex(), pruning=Custom())
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            StreamingMetaBlocker(IncrementalBlockIndex(), backend="gpu")
+    def test_backend_argument_removed(self):
+        with pytest.raises(TypeError, match="backend"):
+            StreamingMetaBlocker(IncrementalBlockIndex(), backend="python")
 
     def test_unknown_consistency_fails_on_first_query(self):
         index = IncrementalBlockIndex()
@@ -171,17 +176,22 @@ class TestBatchEquivalence:
         CardinalityNodePruning(reciprocal=False),
         CardinalityNodePruning(reciprocal=True),
     ], ids=["blast", "wnp1", "wnp2", "cnp1", "cnp2"])
-    @pytest.mark.parametrize("backend", ["vectorized", "python"])
+    @pytest.mark.parametrize("backend", BACKENDS.names())
     def test_figure1_dirty(self, figure1_dirty, weighting, pruning, backend):
-        retained = batch_retained(figure1_dirty, weighting, pruning)
-        meta = StreamingMetaBlocker(
-            build_index(figure1_dirty),
-            weighting=weighting,
-            pruning=pruning,
-            consistency="exact",
-            backend=backend,
+        # One config drives both sides: its backend runs the batch
+        # meta-blocking, and the session built from it must agree.
+        config = BlastConfig(backend=backend, weighting=weighting)
+        retained = (
+            build_pipeline(config, blocker="token", pruning=pruning)
+            .run(figure1_dirty)
+            .blocks.distinct_pairs()
         )
-        neighbourhoods = streamed_neighbourhoods(figure1_dirty, meta)
+        session = StreamingSession(config, pruning=pruning)
+        for _, profile in figure1_dirty.iter_profiles():
+            session.upsert(profile)
+        neighbourhoods = streamed_neighbourhoods(
+            figure1_dirty, session.metablocker
+        )
         for gidx, partners in neighbourhoods.items():
             expected = {
                 j if i == gidx else i

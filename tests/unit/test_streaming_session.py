@@ -1,10 +1,12 @@
 """Tests for the streaming session facade, replay, and snapshots."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.core import Blast, BlastConfig
+from repro.core.registry import BACKENDS
 from repro.core.stages import Pipeline, SchemaExtraction
 from repro.data import EntityProfile
 from repro.datasets import load_clean_clean
@@ -27,7 +29,7 @@ class TestSessionBasics:
 
     def test_upsert_query_delete(self):
         session = StreamingSession(
-            BlastConfig(purging_ratio=1.0), weighting="cbs"
+            BlastConfig(purging_ratio=1.0, weighting="cbs")
         )
         session.upsert(profile("a", "john abram"))
         session.upsert(profile("b", "john abram"))
@@ -37,7 +39,7 @@ class TestSessionBasics:
 
     def test_default_k_from_config(self):
         session = StreamingSession(
-            BlastConfig(stream_query_k=1, purging_ratio=1.0), weighting="cbs"
+            BlastConfig(stream_query_k=1, purging_ratio=1.0, weighting="cbs")
         )
         session.upsert(profile("a", "john abram"))
         session.upsert(profile("b", "john abram"))
@@ -77,7 +79,7 @@ class TestSessionBasics:
 class TestReplay:
     def test_replay_bare_profiles_queries_on_arrival(self):
         session = StreamingSession(
-            BlastConfig(purging_ratio=1.0), weighting="cbs"
+            BlastConfig(purging_ratio=1.0, weighting="cbs")
         )
         events = list(
             session.replay([profile("a", "john abram"),
@@ -153,9 +155,8 @@ class TestSnapshot:
         from repro.graph.pruning import CardinalityNodePruning
 
         session = StreamingSession(
-            weighting="cbs",
+            BlastConfig(weighting="cbs", stream_consistency="fast"),
             pruning=CardinalityNodePruning(reciprocal=True, k=3),
-            consistency="fast",
         )
         session.upsert(profile("a", "john abram"))
         path = tmp_path / "snap.json"
@@ -170,9 +171,8 @@ class TestSnapshot:
     def test_restore_reconstructs_the_public_config(self, tmp_path):
         session = StreamingSession(
             BlastConfig(min_token_length=3, purging_ratio=0.9,
-                        pruning_c=1.5, stream_query_k=4),
-            weighting="cbs",
-            consistency="fast",
+                        pruning_c=1.5, stream_query_k=4, weighting="cbs",
+                        stream_consistency="fast"),
         )
         session.upsert(profile("a", "john abram"))
         path = tmp_path / "snap.json"
@@ -248,27 +248,6 @@ class TestDictionaryRoundTrip:
         payload = document["payload"]
         assert payload["dictionary"] == session.index.key_dictionary.to_payload()
 
-    def test_restore_without_dictionary_field_still_works(self, tmp_path):
-        # Pre-interning snapshots carry no dictionary; restore re-interns.
-        import gzip
-
-        session = StreamingSession()
-        session.upsert(profile("a", "john abram"))
-        session.upsert(profile("b", "john smith"))
-        path = tmp_path / "snap.json.gz"
-        session.snapshot(path)
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            document = json.load(handle)
-        # Re-shape into a format-1 document: payload at top level, no
-        # checksum envelope, no dictionary field.
-        payload = document["payload"]
-        del payload["dictionary"]
-        payload["format"] = 1
-        legacy_path = tmp_path / "legacy.json"
-        legacy_path.write_text(json.dumps(payload), encoding="utf-8")
-        restored = StreamingSession.restore(legacy_path)
-        assert restored.candidates("a") == session.candidates("a")
-
 
 class TestStreamingStage:
     def test_pipeline_equivalent_to_batch_blast(self):
@@ -315,6 +294,53 @@ class TestStreamingStage:
         assert capped.blocks.distinct_pairs() == uncapped.blocks.distinct_pairs()
 
 
+#: Every batch backend a BlastConfig can name, plus a real worker pool.
+BACKEND_CONFIGS = [
+    pytest.param(BlastConfig(backend=name), id=name)
+    for name in BACKENDS.names()
+] + [
+    pytest.param(
+        BlastConfig(backend="parallel", workers=2), id="parallel-workers2"
+    )
+]
+
+
+class TestConfiguredByBlastConfig:
+    """A session reads its weighting and view from ``BlastConfig`` alone;
+    ``BlastConfig.backend`` selects batch meta-blocking and never stops a
+    session from being built."""
+
+    @pytest.mark.parametrize("config", BACKEND_CONFIGS)
+    def test_session_builds_under_every_batch_backend(self, config):
+        session = StreamingSession(
+            replace(config, purging_ratio=1.0, weighting="cbs")
+        )
+        session.upsert(profile("a", "john abram"))
+        session.upsert(profile("b", "john abram"))
+        session.upsert(profile("c", "ellen smith"))
+        assert [c.profile_id for c in session.candidates("a")] == ["b"]
+
+    @pytest.mark.parametrize("config", BACKEND_CONFIGS)
+    def test_from_dataset_and_stage_match_batch(self, config):
+        dataset = load_clean_clean("ar1", scale=0.05)
+        batch = Blast(BlastConfig()).run(dataset).blocks.distinct_pairs()
+        session = StreamingSession.from_dataset(dataset, config)
+        assert session.index.num_profiles == dataset.num_profiles
+        result = Pipeline(
+            [SchemaExtraction(config), StreamingStage(config)]
+        ).run(dataset)
+        assert result.blocks.distinct_pairs() == batch
+
+    @pytest.mark.parametrize("override", [
+        {"backend": "python"},
+        {"weighting": "cbs"},
+        {"consistency": "fast"},
+    ], ids=["backend", "weighting", "consistency"])
+    def test_per_parameter_overrides_are_gone(self, override):
+        with pytest.raises(TypeError):
+            StreamingSession(BlastConfig(), **override)
+
+
 class TestSingleWriterContract:
     """Sessions are single-writer: interleaved writers must fail loudly
     (ConcurrentWriterError) instead of corrupting the index/journal."""
@@ -325,7 +351,7 @@ class TestSingleWriterContract:
         from repro.streaming import ConcurrentWriterError
 
         session = StreamingSession(
-            BlastConfig(purging_ratio=1.0), weighting="cbs"
+            BlastConfig(purging_ratio=1.0, weighting="cbs")
         )
         inside = threading.Event()
         release = threading.Event()
@@ -359,7 +385,7 @@ class TestSingleWriterContract:
 
     def test_sequential_verbs_do_not_trip_the_guard(self, tmp_path):
         session = StreamingSession(
-            BlastConfig(purging_ratio=1.0), weighting="cbs"
+            BlastConfig(purging_ratio=1.0, weighting="cbs")
         )
         session.upsert(profile("a", "john abram"))
         session.snapshot(tmp_path / "snap.json")
@@ -370,7 +396,7 @@ class TestSingleWriterContract:
         from repro.streaming import ConcurrentWriterError
 
         session = StreamingSession(
-            BlastConfig(purging_ratio=1.0), weighting="cbs"
+            BlastConfig(purging_ratio=1.0, weighting="cbs")
         )
         session.upsert(profile("a", "john abram"))
         session.snapshot(tmp_path / "snap.json")
