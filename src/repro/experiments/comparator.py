@@ -1,11 +1,11 @@
 """The regression comparator: diff a benchmark report against history.
 
-A :class:`MetricSpec` names one number in the current report and one in a
-baseline document (committed ``BENCH_*.json`` history, or a previous
-engine report), a direction, and a tolerance.  :func:`compare_reports`
-resolves both sides and produces a :class:`Comparison` of per-metric
-verdicts; any ``regression``/``missing``/``invalid`` verdict makes the
-comparison fail (and ``repro bench`` exit non-zero).
+A :class:`MetricSpec` names one number by its path (the same in the
+current report and in the baseline, a previous engine report), a
+direction, and a tolerance.  :func:`compare_reports` resolves both sides
+and produces a :class:`Comparison` of per-metric verdicts; any
+``regression``/``missing``/``invalid`` verdict makes the comparison fail
+(and ``repro bench`` exit non-zero).
 
 Tolerance policy
 ----------------
@@ -18,22 +18,19 @@ quibble below 0.01".  Directions:
   baseline; an equally large move up is an ``improved`` note.
 * ``lower`` — lower is better (seconds, RSS, latency).  Mirror image.
 * ``match`` — equivalence metrics (retained edges, block counts,
-  profiles).  Any deviation beyond the allowance, either way, is a
-  regression.
+  profiles, pair digests).  Any deviation beyond the allowance, either
+  way, is a regression; a non-numeric value must be equal.
 
 Missing/new handling: a metric absent from the *baseline* is ``new``
 (history hasn't recorded it yet — informational, never a failure); a
-required metric absent from the *current* report is ``missing`` (a
-failure: the benchmark stopped measuring something it gates on); an
-optional one is ``skipped``.
+metric absent from the *current* report is ``missing`` (a failure: the
+benchmark stopped measuring something it gates on).
 
 Paths
 -----
-Metric paths are dotted key sequences with two bracket selectors:
-``[3]`` (list index) and ``[key=value]`` (first list element whose
-``key`` stringifies to ``value``) — enough to address both the legacy
-``BENCH_metablocking.json`` shape (``runs[scheme=chi_h].retained_edges``)
-and engine reports (``cells[id=ar1/chi_h/vectorized].quality.f1``).
+Metric paths are dotted key sequences with one bracket selector,
+``[key=value]`` (first list element whose ``key`` stringifies to
+``value``): ``cells[id=ar1/chi_h/vectorized].quality.f1``.
 """
 
 from __future__ import annotations
@@ -90,16 +87,13 @@ def resolve_path(document: Any, path: str) -> Any:
 def _select(value: Any, selector: str, path: str) -> Any:
     if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
         raise PathError(f"{path!r}: selector [{selector}] applied to a non-list")
-    if "=" in selector:
-        key, _, wanted = selector.partition("=")
-        for item in value:
-            if isinstance(item, Mapping) and str(item.get(key)) == wanted:
-                return item
-        raise PathError(f"{path!r}: no element with {key}={wanted}")
-    try:
-        return value[int(selector)]
-    except (ValueError, IndexError):
-        raise PathError(f"{path!r}: bad list index [{selector}]") from None
+    key, equals, wanted = selector.partition("=")
+    if not equals:
+        raise PathError(f"{path!r}: selector [{selector}] is not key=value")
+    for item in value:
+        if isinstance(item, Mapping) and str(item.get(key)) == wanted:
+            return item
+    raise PathError(f"{path!r}: no element with {key}={wanted}")
 
 
 @dataclass(frozen=True)
@@ -123,29 +117,23 @@ class Tolerance:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """One gated metric: where it lives on both sides, and how it may move."""
+    """One gated metric: its path in both reports, and how it may move."""
 
     name: str
-    baseline_path: str
-    current_path: str | None = None
+    path: str
     direction: str = "match"
     tolerance: Tolerance = field(default_factory=Tolerance)
-    required: bool = True
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("metric name must be non-empty")
-        if not self.baseline_path:
-            raise ValueError(f"metric {self.name!r}: baseline path is empty")
+        if not self.path:
+            raise ValueError(f"metric {self.name!r}: path is empty")
         if self.direction not in ("higher", "lower", "match"):
             raise ValueError(
                 f"metric {self.name!r}: direction must be 'higher', 'lower' "
                 f"or 'match', got {self.direction!r}"
             )
-
-    @property
-    def resolved_current_path(self) -> str:
-        return self.current_path or self.baseline_path
 
 
 @dataclass(frozen=True)
@@ -236,18 +224,17 @@ def compare_metric(
 ) -> MetricVerdict:
     """Resolve and judge one metric (the unit :func:`compare_reports` sums)."""
     try:
-        baseline_raw = resolve_path(baseline, spec.baseline_path)
+        baseline_raw = resolve_path(baseline, spec.path)
     except PathError as exc:
         return MetricVerdict(
             name=spec.name, status="new", direction=spec.direction,
             note=f"not in baseline ({exc.args[0]})",
         )
     try:
-        current_raw = resolve_path(current, spec.resolved_current_path)
+        current_raw = resolve_path(current, spec.path)
     except PathError as exc:
-        status = "missing" if spec.required else "skipped"
         return MetricVerdict(
-            name=spec.name, status=status, direction=spec.direction,
+            name=spec.name, status="missing", direction=spec.direction,
             baseline=_as_number(baseline_raw),
             note=f"not in current report ({exc.args[0]})",
         )

@@ -9,7 +9,8 @@ weighting, pruning, backend or reporter fails with a full listing before
 any work runs — drifted configs die in tier-1, not mid-benchmark.
 
 Unknown keys are rejected everywhere (a typoed ``tolerence`` must not
-silently disable a gate).
+silently disable a gate, and a key an older config format accepted
+fails the same way instead of being ignored).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.config import SERIAL_BACKENDS, BlastConfig
-from repro.experiments.comparator import MetricSpec, Tolerance
+from repro.experiments.comparator import Tolerance
 
 __all__ = [
     "CompareSpec",
@@ -188,71 +189,31 @@ class MonitorSpec:
         return cls(**data)
 
 
-def _tolerance_from(data: Mapping[str, Any], where: str) -> Tolerance:
-    _require_keys(data, ["relative", "absolute"], where)
-    return Tolerance(**data)
-
-
 @dataclass(frozen=True)
 class CompareSpec:
-    """The comparator section: which history to diff against, and how.
+    """The comparator section: which engine report to diff against, and how.
 
-    ``cells=True`` auto-generates quality/equivalence metric specs for
-    every cell shared with an engine-report baseline (PC/PQ/F1 gated
-    higher-is-better, comparisons lower-is-better, retained blocks
-    match); ``metrics`` adds explicit path-addressed specs — the form
-    that reaches into the legacy ``BENCH_*.json`` shapes.
+    Every cell of either report is gated (see
+    :func:`repro.experiments.engine.cell_metric_specs`): PC/PQ/F1
+    higher-is-better, comparisons lower-is-better, and retained blocks,
+    profiles, per-stage counts and the pair digest must match.
     """
 
     baseline: str
-    cells: bool = False
     tolerance: Tolerance = field(default_factory=Tolerance)
-    metrics: tuple[MetricSpec, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.baseline:
-            raise ValueError("compare.baseline must be a file path")
-        if not self.cells and not self.metrics:
             raise ValueError(
-                "compare section gates nothing: set cells=true or add "
-                "[[compare.metrics]] entries"
+                "compare section gates nothing: baseline must be a file path"
             )
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "CompareSpec":
-        _require_keys(data, ["baseline", "cells", "tolerance", "metrics"],
-                      "compare")
-        default_tolerance = _tolerance_from(
-            data.get("tolerance", {}), "compare.tolerance"
-        )
-        metrics = []
-        for entry in data.get("metrics", ()):
-            where = f"compare.metrics[{entry.get('name', '?')!r}]"
-            _require_keys(
-                entry,
-                ["name", "baseline", "current", "direction", "tolerance",
-                 "required"],
-                where,
-            )
-            tolerance = (
-                _tolerance_from(entry["tolerance"], f"{where}.tolerance")
-                if "tolerance" in entry
-                else default_tolerance
-            )
-            metrics.append(MetricSpec(
-                name=entry["name"],
-                baseline_path=entry["baseline"],
-                current_path=entry.get("current"),
-                direction=entry.get("direction", "match"),
-                tolerance=tolerance,
-                required=entry.get("required", True),
-            ))
-        return cls(
-            baseline=data["baseline"],
-            cells=data.get("cells", False),
-            tolerance=default_tolerance,
-            metrics=tuple(metrics),
-        )
+        _require_keys(data, ["baseline", "tolerance"], "compare")
+        tolerance = data.get("tolerance", {})
+        _require_keys(tolerance, ["relative", "absolute"], "compare.tolerance")
+        return cls(baseline=data["baseline"], tolerance=Tolerance(**tolerance))
 
 
 @dataclass(frozen=True)

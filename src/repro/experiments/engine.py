@@ -11,10 +11,9 @@ Engine reports are schema-versioned dicts (see
      seed, repeats, smoke_profiles, datasets: [...], cells: [...],
      equivalence: {groups, all_equivalent}, comparison: {...} | None}
 
-The comparator section combines the config's explicit
-``[[compare.metrics]]`` specs (path-addressed, reaching into the legacy
-``BENCH_*.json`` shapes) with auto-generated per-cell quality gates when
-``compare.cells`` is set and the baseline is itself an engine report.
+The comparator section gates every cell of the run and of the baseline
+engine report (:func:`cell_metric_specs`), so a cell that changed its
+numbers or vanished from the run fails the comparison.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def resolve_baseline(
     """Locate and load the baseline document a compare section names.
 
     Relative baseline paths resolve against the config file's directory
-    (so committed configs can say ``../../BENCH_metablocking.json``), or
+    (so committed configs can say ``../baselines/ci_smoke.json``), or
     the working directory when the config did not come from a file.
     """
     baseline_path = Path(spec.baseline)
@@ -74,10 +73,10 @@ def resolve_baseline(
     return baseline_path, dict(document)
 
 
-#: The per-cell quality gates ``compare.cells`` generates, as
-#: (metric suffix, quality field, direction) rows.  PC/PQ/F1 may only
-#: fall by the allowance; the comparison count may only grow by it; the
-#: retained block count must match within it.
+#: The per-cell quality gates, as (metric suffix, quality field,
+#: direction) rows.  PC/PQ/F1 may only fall by the allowance; the
+#: comparison count may only grow by it; the retained block count must
+#: match within it.
 _CELL_GATES: tuple[tuple[str, str, str], ...] = (
     ("pc", "pair_completeness", "higher"),
     ("pq", "pair_quality", "higher"),
@@ -88,28 +87,42 @@ _CELL_GATES: tuple[tuple[str, str, str], ...] = (
 
 
 def cell_metric_specs(
-    current: Mapping[str, Any], tolerance: Tolerance
+    current: Mapping[str, Any],
+    baseline: Mapping[str, Any],
+    tolerance: Tolerance,
 ) -> list[MetricSpec]:
-    """Quality-drift specs for every cell of *current* (an engine report).
+    """Drift specs for every cell of *current* and *baseline* (engine reports).
 
-    Specs are generated from the current report's cells; a cell the
-    baseline has not recorded yet resolves to a ``new`` verdict, which
-    is informational and never fails.
+    Besides the quality gates, each cell's ``profiles``, every stage's
+    non-null ``blocks_out``/``comparisons_out`` and its ``pairs_digest``
+    must match.  Specs come from the cells of both reports: a cell (or
+    stage) only the baseline has resolves to ``missing`` and fails; one
+    only the current report has is ``new``, which never fails.
     """
-    specs: list[MetricSpec] = []
-    for cell in current.get("cells", []):
-        cell_id = cell.get("id")
-        if not cell_id:
-            continue
-        base = f"cells[id={cell_id}].quality"
-        for suffix, field, direction in _CELL_GATES:
-            specs.append(MetricSpec(
-                name=f"{cell_id}:{suffix}",
-                baseline_path=f"{base}.{field}",
-                direction=direction,
-                tolerance=tolerance,
-            ))
-    return specs
+    specs: dict[str, MetricSpec] = {}
+
+    def gate(cell_id: str, suffix: str, field: str, direction: str) -> None:
+        name = f"{cell_id}:{suffix}"
+        specs.setdefault(name, MetricSpec(
+            name=name, path=f"cells[id={cell_id}].{field}",
+            direction=direction, tolerance=tolerance,
+        ))
+
+    for report in (baseline, current):
+        for cell in report.get("cells", []):
+            cell_id = cell.get("id")
+            if not cell_id:
+                continue
+            for suffix, field, direction in _CELL_GATES:
+                gate(cell_id, suffix, f"quality.{field}", direction)
+            gate(cell_id, "profiles", "profiles", "match")
+            for stage, counts in cell.get("stages", {}).items():
+                for field in ("blocks_out", "comparisons_out"):
+                    if counts.get(field) is not None:
+                        gate(cell_id, f"{stage}.{field}",
+                             f"stages.{stage}.{field}", "match")
+            gate(cell_id, "pairs_digest", "pairs_digest", "match")
+    return list(specs.values())
 
 
 def _comparison_for(
@@ -118,11 +131,9 @@ def _comparison_for(
     config_path: Path | None,
 ) -> Comparison:
     baseline_path, baseline = resolve_baseline(spec, config_path)
-    specs = list(spec.metrics)
-    if spec.cells:
-        specs.extend(cell_metric_specs(report, spec.tolerance))
     return compare_reports(
-        report, baseline, specs, baseline_source=str(baseline_path)
+        report, baseline, cell_metric_specs(report, baseline, spec.tolerance),
+        baseline_source=str(baseline_path),
     )
 
 

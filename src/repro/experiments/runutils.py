@@ -1,33 +1,22 @@
-"""Shared run-time utilities of the benchmark surface.
+"""Run-time utilities of the experiment engine.
 
-The standalone bench scripts (``bench_scaling.py``, ``bench_streaming.py``,
-``bench_serving.py``) and the declarative experiment engine all need the
-same four things: wall/CPU/RSS process probes, latency percentiles, the
-profiles->scale arithmetic of the synthetic generators, and one canonical
-JSON envelope.  They used to carry private copies of each; this module is
-the single implementation they now share.
+CPU/RSS process probes for the per-cell monitor, the profiles->scale
+arithmetic of the synthetic generators, and the order-independent digest
+of a retained pair set that the cross-backend equivalence check compares.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
-import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from pathlib import Path
-from typing import Any
+from collections.abc import Iterable, Mapping
 
 __all__ = [
     "BASE_PROFILES",
-    "json_envelope",
     "pairs_digest",
     "peak_rss_mb",
-    "percentiles_ms",
     "process_cpu_seconds",
     "scale_for_profiles",
-    "time_best_of",
-    "write_json_report",
 ]
 
 #: Profiles generated per unit ``scale`` by the built-in synthetic
@@ -93,39 +82,6 @@ def process_cpu_seconds() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def percentiles_ms(samples: Sequence[float]) -> dict[str, float]:
-    """p50/p95/p99/max of *samples* (already in ms), rounded for reports.
-
-    The shape every latency section of the BENCH artifacts uses; an empty
-    sample set reports zeros rather than NaNs so JSON consumers never see
-    non-finite values.
-    """
-    if len(samples) == 0:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-    import numpy as np
-
-    array = np.asarray(samples, dtype=np.float64)
-    return {
-        "p50": round(float(np.percentile(array, 50)), 4),
-        "p95": round(float(np.percentile(array, 95)), 4),
-        "p99": round(float(np.percentile(array, 99)), 4),
-        "max": round(float(array.max()), 4),
-    }
-
-
-def time_best_of(fn: Callable[[], Any], repeats: int) -> tuple[float, Any]:
-    """Best-of-*repeats* wall-clock seconds of ``fn()`` + its last result."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def pairs_digest(pairs: Iterable[tuple[int, int]]) -> str:
     """Order-independent SHA-256 digest of a retained pair set.
 
@@ -136,30 +92,3 @@ def pairs_digest(pairs: Iterable[tuple[int, int]]) -> str:
     for left, right in sorted(pairs):
         digest.update(f"{left},{right};".encode())
     return digest.hexdigest()
-
-
-def json_envelope(
-    benchmark: str, workload: str, *, smoke: bool = False, **fields: Any
-) -> dict[str, Any]:
-    """The canonical header every BENCH artifact starts with.
-
-    Keeps the standalone scripts' report shapes aligned: ``benchmark``
-    (machine-readable identifier), ``workload`` (human-readable input
-    description) and ``smoke`` always lead, in that order.
-    """
-    envelope: dict[str, Any] = {
-        "benchmark": benchmark,
-        "workload": workload,
-        "smoke": bool(smoke),
-    }
-    envelope.update(fields)
-    return envelope
-
-
-def write_json_report(path: Path | str, report: Mapping[str, Any]) -> Path:
-    """Write *report* as indented JSON with a trailing newline."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path

@@ -1,12 +1,13 @@
-"""Acceptance tests: the experiment engine reproduces the committed bench.
+"""Acceptance tests: the experiment engine gates every cell of a run.
 
-Two contracts from the issue, asserted end-to-end:
+Contracts asserted end-to-end:
 
-* ``repro bench benchmarks/configs/scaling.toml`` reproduces the
-  committed ``BENCH_metablocking.json`` within tolerance (here: exactly —
-  the config pins every gated metric with zero tolerance);
-* a deliberately degraded run fails the comparison with the offending
-  metric named in the output and a non-zero exit code.
+* ``repro bench benchmarks/configs/scaling.toml`` compares clean against
+  its committed engine baseline, and its verdicts carry the historic
+  headline numbers of the ar1@10k scaling workload exactly;
+* a deliberately degraded run — a changed stage count, a deleted stage,
+  a dropped cell — fails the comparison with the offending metric (or
+  cell) named in the output and a non-zero exit code.
 
 The full-scale run takes a few seconds, so it happens once per module
 and every test reads from it.
@@ -26,6 +27,22 @@ from repro.experiments import load_config, run_experiment
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCALING_CONFIG = REPO_ROOT / "benchmarks" / "configs" / "scaling.toml"
 CI_SMOKE_CONFIG = REPO_ROOT / "benchmarks" / "configs" / "ci_smoke.toml"
+CI_SMOKE_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "ci_smoke.json"
+
+#: The headline numbers of the ar1@10k scaling workload, unchanged since
+#: the first recorded run: profiles, blocks and aggregate comparisons
+#: after block filtering, and the edges each weighting scheme retains.
+HISTORIC_NUMBERS = {
+    "ar1/chi_h/vectorized:profiles": 10_000,
+    "ar1/chi_h/vectorized:block-filtering.blocks_out": 4_029,
+    "ar1/chi_h/vectorized:block-filtering.comparisons_out": 845_072,
+    "ar1/chi_h/vectorized:meta-blocking.blocks_out": 4_712,
+    "ar1/cbs/vectorized:meta-blocking.blocks_out": 10_564,
+    "ar1/js/vectorized:meta-blocking.blocks_out": 6_719,
+    "ar1/ecbs/vectorized:meta-blocking.blocks_out": 7_567,
+    "ar1/ejs/vectorized:meta-blocking.blocks_out": 6_704,
+    "ar1/arcs/vectorized:meta-blocking.blocks_out": 7_301,
+}
 
 pytestmark = pytest.mark.skipif(
     importlib.util.find_spec("tomllib") is None
@@ -44,43 +61,25 @@ def test_scaling_config_reproduces_committed_bench(scaling_outcome):
     report, comparison = scaling_outcome
     assert comparison is not None
     assert comparison.ok, comparison.summary()
-    assert len(comparison.verdicts) == 9
     assert {verdict.status for verdict in comparison.verdicts} == {"ok"}
     gated = {verdict.name for verdict in comparison.verdicts}
-    assert gated == {
-        "profiles",
-        "prepared_blocks",
-        "aggregate_comparisons",
-        "retained_edges_chi_h",
-        "retained_edges_cbs",
-        "retained_edges_js",
-        "retained_edges_ecbs",
-        "retained_edges_ejs",
-        "retained_edges_arcs",
-    }
+    for cell in report["cells"]:
+        assert {
+            f"{cell['id']}:{suffix}"
+            for suffix in ("pc", "pq", "f1", "comparisons", "blocks",
+                           "profiles", "pairs_digest")
+        } <= gated
+        for stage in cell["stages"]:
+            assert f"{cell['id']}:{stage}.blocks_out" in gated
+            assert f"{cell['id']}:{stage}.comparisons_out" in gated
 
 
-def test_scaling_report_matches_bench_headline_numbers(scaling_outcome):
-    report, _ = scaling_outcome
-    bench = json.loads(
-        (REPO_ROOT / "BENCH_metablocking.json").read_text(encoding="utf-8")
-    )
-    assert report["datasets"][0]["profiles"] == bench["profiles"]
-    cells = {cell["id"]: cell for cell in report["cells"]}
-    chi_h = cells["ar1/chi_h/vectorized"]
-    assert (
-        chi_h["stages"]["block-filtering"]["blocks_out"] == bench["blocks"]
-    )
-    assert (
-        chi_h["stages"]["block-filtering"]["comparisons_out"]
-        == bench["aggregate_comparisons"]
-    )
-    retained = {
-        run["scheme"]: run["retained_edges"] for run in bench["runs"]
-    }
-    for scheme, edges in retained.items():
-        cell = cells[f"ar1/{scheme}/vectorized"]
-        assert cell["stages"]["meta-blocking"]["blocks_out"] == edges, scheme
+def test_scaling_report_pins_historic_headline_numbers(scaling_outcome):
+    _, comparison = scaling_outcome
+    verdicts = {verdict.name: verdict for verdict in comparison.verdicts}
+    for name, value in HISTORIC_NUMBERS.items():
+        verdict = verdicts[name]
+        assert (verdict.baseline, verdict.current) == (value, value), name
 
 
 def test_degraded_report_fails_comparison_naming_the_metric(
@@ -100,7 +99,9 @@ def test_degraded_report_fails_comparison_naming_the_metric(
     )
     captured = capsys.readouterr()
     assert code == 1
-    assert "retained_edges_chi_h" in captured.out
+    assert "REGRESSION  ar1/chi_h/vectorized:meta-blocking.blocks_out" in (
+        captured.out
+    )
     assert "REGRESSED" in captured.out
 
 
@@ -159,4 +160,51 @@ def test_missing_metric_in_current_report_is_a_failure(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert code == 1
-    assert "retained_edges_chi_h" in captured.out
+    assert "MISSING  ar1/chi_h/vectorized:meta-blocking.blocks_out" in (
+        captured.out
+    )
+
+
+def _compare_doctored_ci_smoke(tmp_path, capsys, doctor) -> tuple[int, str]:
+    """``--compare-only`` of a doctored copy of the ci_smoke baseline."""
+    report = json.loads(CI_SMOKE_BASELINE.read_text(encoding="utf-8"))
+    doctor(report)
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(report), encoding="utf-8")
+    code = main(
+        ["bench", str(CI_SMOKE_CONFIG), "--compare-only", str(doctored)]
+    )
+    return code, capsys.readouterr().out
+
+
+def test_ci_smoke_self_comparison_gates_every_cell(tmp_path, capsys):
+    code, out = _compare_doctored_ci_smoke(tmp_path, capsys, lambda r: None)
+    assert code == 0
+    # 8 cells x (5 quality + profiles + digest + 4 stages x 2 counts).
+    assert "CLEAN (120 metrics)" in out
+
+
+def _drop_first_cell(report):
+    del report["cells"][0]
+
+
+def _bump_stage_count(report):
+    report["cells"][0]["stages"]["block-filtering"]["comparisons_out"] += 1
+
+
+def _scramble_digest(report):
+    report["cells"][0]["pairs_digest"] = "0" * 64
+
+
+@pytest.mark.parametrize("doctor, verdict", [
+    (_drop_first_cell, "MISSING  ar1/chi_h/vectorized:pc"),
+    (_bump_stage_count,
+     "REGRESSION  ar1/chi_h/vectorized:block-filtering.comparisons_out"),
+    (_scramble_digest, "REGRESSION  ar1/chi_h/vectorized:pairs_digest"),
+], ids=["dropped-cell", "stage-count", "pairs-digest"])
+def test_doctored_report_fails_comparison(tmp_path, capsys, doctor, verdict):
+    """A dropped cell, a changed stage count or digest fails, named."""
+    code, out = _compare_doctored_ci_smoke(tmp_path, capsys, doctor)
+    assert code == 1
+    assert verdict in out
+    assert "REGRESSED" in out

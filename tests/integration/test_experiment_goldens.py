@@ -73,7 +73,7 @@ def golden_report() -> dict:
     specs = [
         MetricSpec(
             name=f"{cell['id']}:f1",
-            baseline_path=f"cells[id={cell['id']}].quality.f1",
+            path=f"cells[id={cell['id']}].quality.f1",
             direction="higher",
             tolerance=Tolerance(relative=1e-9),
         )

@@ -10,8 +10,8 @@ tests exercise.  Core invariants:
 * ``higher``/``lower`` are mirror images, and a within-allowance move is
   ``ok`` in both directions;
 * a metric missing from the baseline is ``new`` (never a failure); a
-  required metric missing from the current report is ``missing`` (always
-  a failure); an optional one is ``skipped``.
+  metric missing from the current report is ``missing`` (always a
+  failure).
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ def test_self_comparison_is_always_clean(document, direction, relative, absolute
     """A report diffed against itself never regresses, whatever the specs."""
     tolerance = Tolerance(relative=relative, absolute=absolute)
     specs = [
-        MetricSpec(name=f"m{i}", baseline_path=path, direction=direction,
+        MetricSpec(name=f"m{i}", path=path, direction=direction,
                    tolerance=tolerance)
         for i, path in enumerate(_paths(document))
     ]
     # Plus one spec whose path resolves on neither side: "new", not a failure.
-    specs.append(MetricSpec(name="ghost", baseline_path="no_such_metric",
+    specs.append(MetricSpec(name="ghost", path="no_such_metric",
                             direction=direction, tolerance=tolerance))
     comparison = compare_reports(document, document, specs)
     assert comparison.ok
@@ -91,7 +91,7 @@ def test_verdict_matches_the_tolerance_arithmetic(
 ):
     """The status is a pure function of delta vs allowance and direction."""
     tolerance = Tolerance(relative=relative, absolute=absolute)
-    spec = MetricSpec(name="m", baseline_path="m", direction=direction,
+    spec = MetricSpec(name="m", path="m", direction=direction,
                       tolerance=tolerance)
     verdict = compare_metric({"m": current}, {"m": baseline}, spec)
     allowance = tolerance.allowance(baseline)
@@ -117,12 +117,12 @@ def test_higher_and_lower_are_mirror_images(baseline, current, relative, absolut
     tolerance = Tolerance(relative=relative, absolute=absolute)
     higher = compare_metric(
         {"m": current}, {"m": baseline},
-        MetricSpec(name="m", baseline_path="m", direction="higher",
+        MetricSpec(name="m", path="m", direction="higher",
                    tolerance=tolerance),
     )
     mirrored = compare_metric(
         {"m": -current}, {"m": -baseline},
-        MetricSpec(name="m", baseline_path="m", direction="lower",
+        MetricSpec(name="m", path="m", direction="lower",
                    tolerance=tolerance),
     )
     assert higher.status == mirrored.status
@@ -136,25 +136,24 @@ def test_improvement_is_never_a_regression(baseline, relative, absolute, directi
     better = baseline + 1.0 if direction == "higher" else baseline - 1.0
     verdict = compare_metric(
         {"m": better}, {"m": baseline},
-        MetricSpec(name="m", baseline_path="m", direction=direction,
+        MetricSpec(name="m", path="m", direction=direction,
                    tolerance=Tolerance(relative=relative, absolute=absolute)),
     )
     assert verdict.status in ("ok", "improved")
     assert not verdict.failed
 
 
-@given(finite, directions, st.booleans())
-def test_missing_and_new_metric_handling(value, direction, required):
-    """Baseline-missing is informational; current-missing fails iff required."""
-    spec = MetricSpec(name="m", baseline_path="m", direction=direction,
-                      required=required)
+@given(finite, directions)
+def test_missing_and_new_metric_handling(value, direction):
+    """Baseline-missing is informational; current-missing always fails."""
+    spec = MetricSpec(name="m", path="m", direction=direction)
     new = compare_metric({"m": value}, {}, spec)
     assert new.status == "new"
     assert not new.failed
 
     absent = compare_metric({}, {"m": value}, spec)
-    assert absent.status == ("missing" if required else "skipped")
-    assert absent.failed == required
+    assert absent.status == "missing"
+    assert absent.failed
 
     both_absent = compare_metric({}, {}, spec)
     assert both_absent.status == "new"  # baseline checked first
@@ -163,7 +162,7 @@ def test_missing_and_new_metric_handling(value, direction, required):
 
 @given(finite, finite)
 def test_nan_is_invalid_and_fails(baseline, current):
-    spec = MetricSpec(name="m", baseline_path="m")
+    spec = MetricSpec(name="m", path="m")
     for left, right in ((math.nan, current), (baseline, math.nan)):
         verdict = compare_metric({"m": right}, {"m": left}, spec)
         assert verdict.status == "invalid"
@@ -178,7 +177,7 @@ def test_comparison_failure_set_matches_verdicts(
     tolerance = Tolerance(relative=relative, absolute=absolute)
     paths = sorted(set(_paths(current)) | set(_paths(baseline)))
     specs = [
-        MetricSpec(name=f"m{i}", baseline_path=path, direction=direction,
+        MetricSpec(name=f"m{i}", path=path, direction=direction,
                    tolerance=tolerance)
         for i, path in enumerate(paths)
     ]

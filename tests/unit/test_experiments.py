@@ -27,7 +27,6 @@ from repro.experiments.config import CompareSpec
 from repro.experiments.runutils import (
     BASE_PROFILES,
     pairs_digest,
-    percentiles_ms,
     scale_for_profiles,
 )
 
@@ -55,9 +54,6 @@ class TestResolvePath:
             resolve_path(self.DOC, "cells[id=ar1/chi_h/vectorized].quality.f1")
             == 0.9
         )
-
-    def test_index_selector(self):
-        assert resolve_path(self.DOC, "runs[1].scheme") == "cbs"
 
     @pytest.mark.parametrize("path", [
         "nope",
@@ -128,7 +124,18 @@ class TestSpecs:
 
     def test_compare_spec_must_gate_something(self):
         with pytest.raises(ValueError, match="gates nothing"):
-            CompareSpec(baseline="b.json")
+            CompareSpec(baseline="")
+
+    @pytest.mark.parametrize("removed", [
+        {"cells": True},
+        {"metrics": [{"name": "profiles", "baseline": "profiles"}]},
+    ], ids=["cells", "metrics"])
+    def test_removed_compare_keys_are_unknown(self, removed):
+        with pytest.raises(
+            ValueError,
+            match=r"compare: unknown key\(s\) .*; allowed: baseline, tolerance",
+        ):
+            CompareSpec.from_mapping({"baseline": "b.json", **removed})
 
 
 class TestExperimentConfig:
@@ -206,11 +213,6 @@ class TestRunUtils:
         forward = pairs_digest([(1, 2), (3, 4)])
         assert forward == pairs_digest([(3, 4), (1, 2)])
         assert forward != pairs_digest([(1, 2)])
-
-    def test_percentiles_of_empty_sample_are_zero(self):
-        assert percentiles_ms([]) == {
-            "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0,
-        }
 
 
 class TestBlastConfigFromMapping:
