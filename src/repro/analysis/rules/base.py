@@ -53,7 +53,6 @@ SET_RETURNING_METHODS = frozenset(
         "distinct_pairs",  # BlockCollection.distinct_pairs -> set[pair]
         "keys_of",  # IncrementalBlockIndex.keys_of -> frozenset[str]
         "key_ids_of",  # IncrementalBlockIndex.key_ids_of -> frozenset[int]
-        "side",  # PostingList.side -> set[int]
     }
 )
 

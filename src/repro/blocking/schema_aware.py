@@ -49,6 +49,8 @@ def profile_blocking_keys(
     function, so an incrementally built index agrees key-for-key with the
     batch blockers.
     """
+    if partitioning is None and transformation == "token":
+        return {t for t in profile.tokens() if len(t) >= min_token_length}
     keys: set[str] = set()
     if partitioning is None:
         for token in profile.tokens():

@@ -30,7 +30,7 @@ across restarts).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable
@@ -87,6 +87,17 @@ class TokenDictionary:
             self._ids[token] = tid
             self._tokens.append(token)
         return tid
+
+    def intern_set(self, tokens: Collection[str]) -> frozenset[int]:
+        """The ids of *tokens*; unseen ones are interned in sorted order, so
+        their ids never depend on the iteration order of *tokens*."""
+        get = self._ids.get
+        ids = frozenset(map(get, tokens))
+        if None in ids:
+            for token in sorted(t for t in tokens if t not in self._ids):
+                self.intern(token)
+            ids = frozenset(map(get, tokens))
+        return ids
 
     def id_of(self, token: str) -> int:
         """The id of an already-interned *token* (KeyError if unknown)."""

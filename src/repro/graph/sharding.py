@@ -300,23 +300,24 @@ def dedupe_pair_arrays(
 
     Returns ``(edge_src, edge_dst, shared, inverse)`` where the edges are
     sorted lexicographically, ``shared`` counts each edge's occurrences,
-    and ``inverse`` maps every input pair to its edge position.  One stable
-    sort on the packed key; ``inverse`` lets weighted ``bincount`` passes
-    accumulate per-edge float masses in the ORIGINAL (block-major) pair
-    order — bincount is a sequential C loop, so the summation order (and
-    hence every rounding) matches the reference path's ``stats.x += ...``
-    bit for bit.  Pairwise-summing reductions (reduceat, np.sum) would
-    drift by an ulp and flip tie-breaks.
+    and ``inverse`` maps every input pair to its edge position.  One sort
+    on the packed key; every output depends on the key values only, so
+    the order among equal keys does not matter.  ``inverse`` lets weighted
+    ``bincount`` passes accumulate per-edge float masses in the ORIGINAL
+    (block-major) pair order — bincount is a sequential C loop, so the
+    summation order (and hence every rounding) matches the reference
+    path's ``stats.x += ...`` bit for bit.  Pairwise-summing reductions
+    (reduceat, np.sum) would drift by an ulp and flip tie-breaks.
     """
     packed = pack_pairs(src, dst)
-    order = np.argsort(packed, kind="stable")
+    order = np.argsort(packed)
     packed_sorted = packed[order]
     boundary = np.concatenate(([True], packed_sorted[1:] != packed_sorted[:-1]))
     starts = np.flatnonzero(boundary)
     edge_src, edge_dst = unpack_pairs(packed_sorted[starts])
     inverse = np.empty(packed.size, dtype=np.int64)
     inverse[order] = np.cumsum(boundary) - 1
-    shared = np.bincount(inverse, minlength=starts.size)
+    shared = np.diff(starts, append=packed.size)
     return edge_src, edge_dst, shared, inverse
 
 

@@ -234,8 +234,7 @@ def compute_edge_weights(
     else:  # CHI_H — one-sided chi-squared x mean entropy.
         if entropy_mass is None:
             raise ValueError("CHI_H weighting needs the per-edge entropy mass")
-        expected_shared = blocks_i * blocks_j / total
-        chi = _chi_squared(shared, blocks_i, blocks_j, total)
+        chi, expected_shared = _chi_squared(shared, blocks_i, blocks_j, total)
         weights = np.where(
             shared <= expected_shared,
             0.0,
@@ -270,30 +269,33 @@ def _chi_squared(
     blocks_i: np.ndarray,
     blocks_j: np.ndarray,
     total: int,
-) -> np.ndarray:
-    """Pearson's statistic, cell by cell in the reference accumulation order."""
-    observed = (
-        shared,
-        blocks_i - shared,
-        blocks_j - shared,
-        total - blocks_i - blocks_j + shared,
-    )
-    row = (blocks_i, blocks_i, total - blocks_i, total - blocks_i)
-    col = (blocks_j, total - blocks_j, blocks_j, total - blocks_j)
-    statistic = np.zeros(shared.shape, dtype=np.float64)
-    for obs, r, c in zip(observed, row, col):
-        expected = r * c / total
-        diff = obs - expected
-        term = np.zeros_like(statistic)
-        np.divide(diff * diff, expected, out=term, where=expected > 0.0)
-        statistic = statistic + term
-    return statistic
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson's statistic, cell by cell in the reference accumulation
+    order, and cell 1's expected count ``|B_i| * |B_j| / total``.  The
+    counts are converted to float64 once: exact below 2**53, so every
+    count and rounded product equals the integer arithmetic's bit for bit.
+    """
+    a, r1, c1 = (x.astype(np.float64) for x in (shared, blocks_i, blocks_j))
+    r2, c2 = total - r1, total - c1
+    cells = ((a, r1, c1), (r1 - a, r1, c2), (c1 - a, r2, c1), (r2 - c1 + a, r2, c2))
+    statistic = np.zeros(a.size)
+    expected_shared, buffer, diff, term = np.empty((4, a.size))
+    for cell, (obs, r, c) in enumerate(cells):
+        expected = buffer if cell else expected_shared
+        np.multiply(r, c, out=expected)
+        expected /= total
+        np.subtract(obs, expected, out=diff)
+        diff *= diff
+        term.fill(0.0)
+        np.divide(diff, expected, out=term, where=expected > 0.0)
+        statistic += term
+    return statistic, expected_shared
 
 
 # --- vectorized pruning -----------------------------------------------------
 
 
-def _clears(weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _clears(weights: np.ndarray, thresholds: np.ndarray | float) -> np.ndarray:
     """Vectorized twin of :func:`repro.graph.pruning._clears`."""
     return weights >= thresholds - _CLEARS_TOL * np.abs(thresholds)
 

@@ -16,6 +16,10 @@ and is serialized into session snapshots so posting-list identity survives
 a :meth:`~repro.streaming.session.StreamingSession.snapshot`/
 ``restore`` round trip bit for bit.
 
+Every write keeps what a query reads current: each posting's sorted
+int64 member arrays, and grow-only count arrays indexed by id of every
+key's live members and every node's live keys.
+
 Consistency with the batch pipeline is by construction: keys are derived
 through :func:`repro.blocking.schema_aware.profile_blocking_keys` — the
 same function the batch blockers call — and the expensive restructurings
@@ -41,21 +45,25 @@ from repro.data.profile import EntityProfile
 from repro.schema.partition import AttributePartitioning
 
 
-class PostingList:
-    """The live members of one blocking key.
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_KEY_COUNTS = np.zeros((2, 0), dtype=np.int64)
 
-    Mutation happens on plain Python sets; :meth:`arrays` lowers the sets
-    to sorted int64 numpy arrays on demand and caches them until the next
-    mutation, so the vectorized query kernels always gather from
-    array-backed postings.
+
+class PostingList:
+    """The live members of one blocking key, as sorted int64 node arrays.
+
+    ``left`` (and, for a clean-clean index, ``right``) are kept sorted on
+    write: node ids are issued in ascending order, so a first upsert
+    appends and only a revived node searches for its position.  A write
+    replaces an array rather than editing it, so an array read from
+    :meth:`arrays` never changes afterwards.
     """
 
-    __slots__ = ("left", "right", "_arrays")
+    __slots__ = ("left", "right")
 
     def __init__(self, clean_clean: bool) -> None:
-        self.left: set[int] = set()
-        self.right: set[int] | None = set() if clean_clean else None
-        self._arrays: tuple[np.ndarray, np.ndarray | None] | None = None
+        self.left: np.ndarray = _NO_IDS
+        self.right: np.ndarray | None = _NO_IDS if clean_clean else None
 
     @property
     def is_clean_clean(self) -> bool:
@@ -64,40 +72,50 @@ class PostingList:
     @property
     def size(self) -> int:
         """Number of member profiles (both sources)."""
-        return len(self.left) + (len(self.right) if self.right else 0)
+        right = self.right
+        return self.left.size + (0 if right is None else right.size)
 
     @property
     def num_comparisons(self) -> int:
         """``||b||`` of the block this posting list denotes."""
         if self.right is not None:
-            return len(self.left) * len(self.right)
-        n = len(self.left)
+            return self.left.size * self.right.size
+        n = self.left.size
         return n * (n - 1) // 2
 
-    def add(self, node: int, side: int) -> None:
-        (self.left if side == 0 else self.right).add(node)
-        self._arrays = None
+    def add(self, node: int, side: int) -> int:
+        """Insert *node* on *side* in order; returns that side's count."""
+        members = self.left if side == 0 else self.right
+        at = members.searchsorted(node)
+        return self._set(side, np.concatenate((members[:at], (node,), members[at:])))
 
-    def discard(self, node: int, side: int) -> None:
-        (self.left if side == 0 else self.right).discard(node)
-        self._arrays = None
+    def discard(self, node: int, side: int) -> int:
+        """Remove *node* from *side* if present; returns that side's count."""
+        members = self.left if side == 0 else self.right
+        return self._set(side, members[members != node])
+
+    def _set(self, side: int, members: np.ndarray) -> int:
+        if side == 0:
+            self.left = members
+        else:
+            self.right = members
+        return members.size
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Sorted ``(left, right)`` member arrays (cached until mutated)."""
-        if self._arrays is None:
-            left = np.fromiter(
-                sorted(self.left), dtype=np.int64, count=len(self.left)
-            )
-            right = None
-            if self.right is not None:
-                right = np.fromiter(
-                    sorted(self.right), dtype=np.int64, count=len(self.right)
-                )
-            self._arrays = (left, right)
-        return self._arrays
+        """The sorted ``(left, right)`` member arrays."""
+        return self.left, self.right
 
     def __repr__(self) -> str:
         return f"PostingList(size={self.size})"
+
+
+def _fit(counts: np.ndarray, size: int) -> np.ndarray:
+    """*counts*, zero-extended (doubling) along its last axis to hold *size* ids."""
+    if size <= counts.shape[-1]:
+        return counts
+    out = np.zeros(counts.shape[:-1] + (max(size, 2 * counts.shape[-1]),), np.int64)
+    out[..., : counts.shape[-1]] = counts
+    return out
 
 
 class IncrementalBlockIndex:
@@ -163,7 +181,10 @@ class IncrementalBlockIndex:
         self._profiles: dict[int, EntityProfile] = {}  # live nodes only
         self._sources: dict[int, int] = {}
         self._keys: dict[int, frozenset[int]] = {}  # node -> key ids
+        self._key_counts = _NO_KEY_COUNTS  # [source, key id] -> members
+        self._node_counts = _NO_IDS  # node -> live key count
         self._next_id = 0
+        self._top = -1  # no posting holds a node id above this
         self._version = 0
         self._total_assignments = 0  # sum over live nodes of |keys|
 
@@ -295,6 +316,16 @@ class IncrementalBlockIndex:
         """Raw ``|B_i|`` of a live node (purging/filtering not applied)."""
         return len(self._keys[node])
 
+    @property
+    def key_member_counts(self) -> np.ndarray:
+        """Live members per source (row) of every key id; grows on write."""
+        return self._key_counts
+
+    @property
+    def node_key_counts(self) -> np.ndarray:
+        """Raw ``|B_i|`` of every node id (zero when dead); grows on write."""
+        return self._node_counts
+
     def key_entropy(self, key: str) -> float:
         """Aggregate entropy of *key*'s attribute cluster (1.0 without schema)."""
         if self.partitioning is None:
@@ -352,23 +383,18 @@ class IncrementalBlockIndex:
             self._next_id += 1
             self._ids[ref] = node
 
-        # Interning in sorted key order keeps id assignment deterministic
-        # (set iteration order is not) — fresh ids depend only on the
-        # sequence of profiles, never on string hashing.
-        intern = self.key_dictionary.intern
-        new_keys = frozenset(
-            intern(key) for key in sorted(self.derive_keys(profile, source))
+        # Unseen keys are interned in sorted order, so fresh ids depend only
+        # on the sequence of profiles, never on string hashing.
+        new_keys = self.key_dictionary.intern_set(
+            self.derive_keys(profile, source)
         )
         old_keys = self._keys.get(node, frozenset())
-        for kid in old_keys - new_keys:
-            self._remove_membership(kid, node, source)
-        for kid in new_keys - old_keys:
-            posting = self._postings.get(kid)
-            if posting is None:
-                posting = PostingList(self.clean_clean)
-                self._postings[kid] = posting
-            posting.add(node, source)
-
+        self._key_counts = _fit(self._key_counts, len(self.key_dictionary))
+        self._node_counts = _fit(self._node_counts, self._next_id)
+        if old_keys:
+            self._unlink(node, source, old_keys - new_keys)
+        self._link(node, source, new_keys - old_keys if old_keys else new_keys)
+        self._node_counts[node] = len(new_keys)
         self._profiles[node] = profile
         self._sources[node] = source
         self._keys[node] = new_keys
@@ -387,22 +413,55 @@ class IncrementalBlockIndex:
         node = self._ids.get((source, str(profile_id)))
         if node is None or node not in self._profiles:
             return False
-        for kid in self._keys[node]:
-            self._remove_membership(kid, node, source)
+        self._unlink(node, source, self._keys[node])
         self._total_assignments -= len(self._keys[node])
+        self._node_counts[node] = 0
         del self._profiles[node]
         del self._sources[node]
         del self._keys[node]
         self._version += 1
         return True
 
-    def _remove_membership(self, kid: int, node: int, source: int) -> None:
-        posting = self._postings.get(kid)
-        if posting is None:
-            return
-        posting.discard(node, source)
-        if posting.size == 0:
-            del self._postings[kid]
+    def _link(self, node: int, source: int, kids: frozenset[int]) -> None:
+        """Add *node* to the postings of *kids* and count it.
+
+        A node above every linked id — a first upsert, or a restore in
+        node order — appends here (the hot write path); a revived or
+        re-keyed one is inserted at its sorted position by
+        :meth:`PostingList.add`.
+        """
+        postings = self._postings
+        counts = self._key_counts[source]
+        newest = node > self._top
+        if newest:
+            self._top = node
+        for kid in kids:
+            posting = postings.get(kid)
+            if posting is None:
+                posting = postings[kid] = PostingList(self.clean_clean)
+            if not newest:
+                counts[kid] = posting.add(node, source)
+                continue
+            members = posting.left if source == 0 else posting.right
+            size = members.size
+            grown = np.empty(size + 1, np.int64)
+            grown[:size] = members
+            grown[size] = node
+            if source == 0:
+                posting.left = grown
+            else:
+                posting.right = grown
+            counts[kid] = size + 1
+
+    def _unlink(self, node: int, source: int, kids: frozenset[int]) -> None:
+        """Remove *node* from the postings of *kids*; drop emptied keys."""
+        postings = self._postings
+        counts = self._key_counts[source]
+        for kid in kids:
+            posting = postings[kid]
+            counts[kid] = posting.discard(node, source)
+            if posting.size == 0:
+                del postings[kid]
 
     def __repr__(self) -> str:
         kind = "clean-clean" if self.clean_clean else "dirty"

@@ -176,8 +176,7 @@ class StreamingMetaBlocker:
         stats = view.gather(canonical)
         weights = self._weights(stats, canonical, view)
         mask = self._retained_mask(canonical, stats.neighbors, weights, view)
-        out = self._to_candidates(stats.neighbors, weights, mask, view)
-        return out if k is None else out[:k]
+        return self._to_candidates(stats.neighbors, weights, mask, view, k)
 
     # -- weighting kernels ---------------------------------------------------
 
@@ -193,10 +192,13 @@ class StreamingMetaBlocker:
         weights: np.ndarray,
         mask: np.ndarray,
         view,
+        k: int | None = None,
     ) -> list[Candidate]:
+        """The kept neighbours ranked by descending weight (ties by id),
+        built for the first *k* only."""
         kept = neighbors[mask]
         kept_weights = weights[mask]
-        order = np.lexsort((kept, -kept_weights))
+        order = np.lexsort((kept, -kept_weights))[:k]
         nodes = view.nodes_of(kept[order])
         index = self.index
         return [
@@ -310,14 +312,14 @@ class StreamingMetaBlocker:
                     dtype=np.float64,
                     count=neighbors.size,
                 )
-            else:
-                theta_n = np.full(neighbors.size, theta_q)
+            else:  # one threshold for every edge; the scalar broadcasts
+                theta_n = theta_q
             thresholds = (theta_q + theta_n) / pruning.d
             return (weights > 0.0) & _clears_arr(weights, thresholds)
 
         if isinstance(pruning, WeightNodePruning):
             theta_q = _sequential_sum(weights) / weights.size
-            above_q = _clears_arr(weights, np.full(neighbors.size, theta_q))
+            above_q = _clears_arr(weights, theta_q)
             if not two_hop:
                 return above_q
             theta_n = np.fromiter(

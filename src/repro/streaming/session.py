@@ -45,7 +45,6 @@ import os
 import threading
 import zlib
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -107,6 +106,26 @@ class ConcurrentWriterError(RuntimeError):
     instead.  Wrap a session in your own mutex if you must share it
     across threads.
     """
+
+
+@dataclass
+class _Exclusive:
+    """The writer lock held for one verb (see ``StreamingSession._exclusive``)."""
+
+    lock: threading.Lock
+    verb: str
+
+    def __enter__(self) -> None:
+        if not self.lock.acquire(blocking=False):
+            raise ConcurrentWriterError(
+                f"StreamingSession.{self.verb}() entered while another "
+                "writer holds the session; sessions are single-writer — "
+                "route all mutations through one owner (e.g. the "
+                "repro.serving tenant actor) or add external locking"
+            )
+
+    def __exit__(self, *exc_info) -> None:
+        self.lock.release()
 
 
 @dataclass(frozen=True)
@@ -287,8 +306,7 @@ class StreamingSession:
 
     # -- the single-writer contract ------------------------------------------
 
-    @contextmanager
-    def _exclusive(self, verb: str) -> Iterator[None]:
+    def _exclusive(self, verb: str) -> _Exclusive:
         """Hold the writer lock for one mutating verb; never blocks.
 
         The lock is a *tripwire*, not a synchronization primitive: a
@@ -297,17 +315,7 @@ class StreamingSession:
         and fails immediately rather than waiting its turn over a
         possibly half-mutated index.
         """
-        if not self._writer_lock.acquire(blocking=False):
-            raise ConcurrentWriterError(
-                f"StreamingSession.{verb}() entered while another writer "
-                "holds the session; sessions are single-writer — route "
-                "all mutations through one owner (e.g. the repro.serving "
-                "tenant actor) or add external locking"
-            )
-        try:
-            yield
-        finally:
-            self._writer_lock.release()
+        return _Exclusive(self._writer_lock, verb)
 
     # -- the four verbs ------------------------------------------------------
 

@@ -22,13 +22,15 @@ at query time.  Two built-ins are registered under
     equivalence property is proven against.
 
 ``fast``
-    Reads the live structures directly with incrementally maintained
-    statistics: purging is a per-key size check against the live profile
-    count, filtering keeps only the *query* profile in its smallest key
-    fraction (co-occurring profiles are not re-filtered), and ``|B_i|`` is
-    the raw per-node key count.  O(neighbourhood) per query with zero
-    rebuild cost per mutation — the arrival-time serving mode — at the
-    price of approximating the batch restructurings.
+    Reads the live structures directly: the posting arrays and the
+    per-key / per-node count arrays the index keeps up to date on write.
+    Purging is a size check of the query node's keys against the live
+    profile count, filtering keeps only the *query* profile in its
+    smallest key fraction (co-occurring profiles are not re-filtered),
+    and ``|B_i|`` is the raw per-node key count.  A query is a few array
+    operations over the query node's surviving keys, with zero rebuild
+    cost per mutation — the arrival-time serving mode — at the price of
+    approximating the batch restructurings.
 
 Both views hand the kernels the same :class:`NeighborStats` arrays, so the
 weighting code upstream is shared.
@@ -37,6 +39,7 @@ weighting code upstream is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import ceil
 
 import numpy as np
@@ -85,21 +88,25 @@ def _aggregate(
     """Deduplicate co-occurring members into :class:`NeighborStats`.
 
     ``members`` lists one entry per (block, co-member) incidence in block
-    order; ``bincount`` over the ``unique`` inverse accumulates each
-    neighbor's float masses in that original order, matching the reference
-    path's sequential ``stats.x += ...`` rounding.
+    order.  One sort groups the members; ``bincount`` over the group
+    inverse then accumulates each neighbor's float masses in the original
+    block order, matching the reference path's sequential
+    ``stats.x += ...`` rounding.
     """
     if members.size == 0:
         return _EMPTY_STATS
-    neighbors, inverse = np.unique(members, return_inverse=True)
-    shared = np.bincount(inverse, minlength=neighbors.size)
-    arcs = np.bincount(inverse, weights=arcs_share, minlength=neighbors.size)
-    entropy = np.bincount(inverse, weights=entropies, minlength=neighbors.size)
+    order = members.argsort()
+    ordered = members[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(members.size, dtype=np.int64)
+    inverse[order] = first.cumsum() - 1
     return NeighborStats(
-        neighbors=neighbors.astype(np.int64),
-        shared=shared.astype(np.int64),
-        arcs_mass=arcs,
-        entropy_mass=entropy,
+        neighbors=ordered[first],
+        shared=np.bincount(inverse),
+        arcs_mass=np.bincount(inverse, weights=arcs_share),
+        entropy_mass=np.bincount(inverse, weights=entropies),
     )
 
 
@@ -298,79 +305,68 @@ class FastStreamView:
         return self.index.total_block_assignments
 
     def node_blocks(self, canonical: np.ndarray) -> np.ndarray:
-        index = self.index
-        return np.fromiter(
-            (index.node_block_count(n) for n in canonical.tolist()),
-            dtype=np.int64,
-            count=canonical.size,
-        )
+        return self.index.node_key_counts[canonical]
 
     def node_blocks_scalar(self, canonical: int) -> int:
         return self.index.node_block_count(canonical)
 
-    def _surviving_key_ids(self, node: int) -> list[int]:
+    def _surviving_key_ids(self, node: int) -> tuple[list[int], list[int]]:
         """The query node's key ids after lazy purging + query-side
-        filtering, smallest posting first.
+        filtering, smallest posting first, with their ``||b||``.
 
-        Filtering ties on equal posting sizes break by key *string* — the
-        batch position order of key-sorted collections — so the sort key
-        materializes the string while the result stays in id space.
+        One gather reads every key's member counts.  Filtering ties on
+        equal posting sizes break by key *string* — the batch position
+        order of key-sorted collections — so the strings of equal-size
+        keys in the kept prefix are read to order them.
         """
         index = self.index
+        kids = sorted(index.key_ids_of(node))
+        left, right = index.key_member_counts[:, kids].tolist()
         size_cap = index.purging_ratio * index.num_profiles
         max_comparisons = index.max_comparisons
-        key_string = index.key_string
-        active: list[tuple[int, str, int]] = []
-        # Append order is erased by the total-order active.sort() below:
-        # the (size, key string, kid) sort key has no ties.
-        # repro-lint: disable-next=RL001
-        for kid in index.key_ids_of(node):
-            posting = index.posting_by_id(kid)
-            if posting.num_comparisons == 0:
-                continue
-            if posting.size > size_cap:
-                continue
+        clean_clean = index.clean_clean
+        active: list[tuple[int, int, int]] = []
+        for kid, n_left, n_right in zip(kids, left, right):
+            size = n_left + n_right  # the right row stays zero when dirty
+            comparisons = (
+                n_left * n_right if clean_clean else n_left * (n_left - 1) // 2
+            )
             if (
-                max_comparisons is not None
-                and posting.num_comparisons > max_comparisons
+                comparisons
+                and size <= size_cap
+                and (max_comparisons is None or comparisons <= max_comparisons)
             ):
-                continue
-            active.append((posting.size, key_string(kid), kid))
-        if not active:
-            return []
+                active.append((size, kid, comparisons))
         active.sort()
         keep = ceil(index.filtering_ratio * len(active))
-        return [kid for _, _, kid in active[:keep]]
+        kept: list[tuple[int, int, int]] = []
+        for _, run in groupby(active, key=lambda row: row[0]):
+            if len(kept) >= keep:
+                break
+            rows = list(run)
+            if len(rows) > 1:
+                rows.sort(key=lambda row: index.key_string(row[1]))
+            kept.extend(rows)
+        del kept[keep:]
+        return [kid for _, kid, _ in kept], [c for _, _, c in kept]
 
     def gather(self, canonical: int) -> NeighborStats:
         index = self.index
-        key_ids = self._surviving_key_ids(canonical)
-        if not key_ids:
+        kids, comparisons = self._surviving_key_ids(canonical)
+        if not kids:
             return _EMPTY_STATS
-        source = index.source_of(canonical)
-        member_chunks: list[np.ndarray] = []
-        arcs_chunks: list[np.ndarray] = []
-        entropy_chunks: list[np.ndarray] = []
-        for kid in key_ids:
-            posting = index.posting_by_id(kid)
-            left, right = posting.arrays()
-            if index.clean_clean:
-                others = right if source == 0 else left
-            else:
-                others = left[left != canonical]
-            if others.size == 0:
-                continue
-            member_chunks.append(others)
-            arcs_chunks.append(
-                np.full(others.size, 1.0 / posting.num_comparisons)
-            )
-            entropy_chunks.append(
-                np.full(others.size, index.key_entropy_by_id(kid))
-            )
-        if not member_chunks:
-            return _EMPTY_STATS
-        return _aggregate(
-            np.concatenate(member_chunks),
-            np.concatenate(arcs_chunks),
-            np.concatenate(entropy_chunks),
+        # The co-members sit on the other source (clean-clean) or on the
+        # query node's own side, minus the node itself (dirty).
+        other = 1 - index.source_of(canonical) if index.clean_clean else 0
+        postings = [index.posting_by_id(kid) for kid in kids]
+        members = np.concatenate(
+            [p.right for p in postings] if other else [p.left for p in postings]
         )
+        entropies = [index.key_entropy_by_id(kid) for kid in kids]
+        per_key = np.array((comparisons, entropies), dtype=np.float64)
+        np.divide(1.0, per_key[0], out=per_key[0])
+        spread = np.repeat(per_key, index.key_member_counts[other][kids], axis=1)
+        if not index.clean_clean:
+            mask = members != canonical
+            members, spread = members[mask], spread[:, mask]
+        return _aggregate(members, spread[0], spread[1])

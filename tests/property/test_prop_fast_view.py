@@ -151,3 +151,15 @@ class TestFastViewMatchesSetOracle:
                 assert meta.candidates(ref, k=k, source=source) == (
                     oracle.top_k(ref, k, source=source)
                 )
+
+
+def test_equal_size_keys_are_cut_in_key_string_order():
+    # "smith" is interned before "abram", so id order and string order
+    # disagree; both keys hold two members and filtering keeps one.
+    index = IncrementalBlockIndex(purging_ratio=1.0, filtering_ratio=0.5)
+    for pid, text in (("a", "smith"), ("b", "abram"), ("c", "smith abram")):
+        index.upsert(EntityProfile.from_dict(pid, {"name": text}))
+    node = index.node_of("c")
+    want = [index.node_of("b")]
+    assert FastStreamView(index).gather(node).neighbors.tolist() == want
+    assert OracleFastView(index).gather(node).neighbors.tolist() == want

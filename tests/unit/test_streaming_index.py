@@ -15,9 +15,9 @@ def profile(pid: str, text: str) -> EntityProfile:
 def index_state(index: IncrementalBlockIndex) -> dict:
     """A comparable snapshot of the index's observable state."""
     return {
-        key: (
-            frozenset(index.posting(key).left),
-            frozenset(index.posting(key).right or ()),
+        key: tuple(
+            None if side is None else side.tolist()
+            for side in index.posting(key).arrays()
         )
         for key in index.keys()
     }
@@ -50,9 +50,7 @@ class TestUpsert:
         index.upsert(profile("b", "john smith"))
         index.upsert(profile("a", "jon abram"))  # "john" -> "jon"
         assert index.keys_of(node) == frozenset({"jon", "abram"})
-        assert frozenset(index.posting("john").left) == {
-            index.node_of("b")
-        }
+        assert index.posting("john").left.tolist() == [index.node_of("b")]
 
     def test_tokenless_profile_is_live_but_unindexed(self):
         index = IncrementalBlockIndex(min_token_length=100)
@@ -71,7 +69,7 @@ class TestUpsert:
         a = index.upsert(profile("a", "abram"), source=0)
         b = index.upsert(profile("b", "abram"), source=1)
         posting = index.posting("abram")
-        assert posting.left == {a} and posting.right == {b}
+        assert posting.left.tolist() == [a] and posting.right.tolist() == [b]
         assert posting.num_comparisons == 1
 
     def test_same_id_distinct_per_source(self):
@@ -91,7 +89,7 @@ class TestDelete:
         assert index.delete("a")
         assert index.num_profiles == 1
         assert "abram" not in index
-        assert frozenset(index.posting("john").left) == {index.node_of("b")}
+        assert index.posting("john").left.tolist() == [index.node_of("b")]
 
     def test_delete_unknown_returns_false(self):
         index = IncrementalBlockIndex()
@@ -185,10 +183,28 @@ class TestPostingArrays:
         left, right = posting.arrays()
         assert right is None
         assert left.tolist() == sorted(posting.left)
-        assert posting.arrays()[0] is left  # cached
+        assert posting.arrays()[0] is left  # a field read
+        members = left.tolist()
         index.upsert(profile("c", "abram"))
-        assert posting.arrays()[0] is not left  # invalidated
+        assert posting.arrays()[0] is not left  # replaced on write
+        assert left.tolist() == members  # the old array is never edited
         assert np.all(np.diff(posting.arrays()[0]) > 0)
+
+    def test_revive_and_delete_keep_members_sorted_and_counted(self):
+        index = IncrementalBlockIndex(clean_clean=True)
+        for pid in ("a", "b", "c"):
+            index.upsert(profile(pid, "abram"), source=0)
+        index.upsert(profile("z", "abram smith"), source=1)
+        index.delete("a")
+        index.delete("b")
+        assert index.posting("abram").left.tolist() == [2]
+        assert index.upsert(profile("b", "abram")) == 1  # revived in place
+        posting = index.posting("abram")
+        assert posting.left.tolist() == [1, 2]
+        assert posting.right.tolist() == [3]
+        kid = index.key_dictionary.id_of("abram")
+        assert index.key_member_counts[:, kid].tolist() == [2, 1]
+        assert index.node_key_counts[:4].tolist() == [0, 1, 1, 2]
 
     def test_validation_of_ratios(self):
         with pytest.raises(ValueError, match="purging_ratio"):
