@@ -49,15 +49,12 @@ def profile_blocking_keys(
     function, so an incrementally built index agrees key-for-key with the
     batch blockers.
     """
-    if partitioning is None and transformation == "token":
-        return {t for t in profile.tokens() if len(t) >= min_token_length}
-    keys: set[str] = set()
     if partitioning is None:
-        for token in profile.tokens():
-            if len(token) < min_token_length:
-                continue
-            keys.update(_transform(token, transformation, q))
-        return keys
+        kept = {t for t in profile.tokens() if len(t) >= min_token_length}
+        if transformation == "token":
+            return kept
+        return {term for t in kept for term in _transform(t, transformation, q)}
+    keys: set[str] = set()
     for attribute, tokens in profile.tokens_by_attribute().items():
         cluster = partitioning.cluster_of(source, attribute)
         if cluster is None:

@@ -52,54 +52,81 @@ _NO_KEY_COUNTS = np.zeros((2, 0), dtype=np.int64)
 class PostingList:
     """The live members of one blocking key, as sorted int64 node arrays.
 
-    ``left`` (and, for a clean-clean index, ``right``) are kept sorted on
-    write: node ids are issued in ascending order, so a first upsert
-    appends and only a revived node searches for its position.  A write
-    replaces an array rather than editing it, so an array read from
-    :meth:`arrays` never changes afterwards.
+    Each side's members are the live prefix of a capacity-doubling buffer,
+    kept sorted on write: node ids are issued in ascending order, so a
+    first upsert appends in place past every array handed out so far, and
+    only a revived node's insert or a discard writes a fresh copy.  The
+    ``left``/``right`` views of the prefixes are cached until the side's
+    next write, so an array read from them never changes afterwards.
     """
 
-    __slots__ = ("left", "right")
+    __slots__ = ("_left", "_right", "_left_size", "_right_size",
+                 "_left_view", "_right_view")
 
     def __init__(self, clean_clean: bool) -> None:
-        self.left: np.ndarray = _NO_IDS
-        self.right: np.ndarray | None = _NO_IDS if clean_clean else None
+        self._left: np.ndarray = _NO_IDS
+        self._right: np.ndarray | None = _NO_IDS if clean_clean else None
+        self._left_size = self._right_size = 0
+        self._left_view = self._right_view = None  # cached until the next write
+
+    @property
+    def left(self) -> np.ndarray:
+        """The sorted members from source 0 (every member when dirty)."""
+        if self._left_view is None:
+            self._left_view = self._left[: self._left_size]
+        return self._left_view
+
+    @property
+    def right(self) -> np.ndarray | None:
+        """The sorted members from source 1 (``None`` when dirty)."""
+        if self._right_view is None and self._right is not None:
+            self._right_view = self._right[: self._right_size]
+        return self._right_view
 
     @property
     def is_clean_clean(self) -> bool:
-        return self.right is not None
+        return self._right is not None
 
     @property
     def size(self) -> int:
         """Number of member profiles (both sources)."""
-        right = self.right
-        return self.left.size + (0 if right is None else right.size)
+        return self._left_size + self._right_size
 
     @property
     def num_comparisons(self) -> int:
         """``||b||`` of the block this posting list denotes."""
-        if self.right is not None:
-            return self.left.size * self.right.size
-        n = self.left.size
+        if self._right is not None:
+            return self._left_size * self._right_size
+        n = self._left_size
         return n * (n - 1) // 2
 
     def add(self, node: int, side: int) -> int:
         """Insert *node* on *side* in order; returns that side's count."""
-        members = self.left if side == 0 else self.right
-        at = members.searchsorted(node)
-        return self._set(side, np.concatenate((members[:at], (node,), members[at:])))
+        if side == 0:
+            buffer, n = self._left, self._left_size
+        else:
+            buffer, n = self._right, self._right_size
+        if n and buffer.item(n - 1) > node:  # a revived node: insert into a copy
+            at = buffer[:n].searchsorted(node)
+            buffer = np.concatenate((buffer[:at], (node,), buffer[at:n]))
+        else:
+            if n == buffer.size:  # full: double the capacity
+                buffer = np.concatenate((buffer, np.empty(n or 4, np.int64)))
+            buffer[n] = node
+        return self._store(side, buffer, n + 1)
 
     def discard(self, node: int, side: int) -> int:
         """Remove *node* from *side* if present; returns that side's count."""
         members = self.left if side == 0 else self.right
-        return self._set(side, members[members != node])
+        kept = members[members != node]
+        return self._store(side, kept, kept.size)
 
-    def _set(self, side: int, members: np.ndarray) -> int:
+    def _store(self, side: int, buffer: np.ndarray, n: int) -> int:
         if side == 0:
-            self.left = members
+            self._left, self._left_size, self._left_view = buffer, n, None
         else:
-            self.right = members
-        return members.size
+            self._right, self._right_size, self._right_view = buffer, n, None
+        return n
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The sorted ``(left, right)`` member arrays."""
@@ -184,7 +211,6 @@ class IncrementalBlockIndex:
         self._key_counts = _NO_KEY_COUNTS  # [source, key id] -> members
         self._node_counts = _NO_IDS  # node -> live key count
         self._next_id = 0
-        self._top = -1  # no posting holds a node id above this
         self._version = 0
         self._total_assignments = 0  # sum over live nodes of |keys|
 
@@ -391,8 +417,7 @@ class IncrementalBlockIndex:
         old_keys = self._keys.get(node, frozenset())
         self._key_counts = _fit(self._key_counts, len(self.key_dictionary))
         self._node_counts = _fit(self._node_counts, self._next_id)
-        if old_keys:
-            self._unlink(node, source, old_keys - new_keys)
+        self._unlink(node, source, old_keys - new_keys)
         self._link(node, source, new_keys - old_keys if old_keys else new_keys)
         self._node_counts[node] = len(new_keys)
         self._profiles[node] = profile
@@ -423,35 +448,14 @@ class IncrementalBlockIndex:
         return True
 
     def _link(self, node: int, source: int, kids: frozenset[int]) -> None:
-        """Add *node* to the postings of *kids* and count it.
-
-        A node above every linked id — a first upsert, or a restore in
-        node order — appends here (the hot write path); a revived or
-        re-keyed one is inserted at its sorted position by
-        :meth:`PostingList.add`.
-        """
+        """Add *node* to the postings of *kids* and count it."""
         postings = self._postings
         counts = self._key_counts[source]
-        newest = node > self._top
-        if newest:
-            self._top = node
         for kid in kids:
             posting = postings.get(kid)
             if posting is None:
                 posting = postings[kid] = PostingList(self.clean_clean)
-            if not newest:
-                counts[kid] = posting.add(node, source)
-                continue
-            members = posting.left if source == 0 else posting.right
-            size = members.size
-            grown = np.empty(size + 1, np.int64)
-            grown[:size] = members
-            grown[size] = node
-            if source == 0:
-                posting.left = grown
-            else:
-                posting.right = grown
-            counts[kid] = size + 1
+            counts[kid] = posting.add(node, source)
 
     def _unlink(self, node: int, source: int, kids: frozenset[int]) -> None:
         """Remove *node* from the postings of *kids*; drop emptied keys."""

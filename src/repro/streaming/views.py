@@ -359,9 +359,7 @@ class FastStreamView:
         # query node's own side, minus the node itself (dirty).
         other = 1 - index.source_of(canonical) if index.clean_clean else 0
         postings = [index.posting_by_id(kid) for kid in kids]
-        members = np.concatenate(
-            [p.right for p in postings] if other else [p.left for p in postings]
-        )
+        members = np.concatenate([p.right if other else p.left for p in postings])
         entropies = [index.key_entropy_by_id(kid) for kid in kids]
         per_key = np.array((comparisons, entropies), dtype=np.float64)
         np.divide(1.0, per_key[0], out=per_key[0])

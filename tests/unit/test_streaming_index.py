@@ -190,6 +190,21 @@ class TestPostingArrays:
         assert left.tolist() == members  # the old array is never edited
         assert np.all(np.diff(posting.arrays()[0]) > 0)
 
+    def test_arrays_handed_out_never_change(self):
+        index = IncrementalBlockIndex()
+        seen = []
+        for step, pid in enumerate("abcdefghij"):
+            index.upsert(profile(pid, "abram"))
+            if step % 3 == 2:
+                index.delete("b")  # a copy without node 1 ...
+            elif step % 3 == 0 and step:
+                index.upsert(profile("b", "abram"))  # ... and back in order
+            left = index.posting("abram").left
+            seen.append((left, left.tolist()))
+        for left, members in seen:
+            assert left.tolist() == members
+        assert seen[-1][1] == sorted(seen[-1][1])
+
     def test_revive_and_delete_keep_members_sorted_and_counted(self):
         index = IncrementalBlockIndex(clean_clean=True)
         for pid in ("a", "b", "c"):
