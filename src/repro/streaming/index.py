@@ -52,11 +52,10 @@ _NO_KEY_COUNTS = np.zeros((2, 0), dtype=np.int64)
 class PostingList:
     """The live members of one blocking key, as sorted int64 node arrays.
 
-    Each side's members are the live prefix of a capacity-doubling buffer,
-    kept sorted on write: node ids are issued in ascending order, so a
-    first upsert appends in place past every array handed out so far, and
-    only a revived node's insert or a discard writes a fresh copy.  The
-    ``left``/``right`` views of the prefixes are cached until the side's
+    Each side is the live prefix of a capacity-doubling buffer, kept sorted
+    on write: ids rise, so a first upsert appends in place past every array
+    handed out so far, while a revived node's insert or a discard writes a
+    fresh copy.  The ``left``/``right`` views are cached until that side's
     next write, so an array read from them never changes afterwards.
     """
 
