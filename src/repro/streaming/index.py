@@ -66,7 +66,8 @@ class PostingList:
         self._left: np.ndarray = _NO_IDS
         self._right: np.ndarray | None = _NO_IDS if clean_clean else None
         self._left_size = self._right_size = 0
-        self._left_view = self._right_view = None  # cached until the next write
+        self._left_view: np.ndarray | None = None  # cached until the next write
+        self._right_view: np.ndarray | None = None
 
     @property
     def left(self) -> np.ndarray:
