@@ -43,7 +43,7 @@ def block_filtering(
 
     index = collection.entity_index
     profiles = index.entity_ids
-    block_of = index.block_of_member
+    block_of = index.shardable.block_of_flat
     # Rank each profile's memberships by ascending block size, ties broken
     # by block position for determinism.
     sizes = np.diff(index.block_ptr)

@@ -54,6 +54,7 @@ _NONDETERMINISTIC_KEYS = frozenset({
     "wall_seconds",
     "wall_seconds_mean",
     "cpu_seconds",
+    "minor_faults",
     "peak_rss_mb",
 })
 
@@ -137,7 +138,8 @@ def render_markdown(report: Mapping[str, Any]) -> str:
     if cells:
         lines += ["## Cells", ""]
         lines += _table(
-            ["cell", "PC", "PQ", "F1", "comparisons", "wall s", "peak MiB"],
+            ["cell", "PC", "PQ", "F1", "comparisons", "wall s", "peak MiB",
+             "minor faults"],
             [
                 [
                     str(cell.get("id")),
@@ -147,6 +149,7 @@ def render_markdown(report: Mapping[str, Any]) -> str:
                     str(cell.get("quality", {}).get("comparisons")),
                     _num(cell.get("perf", {}).get("wall_seconds"), 3),
                     _num(cell.get("perf", {}).get("peak_rss_mb"), 1),
+                    _num(cell.get("perf", {}).get("minor_faults"), 0),
                 ]
                 for cell in cells
             ],

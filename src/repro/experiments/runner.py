@@ -29,7 +29,7 @@ from repro.core.registry import build_pipeline
 from repro.experiments.runutils import (
     pairs_digest,
     peak_rss_mb,
-    process_cpu_seconds,
+    process_usage,
 )
 
 if TYPE_CHECKING:
@@ -122,8 +122,9 @@ def run_cell(
     The pipeline runs *repeats* times on the same generated dataset;
     ``perf.wall_seconds`` is the best run (the convention of the
     standalone bench scripts), ``wall_seconds_mean`` the average, and
-    ``cpu_seconds`` the CPU delta of the best run.  Everything outside
-    ``perf`` is deterministic under a fixed seed.
+    ``cpu_seconds`` / ``minor_faults`` the CPU and ``ru_minflt`` deltas of
+    the best run.  Everything outside ``perf`` is deterministic under a
+    fixed seed.
     """
     from repro.metrics.quality import evaluate_blocks
 
@@ -139,18 +140,19 @@ def run_cell(
     )
 
     best_wall = float("inf")
-    best_cpu = 0.0
+    best_cpu, best_faults = 0.0, 0
     walls: list[float] = []
     result = None
     for _ in range(repeats):
-        cpu_before = process_cpu_seconds()
+        cpu_before, faults_before = process_usage()
         start = time.perf_counter()
         result = pipeline.run(dataset)
         wall = time.perf_counter() - start
-        cpu = process_cpu_seconds() - cpu_before
+        cpu, faults = process_usage()
         walls.append(wall)
         if wall < best_wall:
-            best_wall, best_cpu = wall, cpu
+            best_wall = wall
+            best_cpu, best_faults = cpu - cpu_before, faults - faults_before
     assert result is not None  # repeats >= 1 is validated at config load
 
     quality = evaluate_blocks(result.blocks, dataset)
@@ -184,6 +186,7 @@ def run_cell(
             "wall_seconds": best_wall,
             "wall_seconds_mean": statistics.fmean(walls),
             "cpu_seconds": best_cpu,
+            "minor_faults": best_faults,
             "peak_rss_mb": peak_rss_mb(),
         },
         "pairs_digest": pairs_digest(result.blocks.iter_distinct_pairs()),

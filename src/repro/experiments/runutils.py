@@ -15,7 +15,7 @@ __all__ = [
     "BASE_PROFILES",
     "pairs_digest",
     "peak_rss_mb",
-    "process_cpu_seconds",
+    "process_usage",
     "scale_for_profiles",
 ]
 
@@ -72,14 +72,15 @@ def peak_rss_mb() -> float:
     return usage / 1024
 
 
-def process_cpu_seconds() -> float:
-    """User + system CPU seconds of this process (0.0 where unsupported)."""
+def process_usage() -> tuple[float, int]:
+    """User + system CPU seconds and minor page faults of this process
+    (zeros where unsupported)."""
     try:
         import resource
     except ImportError:  # non-POSIX platform
-        return 0.0
+        return 0.0, 0
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    return usage.ru_utime + usage.ru_stime
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
 
 
 def pairs_digest(pairs: Iterable[tuple[int, int]]) -> str:

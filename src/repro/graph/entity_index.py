@@ -96,24 +96,15 @@ class EntityIndex:
                 comparisons.append(n * (n - 1) // 2)
             left_sizes.append(len(left))
 
-        num_blocks = len(keys)
-        block_ptr = np.zeros(num_blocks + 1, dtype=np.int32)
+        block_ptr = np.zeros(len(keys) + 1, dtype=np.int32)
         np.cumsum(np.asarray(sizes, dtype=np.int32), out=block_ptr[1:])
-        block_split = block_ptr[:-1] + np.asarray(left_sizes, dtype=np.int32)
-        entity_ids = np.asarray(flat, dtype=np.int32)
-        node_block_counts = (
-            np.bincount(entity_ids)
-            if entity_ids.size
-            else np.zeros(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
-        return cls(
+        return cls.from_arrays(
             is_clean_clean=collection.is_clean_clean,
             keys=tuple(keys),
             block_ptr=block_ptr,
-            block_split=block_split,
-            entity_ids=entity_ids,
+            block_split=block_ptr[:-1] + np.asarray(left_sizes, dtype=np.int32),
+            entity_ids=np.asarray(flat, dtype=np.int32),
             block_comparisons=np.asarray(comparisons, dtype=np.int64),
-            node_block_counts=node_block_counts,
         )
 
     @classmethod
@@ -156,7 +147,7 @@ class EntityIndex:
         """
         return self._compact(
             block_mask,
-            block_mask[self.block_of_member],
+            block_mask[self.shardable.block_of_flat],
             np.diff(self.block_ptr),
             self.block_split - self.block_ptr[:-1],
         )
@@ -168,7 +159,7 @@ class EntityIndex:
         without a comparison (fewer than two members, or a clean-clean
         block that lost a whole side) are dropped, as block assembly does.
         """
-        block_of = self.block_of_member
+        block_of = self.shardable.block_of_flat
         sizes = np.bincount(block_of[member_mask], minlength=self.num_blocks)
         if self.is_clean_clean:
             is_left = (
@@ -231,30 +222,15 @@ class EntityIndex:
         return int(self.block_comparisons.sum())
 
     @cached_property
-    def block_of_member(self) -> np.ndarray:
-        """``int64`` block position of every entry of :attr:`entity_ids`."""
-        return np.repeat(
-            np.arange(self.num_blocks, dtype=np.int64),
-            np.diff(self.block_ptr).astype(np.int64),
-        )
-
-    @cached_property
     def _member_blocks_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Transpose of the block->members layout: profile -> block positions.
 
         Returns ``(ptr, blocks)`` where ``blocks[ptr[p]:ptr[p+1]]`` are the
-        positions of the blocks containing profile ``p``, in ascending block
-        order (the stable sort preserves the block-major flat order).  Built
-        once and cached — the per-node query path of the streaming subsystem
-        walks it for every candidate lookup.
-        """
-        counts = self.node_block_counts
-        ptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        if self.entity_ids.size == 0:
-            return ptr, np.zeros(0, dtype=np.int64)
-        order = np.argsort(self.entity_ids, kind="stable")
-        return ptr, self.block_of_member[order]
+        positions of the blocks containing profile ``p``, ascending (read
+        through the shard view's by-entity slot order)."""
+        slim = self.shardable
+        ptr, slots = slim.slots_by_entity
+        return ptr, slim.block_of_flat[slots]
 
     def blocks_of(self, profile: int) -> np.ndarray:
         """Positions of the blocks containing *profile*, ascending.
@@ -307,21 +283,31 @@ class EntityIndex:
         ranges, so their sorted distinct lists concatenate into the
         global one and only the output outlives a shard.
         """
-        from repro.graph.sharding import default_plan, enumerate_shard_pairs
+        from repro.graph import sharding
 
         slim = self.shardable
+        plan = sharding.default_plan(slim)
+        workspace = sharding.ShardWorkspace.for_plan(slim, plan)
         packed = []
-        for lo, hi in default_plan(slim):
-            src, dst, _ = enumerate_shard_pairs(slim, lo, hi)
-            packed.append(sorted_unique(pack_pairs(src, dst)))
+        for lo, hi in plan:
+            src, dst, _ = sharding.enumerate_shard_pairs(slim, lo, hi, workspace)
+            packed.append(sorted_unique(pack_pairs(src, dst, out=src)))
         return unpack_pairs(np.concatenate(packed))
 
 
-def pack_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def pack_pairs(
+    src: np.ndarray, dst: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Pack ``(src, dst)`` into one int64 key preserving (src, dst) order."""
-    return (src << _PAIR_SHIFT) | dst
+    packed = np.left_shift(src, _PAIR_SHIFT, out=out)
+    return np.bitwise_or(packed, dst, out=packed)
 
 
-def unpack_pairs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def unpack_pairs(
+    packed: np.ndarray, out: tuple[np.ndarray, np.ndarray] = (None, None)
+) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`pack_pairs`."""
-    return packed >> _PAIR_SHIFT, packed & _PAIR_MASK
+    return (
+        np.right_shift(packed, _PAIR_SHIFT, out=out[0]),
+        np.bitwise_and(packed, _PAIR_MASK, out=out[1]),
+    )

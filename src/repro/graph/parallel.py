@@ -5,10 +5,10 @@ plans entity-id shards, collects each shard's slim result and decides
 over the merged arrays; who runs the shards is its one degree of
 freedom.  This module is the runner that hands them to worker processes:
 the per-run state (CSR index, dense per-node arrays) reaches each worker
-once through the pool initializer, the per-task payload is an ``(lo,
-hi)`` id range, and what comes back is what
-:func:`~repro.graph.vectorized.run_shard` returns — under BLAST pruning
-the shard's candidates and node maxima, never the whole blocking graph.
+once through the pool initializer, a task is one worker's run of
+consecutive ``(lo, hi)`` id ranges, and what comes back is their
+:func:`~repro.graph.vectorized.run_shard` results folded into one — under
+BLAST pruning candidates and node maxima, never the whole blocking graph.
 The retained edge set therefore matches the ``vectorized`` (and the
 ``python`` oracle) backend exactly, for every weighting scheme and
 built-in pruning strategy, by construction: same driver, same shards.
@@ -46,9 +46,9 @@ from repro.graph.vectorized import (
     Collector,
     SharedState,
     ShardResult,
+    fold_shards,
     merge_shards,
     run_in_process,
-    run_shard,
     sharded_metablocking,
 )
 from repro.graph.weights import WeightingScheme
@@ -110,8 +110,8 @@ def _init_worker(state: SharedState) -> None:
     _WORKER_STATE = state
 
 
-def _run_shard_in_worker(bounds: tuple[int, int]) -> ShardResult:
-    """Pool entry point: one ``(lo, hi)`` range against the worker state.
+def _run_shards_in_worker(bounds: list[tuple[int, int]]) -> ShardResult:
+    """Pool entry point: consecutive ``(lo, hi)`` ranges, one result.
 
     Fires the ``parallel.worker`` fault site first, so injected worker
     death / delay / failure happens exactly where a real fault would:
@@ -121,7 +121,7 @@ def _run_shard_in_worker(bounds: tuple[int, int]) -> ShardResult:
     """
     FAULTS.fire(WORKER_FAULT_SITE)
     assert _WORKER_STATE is not None, "worker initialized without state"
-    return run_shard(_WORKER_STATE, bounds[0], bounds[1])
+    return fold_shards(_WORKER_STATE, bounds)
 
 
 def _dispatch_shards(
@@ -136,17 +136,17 @@ def _dispatch_shards(
 
     The dispatch state machine (DESIGN.md "Reliability & recovery"):
 
-    1. **dispatch** — every unfinished shard is submitted to a pool via
-       ``apply_async``; each result is awaited with the policy's
-       per-attempt timeout.
-    2. **retry** — shards whose result raised (a worker-side exception,
+    1. **dispatch** — every unfinished task (a run of shards, one per
+       worker) is submitted to a pool via ``apply_async``; each result is
+       awaited with the policy's per-attempt timeout.
+    2. **retry** — tasks whose result raised (a worker-side exception,
        a broken pipe from a killed worker) or timed out (a lost or stuck
        task) are retried on a *freshly built* pool after a deterministic
-       seeded backoff, up to ``policy.max_retries`` times; shards that
+       seeded backoff, up to ``policy.max_retries`` times; tasks that
        completed are never recomputed.
-    3. **degrade** — shards still unfinished after the last retry run
+    3. **degrade** — tasks still unfinished after the last retry run
        in-process through the identical pure kernel
-       (:func:`~repro.graph.vectorized.run_shard`), so the run completes
+       (:func:`~repro.graph.vectorized.fold_shards`), so the run completes
        with the exact arrays a fault-free run would have produced.
 
     Pools are torn down deterministically on every path: ``close()`` after
@@ -159,7 +159,11 @@ def _dispatch_shards(
     if len(plan) < 2:
         run_in_process(state, plan, collector)
         return
-    pending = list(range(len(plan)))
+    # A task is a run of consecutive shards its worker folds into one
+    # result: one dense maxima array crosses the pipe per worker.
+    runs, size = min(len(plan), workers), len(plan)
+    tasks = [plan[size * k // runs : size * (k + 1) // runs] for k in range(runs)]
+    pending = list(range(runs))
     last_error: BaseException | None = None
     context = pool_context()
 
@@ -176,7 +180,7 @@ def _dispatch_shards(
         clean = False
         try:
             handles = [
-                (index, pool.apply_async(_run_shard_in_worker, (plan[index],)))
+                (index, pool.apply_async(_run_shards_in_worker, (tasks[index],)))
                 for index in pending
             ]
             unfinished: list[int] = []
@@ -201,14 +205,15 @@ def _dispatch_shards(
 
     if pending:
         warnings.warn(
-            f"parallel backend: {len(pending)} shard(s) unfinished after "
+            f"parallel backend: {len(pending)} shard task(s) unfinished after "
             f"{policy.attempts} pool attempt(s) (last error: "
             f"{last_error!r}); degrading to serial in-process execution "
             "for those shards (results remain bit-identical)",
             RuntimeWarning,
             stacklevel=4,
         )
-        run_in_process(state, plan, collector, pending)
+        for index in pending:
+            collector.add(index, fold_shards(state, tasks[index]))
 
 
 def parallel_metablocking(

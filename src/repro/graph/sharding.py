@@ -40,8 +40,7 @@ from repro.graph.entity_index import pack_pairs, unpack_pairs
 __all__ = [
     "ShardEdges",
     "ShardableIndex",
-    "accumulate_arcs_mass",
-    "accumulate_entropy_mass",
+    "ShardWorkspace",
     "dedupe_pair_arrays",
     "default_plan",
     "enumerate_shard_pairs",
@@ -51,13 +50,12 @@ __all__ = [
 ]
 
 
-#: Comparisons per shard when the caller names no ``shard_size``: a sort
-#: of this many packed keys fits the cache, which one 1.5 M-key argsort
-#: does not.
-DEFAULT_SHARD_PAIRS = 100_000
+#: Comparisons per shard when the caller names no ``shard_size``: the
+#: fastest measured cap whose workspace adds no peak memory (DESIGN.md).
+DEFAULT_SHARD_PAIRS = 32_000
 
-#: Most shards the default plan cuts.  Every shard pays a fixed cost in
-#: flat slots + ids (the range mask, the dense maxima array), so on huge
+#: Most shards the default plan cuts.  Every shard pays a fixed O(ids)
+#: cost (the dense maxima array a BLAST shard hands over), so on huge
 #: inputs the cap grows with ``||B||`` instead of the shard count.
 MAX_DEFAULT_SHARDS = 512
 
@@ -94,12 +92,9 @@ class ShardableIndex:
     def num_blocks(self) -> int:
         return int(self.block_ptr.size - 1)
 
-    # The flat-axis derivations below are O(total block slots) to build;
-    # caching them keeps chunked runs (hundreds of shards against one
-    # index) at one pass total instead of one pass per shard.  They are
-    # plain ``cached_property`` entries, so a pickled index (shipped once
-    # per worker through the pool initializer) carries whatever was
-    # already materialized and lazily rebuilds the rest.
+    # The flat-axis derivations below are O(total block slots), built once
+    # per index, so a shard costs work in its own slots and pairs only.  A
+    # pickled index carries whatever was built and lazily builds the rest.
 
     @cached_property
     def block_of_flat(self) -> np.ndarray:
@@ -113,6 +108,71 @@ class ShardableIndex:
     def entity_ids64(self) -> np.ndarray:
         """``entity_ids`` widened once to int64 (pair packing needs it)."""
         return self.entity_ids.astype(np.int64)
+
+    @cached_property
+    def slots_by_entity(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ptr, slots)``: ``slots[ptr[p]:ptr[p + 1]]`` are the flat slots
+        holding profile ``p``, ascending (a stable sort; int32 slots)."""
+        counts = np.bincount(self.entity_ids, minlength=self.num_ids)
+        ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        return ptr, np.argsort(self.entity_ids, kind="stable").astype(np.int32)
+
+    def pair_runs(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(owned, first_dst)`` of the members at int64 flat *slots*: the
+        pairs each owns as src, dst slots ``first_dst, +1, ...`` (clean-clean:
+        its block's right members if it is left; dirty: its block's later)."""
+        block = self.block_of_flat[slots]
+        ends = self.block_ptr[1:][block].astype(np.int64)
+        if self.is_clean_clean:
+            first = self.block_split[block].astype(np.int64)
+            return np.where(slots < first, ends - first, 0), first
+        return ends - slots - 1, slots + 1
+
+    @cached_property
+    def pair_ptr(self) -> np.ndarray:
+        """``int64[num_ids + 1]`` — comparisons owned by the ids below each
+        id: id range ``[lo, hi)`` owns ``pair_ptr[hi] - pair_ptr[lo]``."""
+        entity_ptr, slots = self.slots_by_entity
+        owned = self.pair_runs(slots.astype(np.int64))[0]
+        return np.concatenate(([0], np.cumsum(owned)))[entity_ptr]
+
+    @cached_property
+    def block_arcs_share(self) -> np.ndarray:
+        """``1/||b||`` per block (0 for a block without comparisons)."""
+        comparisons = self.block_comparisons
+        share = np.zeros(self.num_blocks, dtype=np.float64)
+        return np.divide(1.0, comparisons, out=share, where=comparisons > 0)
+
+
+class ShardWorkspace:
+    """Scratch buffers of one plan loop, sized by the plan's largest shard.
+
+    Every per-pair and per-edge intermediate of a shard is a row of a named
+    block of buffers, allocated on its first request (at the capacity, or
+    the request if larger) and reused by every later shard, so a loop
+    faults its scratch in once.  A kernel called without a workspace makes
+    a capacity-0 one.  Nothing that leaves a shard may alias a buffer.
+    """
+
+    def __init__(self, capacity: int = 0) -> None:
+        self.capacity = capacity
+        self._blocks: dict[str, np.ndarray] = {}
+
+    @classmethod
+    def for_plan(cls, index, plan: list[tuple[int, int]]) -> "ShardWorkspace":
+        """A workspace for the shards of *plan* (buffers not yet allocated)."""
+        ptr = _as_shardable(index).pair_ptr
+        return cls(max((int(ptr[hi] - ptr[lo]) for lo, hi in plan), default=0))
+
+    def views(self, names: str, size: int, dtype=np.int64) -> np.ndarray:
+        """The first *size* items of the buffers of the block *names* (one
+        row per space-separated name), to be unpacked by the caller."""
+        block = self._blocks.get(names)
+        if block is None or block.shape[1] < size:
+            rows = names.count(" ") + 1
+            block = np.empty((rows, max(size, self.capacity)), dtype=dtype)
+            self._blocks[names] = block
+        return block[:, :size]
 
 
 @dataclass(frozen=True)
@@ -136,39 +196,22 @@ class ShardEdges:
     def num_edges(self) -> int:
         return int(self.src.size)
 
+    def copy(self) -> "ShardEdges":
+        """The same edges in fresh arrays (none of them a workspace view)."""
+        return ShardEdges(
+            **{k: None if a is None else a.copy() for k, a in vars(self).items()}
+        )
+
 
 def _as_shardable(index) -> ShardableIndex:
-    if isinstance(index, ShardableIndex):
-        return index
-    return ShardableIndex.from_entity_index(index)
+    return index if isinstance(index, ShardableIndex) else index.shardable
 
 
 def pair_counts_by_entity(index) -> np.ndarray:
-    """``int64[num_ids]`` — comparisons owned by each entity id as ``src``.
-
-    Clean-clean: a left member of block *b* owns one pair per right member
-    of *b*.  Dirty: the member at local position *p* of an *n*-member block
-    owns ``n - 1 - p`` pairs (every later member).  The shard planner
-    balances shards on these counts without enumerating any pair.
-    """
-    index = _as_shardable(index)
-    n = index.num_ids
-    if n == 0 or index.entity_ids.size == 0:
-        return np.zeros(n, dtype=np.int64)
-    block_of = index.block_of_flat
-    ids = index.entity_ids64
-    position = np.arange(ids.size, dtype=np.int64)
-    ends = index.block_ptr[1:].astype(np.int64)
-    if index.is_clean_clean:
-        split = index.block_split.astype(np.int64)
-        num_right = ends - split
-        owned = np.where(position < split[block_of], num_right[block_of], 0)
-    else:
-        owned = ends[block_of] - position - 1
-    # Weighted bincount goes through float64; exact for any count < 2**53.
-    return np.bincount(
-        ids, weights=owned.astype(np.float64), minlength=n
-    ).astype(np.int64)
+    """``int64[num_ids]`` — comparisons owned by each entity id as ``src``
+    (see :meth:`ShardableIndex.pair_runs`); the shard planner balances
+    shards on these counts without enumerating any pair."""
+    return np.diff(_as_shardable(index).pair_ptr)
 
 
 def plan_shards(
@@ -195,14 +238,13 @@ def plan_shards(
     n = index.num_ids
     if n == 0:
         return []
-    counts = pair_counts_by_entity(index)
-    total = int(counts.sum())
+    ptr = index.pair_ptr
+    total = int(ptr[-1])
     shards = 1 if num_shards is None else num_shards
     if shards < 1:
         raise ValueError(f"num_shards must be positive, got {num_shards}")
     if max_pairs is not None and max_pairs < 1:
         raise ValueError(f"max_pairs must be positive, got {max_pairs}")
-    cumulative = np.cumsum(counts)
 
     if max_pairs is not None:
         # Greedy strict-cap cuts: each shard is the longest id range whose
@@ -213,8 +255,7 @@ def plan_shards(
         boundaries = [0]
         while boundaries[-1] < n:
             lo = boundaries[-1]
-            base = int(cumulative[lo - 1]) if lo else 0
-            hi = int(np.searchsorted(cumulative, base + cap, side="right"))
+            hi = int(np.searchsorted(ptr[1:], ptr[lo] + cap, side="right"))
             boundaries.append(min(max(hi, lo + 1), n))
         return list(zip(boundaries[:-1], boundaries[1:]))
 
@@ -222,7 +263,7 @@ def plan_shards(
     if shards <= 1:
         return [(0, n)]
     targets = np.arange(1, shards, dtype=np.float64) * (total / shards)
-    cuts = np.searchsorted(cumulative, targets, side="left") + 1
+    cuts = np.searchsorted(ptr[1:], targets, side="left") + 1
     boundaries = np.unique(np.concatenate(([0], cuts, [n])))
     return [
         (int(lo), int(hi))
@@ -243,115 +284,96 @@ def default_plan(
     """
     index = _as_shardable(index)
     if max_pairs is None:
-        total = int(index.block_comparisons.sum())
+        total = int(index.pair_ptr[-1])
         max_pairs = max(DEFAULT_SHARD_PAIRS, -(-total // MAX_DEFAULT_SHARDS))
     plan = plan_shards(index, num_shards=num_shards, max_pairs=max_pairs)
     return plan or [(0, 0)]
 
 
 def enumerate_shard_pairs(
-    index, lo: int, hi: int
+    index, lo: int, hi: int, workspace: ShardWorkspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shard's comparisons as ``(src, dst, block)`` int64 arrays.
 
     Exactly the pairs of ``for block: block.iter_pairs()`` whose ``src``
     falls in ``[lo, hi)``, in the same relative order (``src < dst``:
     global indexing orders E1 before E2, dirty members are sorted).  Work
-    and memory are proportional to the shard's own pairs (plus one O(flat)
-    range mask), never to the full comparison set.
+    is proportional to the shard's own memberships and pairs: its slots
+    come sorted from the index's cached by-entity order, and the arrays
+    are unranked by cumulative sums into views of *workspace*.
     """
     index = _as_shardable(index)
-    empty = np.zeros(0, dtype=np.int64)
-    if index.entity_ids.size == 0 or lo >= hi:
-        return empty, empty.copy(), empty.copy()
-    ids64 = index.entity_ids64
-    in_range = (ids64 >= lo) & (ids64 < hi)
-    block_of = index.block_of_flat
-    ends = index.block_ptr[1:].astype(np.int64)
-    if index.is_clean_clean:
-        split = index.block_split.astype(np.int64)
-        position = np.arange(ids64.size, dtype=np.int64)
-        selected = np.flatnonzero(in_range & (position < split[block_of]))
-        selected_block = block_of[selected]
-        per_selected = ends[selected_block] - split[selected_block]
-    else:
-        selected = np.flatnonzero(in_range)
-        selected_block = block_of[selected]
-        per_selected = ends[selected_block] - selected - 1
-    total = int(per_selected.sum())
+    total = int(index.pair_ptr[hi] - index.pair_ptr[lo]) if lo < hi else 0
+    workspace = workspace or ShardWorkspace()
+    src, dst, block = workspace.views("src dst block", total)
     if total == 0:
-        return empty, empty.copy(), empty.copy()
-    offsets = np.zeros(selected.size + 1, dtype=np.int64)
-    np.cumsum(per_selected, out=offsets[1:])
-    owner = np.repeat(np.arange(selected.size, dtype=np.int64), per_selected)
-    rank = np.arange(total, dtype=np.int64) - offsets[owner]
-    src = ids64[selected[owner]]
-    if index.is_clean_clean:
-        dst = ids64[split[selected_block[owner]] + rank]
-    else:
-        dst = ids64[selected[owner] + 1 + rank]
-    return src, dst, selected_block[owner]
+        return src, dst, block
+    entity_ptr, slots = index.slots_by_entity
+    selected = np.sort(slots[entity_ptr[lo] : entity_ptr[hi]]).astype(np.int64)
+    per_slot, first_dst = index.pair_runs(selected)
+    owners = per_slot > 0
+    selected, per_slot, first_dst = (a[owners] for a in (selected, per_slot, first_dst))
+    starts = np.cumsum(per_slot) - per_slot
+    # An owner's pairs are a run: its id and block repeat, its dst slot
+    # counts up from first_dst.
+    block_of = index.block_of_flat
+    ids = index.entity_ids64
+    _unrank_runs(ids[selected], per_slot, starts, 0, out=src)
+    _unrank_runs(first_dst, per_slot, starts, 1, out=block)  # dst slots, first
+    np.take(ids, block, out=dst, mode="clip")
+    _unrank_runs(block_of[selected], per_slot, starts, 0, out=block)
+    return src, dst, block
+
+
+def _unrank_runs(heads, lengths, starts, step: int, out: np.ndarray) -> None:
+    """Fill *out* with runs ``heads[r], heads[r] + step, ...`` of ``lengths[r]``
+    items from ``starts[r]``: one in-place cumulative sum over the steps."""
+    out.fill(step)
+    steps = np.diff(heads, prepend=0)
+    steps[1:] -= step * (lengths[:-1] - 1)
+    out[starts] = steps
+    np.cumsum(out, out=out)
 
 
 def dedupe_pair_arrays(
-    src: np.ndarray, dst: np.ndarray
+    src: np.ndarray, dst: np.ndarray, workspace: ShardWorkspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sort + deduplicate parallel pair arrays into edge arrays.
 
     Returns ``(edge_src, edge_dst, shared, inverse)`` where the edges are
     sorted lexicographically, ``shared`` counts each edge's occurrences,
-    and ``inverse`` maps every input pair to its edge position.  One sort
-    on the packed key; every output depends on the key values only, so
-    the order among equal keys does not matter.  ``inverse`` lets weighted
-    ``bincount`` passes accumulate per-edge float masses in the ORIGINAL
-    (block-major) pair order — bincount is a sequential C loop, so the
-    summation order (and hence every rounding) matches the reference
-    path's ``stats.x += ...`` bit for bit.  Pairwise-summing reductions
-    (reduceat, np.sum) would drift by an ulp and flip tie-breaks.
+    and ``inverse`` maps every input pair to its edge position — all views
+    of *workspace* (or of a private one).  One sort on the packed key;
+    every output depends on the key values only, so the order among equal
+    keys does not matter.  ``inverse`` lets weighted ``bincount`` passes
+    accumulate per-edge float masses in the ORIGINAL (block-major) pair
+    order — bincount is a sequential C loop, so the summation order (and
+    hence every rounding) matches the reference path's ``stats.x += ...``
+    bit for bit.  Pairwise-summing reductions (reduceat, np.sum) would
+    drift by an ulp and flip tie-breaks.
     """
-    packed = pack_pairs(src, dst)
+    size = src.size
+    workspace = workspace or ShardWorkspace()
+    packed, packed_sorted = workspace.views("packed packed_sorted", size)
+    pack_pairs(src, dst, out=packed)
     order = np.argsort(packed)
-    packed_sorted = packed[order]
-    boundary = np.concatenate(([True], packed_sorted[1:] != packed_sorted[:-1]))
+    np.take(packed, order, out=packed_sorted, mode="clip")
+    (boundary,) = workspace.views("boundary", size, np.bool_)
+    boundary[:1] = True
+    np.not_equal(packed_sorted[1:], packed_sorted[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
-    edge_src, edge_dst = unpack_pairs(packed_sorted[starts])
-    inverse = np.empty(packed.size, dtype=np.int64)
-    inverse[order] = np.cumsum(boundary) - 1
-    shared = np.diff(starts, append=packed.size)
+    num_edges = starts.size
+    edge_src, edge_dst, shared = workspace.views("edge_src edge_dst shared", num_edges)
+    np.take(packed_sorted, starts, out=edge_dst, mode="clip")
+    unpack_pairs(edge_dst, out=(edge_src, edge_dst))
+    np.subtract(starts[1:], starts[:-1], out=shared[:-1])
+    shared[-1:] = size - starts[-1:]
+    # Spent keys: packed_sorted takes each sorted pair's edge, packed each input's.
+    np.cumsum(boundary, out=packed_sorted)
+    packed_sorted -= 1
+    inverse = packed
+    inverse[order] = packed_sorted
     return edge_src, edge_dst, shared, inverse
-
-
-def accumulate_arcs_mass(
-    block_comparisons: np.ndarray,
-    num_blocks: int,
-    inverse: np.ndarray,
-    pair_block: np.ndarray,
-    num_edges: int,
-) -> np.ndarray:
-    """Per-edge ``sum over shared blocks of 1/||b||``.
-
-    The bincount accumulation order (original pair order via *inverse*)
-    is part of the bit-identity contract with the python oracle.
-    """
-    arcs_share = np.zeros(num_blocks, dtype=np.float64)
-    np.divide(
-        1.0, block_comparisons, out=arcs_share, where=block_comparisons > 0
-    )
-    return np.bincount(
-        inverse, weights=arcs_share[pair_block], minlength=num_edges
-    )
-
-
-def accumulate_entropy_mass(
-    block_entropies: np.ndarray,
-    inverse: np.ndarray,
-    pair_block: np.ndarray,
-    num_edges: int,
-) -> np.ndarray:
-    """Per-edge summed entropy of the shared blocking keys (see above)."""
-    return np.bincount(
-        inverse, weights=block_entropies[pair_block], minlength=num_edges
-    )
 
 
 def shard_edge_arrays(
@@ -361,46 +383,33 @@ def shard_edge_arrays(
     *,
     block_entropies: np.ndarray | None = None,
     need_arcs: bool = False,
+    workspace: ShardWorkspace | None = None,
 ) -> ShardEdges:
     """Build one shard's deduplicated, mass-accumulated edge arrays.
 
     The workhorse of every shard, in a worker process or not.
     ``arcs_mass`` is accumulated only when *need_arcs* is set and
-    ``entropy_mass`` only when *block_entropies* is given.
+    ``entropy_mass`` only when *block_entropies* is given.  With a
+    *workspace*, ``src``/``dst``/``shared`` are views of it, valid until
+    its next shard (:meth:`ShardEdges.copy` keeps them); without one, every
+    array is the caller's own.
     """
     index = _as_shardable(index)
-    src, dst, pair_block = enumerate_shard_pairs(index, lo, hi)
-    if src.size == 0:
-        empty_i = np.zeros(0, dtype=np.int64)
-        empty_f = np.zeros(0, dtype=np.float64)
-        return ShardEdges(
-            src=empty_i,
-            dst=empty_i.copy(),
-            shared=empty_i.copy(),
-            arcs_mass=empty_f if need_arcs else None,
-            entropy_mass=empty_f.copy()
-            if block_entropies is not None
-            else None,
-        )
-    edge_src, edge_dst, shared, inverse = dedupe_pair_arrays(src, dst)
-    arcs_mass = None
-    if need_arcs:
-        arcs_mass = accumulate_arcs_mass(
-            index.block_comparisons,
-            index.num_blocks,
-            inverse,
-            pair_block,
-            edge_src.size,
-        )
-    entropy_mass = None
-    if block_entropies is not None:
-        entropy_mass = accumulate_entropy_mass(
-            block_entropies, inverse, pair_block, edge_src.size
-        )
-    return ShardEdges(
-        src=edge_src,
-        dst=edge_dst,
-        shared=shared,
-        arcs_mass=arcs_mass,
-        entropy_mass=entropy_mass,
+    workspace = workspace or ShardWorkspace()
+    src, dst, pair_block = enumerate_shard_pairs(index, lo, hi, workspace)
+    edge_src, edge_dst, shared, inverse = dedupe_pair_arrays(
+        src, dst, workspace
     )
+    # Per-edge sums of 1/||b|| (ARCS) and of the key entropies over the
+    # shared blocks, accumulated in pair order (see dedupe_pair_arrays).
+    (pair_mass,) = workspace.views("pair_mass", pair_block.size, np.float64)
+    masses = []
+    arcs_share = index.block_arcs_share if need_arcs else None
+    for per_block in (arcs_share, block_entropies):
+        if per_block is not None:
+            np.take(per_block, pair_block, out=pair_mass, mode="clip")
+            per_block = np.bincount(
+                inverse, weights=pair_mass, minlength=edge_src.size
+            )
+        masses.append(per_block)
+    return ShardEdges(edge_src, edge_dst, shared, *masses)

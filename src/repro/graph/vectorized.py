@@ -8,14 +8,15 @@ entity-id shard (``repro.graph.sharding``) at a time:
 
 1. :func:`run_shard` enumerates one id range's comparisons from the CSR
    :class:`~repro.graph.entity_index.EntityIndex`, deduplicates them with
-   one stable sort into per-edge ``src``/``dst``/``shared``/``arcs_mass``/
+   one sort into per-edge ``src``/``dst``/``shared``/``arcs_mass``/
    ``entropy_mass`` arrays, and — for every weighting except EJS —
    evaluates the weights with :func:`compute_edge_weights`, elementwise
    numpy arithmetic that mirrors the reference operation order, so
-   weights agree bit-for-bit.  It hands over only what is still read:
-   endpoints and weights, and under BLAST pruning only the *candidate*
-   edges that pass BLAST's test against the shard's own per-node maxima,
-   plus those maxima;
+   weights agree bit-for-bit.  Its intermediates are views of the plan
+   loop's one :class:`~repro.graph.sharding.ShardWorkspace`; it hands
+   over fresh arrays of what is still read: endpoints and weights, and
+   under BLAST pruning only the *candidate* edges that pass BLAST's test
+   against the shard's own per-node maxima, plus those maxima;
 2. :class:`Collector` folds the maxima into one running array and keeps
    the rest; shards cover ascending ``src`` ranges, so concatenating them
    (:func:`merge_shards`) IS the lexicographic edge order of
@@ -29,8 +30,8 @@ entity-id shard (``repro.graph.sharding``) at a time:
 :func:`sharded_metablocking` is that driver.  Who runs the shards is its
 only degree of freedom: :func:`vectorized_metablocking` (registered under
 ``backend="vectorized"``) runs them in this process, one after the other
-(:func:`run_in_process`), so the per-pair arrays never exceed one shard's
-comparisons and under BLAST pruning neither do the outputs;
+(:func:`run_in_process`), so the scratch never exceeds the largest shard
+and under BLAST pruning neither do the outputs;
 ``repro.graph.parallel`` hands the same shards to a worker pool.  Because
 each edge lives in exactly one shard with all of its block occurrences,
 every plan yields the same arrays, and BLAST's shard-local filter is
@@ -69,6 +70,7 @@ from repro.graph.pruning import (
 from repro.graph.sharding import (
     ShardableIndex,
     ShardEdges,
+    ShardWorkspace,
     default_plan,
     shard_edge_arrays,
 )
@@ -193,6 +195,7 @@ def compute_edge_weights(
     degrees_dst: np.ndarray | None = None,
     num_edges: int | None = None,
     entropy_boost: bool = False,
+    workspace: ShardWorkspace | None = None,
 ) -> np.ndarray:
     """Edge weights under *scheme* from raw per-edge arrays.
 
@@ -201,50 +204,50 @@ def compute_edge_weights(
     (the EJS degree statistics arrive pre-gathered per edge), so
     evaluating a shard's slice produces bit-identical values to
     evaluating the same rows inside the full arrays — the property the
-    plan-independence of the result rests on.
+    plan-independence of the result rests on.  The intermediates and the
+    returned weights are views of *workspace* (or of a private one).
     """
     scheme = WeightingScheme(scheme)
-    if shared.size == 0:
-        return np.zeros(0, dtype=np.float64)
+    size = shared.size
+    workspace = workspace or ShardWorkspace()
+    (weights,) = workspace.views("weights", size, np.float64)
+    if size == 0:
+        return weights
     total = num_blocks
 
     if scheme is WeightingScheme.CBS:
-        weights = shared.astype(np.float64)
+        np.copyto(weights, shared)
     elif scheme is WeightingScheme.ECBS:
-        weights = (
-            shared
-            * _safe_log(total, blocks_i)
-            * _safe_log(total, blocks_j)
-        )
-    elif scheme is WeightingScheme.JS:
-        weights = shared / (blocks_i + blocks_j - shared)
-    elif scheme is WeightingScheme.EJS:
-        if degrees_src is None or degrees_dst is None or num_edges is None:
-            raise ValueError("EJS weighting needs global degree statistics")
-        js = shared / (blocks_i + blocks_j - shared)
-        weights = (
-            js
-            * _safe_log(num_edges, degrees_src)
-            * _safe_log(num_edges, degrees_dst)
-        )
+        np.multiply(shared, _safe_log(total, blocks_i), out=weights)
+        weights *= _safe_log(total, blocks_j)
+    elif scheme in (WeightingScheme.JS, WeightingScheme.EJS):
+        (union,) = workspace.views("union", size)
+        np.add(blocks_i, blocks_j, out=union)
+        union -= shared
+        np.divide(shared, union, out=weights)
+        if scheme is WeightingScheme.EJS:
+            if degrees_src is None or degrees_dst is None or num_edges is None:
+                raise ValueError("EJS weighting needs global degree statistics")
+            weights *= _safe_log(num_edges, degrees_src)
+            weights *= _safe_log(num_edges, degrees_dst)
     elif scheme is WeightingScheme.ARCS:
         if arcs_mass is None:
             raise ValueError("ARCS weighting needs the per-edge ARCS mass")
-        weights = arcs_mass.copy()
+        np.copyto(weights, arcs_mass)
     else:  # CHI_H — one-sided chi-squared x mean entropy.
         if entropy_mass is None:
             raise ValueError("CHI_H weighting needs the per-edge entropy mass")
-        chi, expected_shared = _chi_squared(shared, blocks_i, blocks_j, total)
-        weights = np.where(
-            shared <= expected_shared,
-            0.0,
-            chi * (entropy_mass / shared),
-        )
+        a, below = _chi_squared(shared, blocks_i, blocks_j, total, workspace, weights)
+        # chi * (entropy_mass / shared), zero unless shared beats expected.
+        weights *= np.divide(entropy_mass, a, out=a)
+        np.copyto(weights, 0.0, where=below)
 
     if entropy_boost and scheme is not WeightingScheme.CHI_H:
         if entropy_mass is None:
             raise ValueError("entropy_boost needs the per-edge entropy mass")
-        weights = weights * (entropy_mass / shared)
+        (boost,) = workspace.views("boost", size, np.float64)
+        np.divide(entropy_mass, shared, out=boost)
+        weights *= boost
     return weights
 
 
@@ -269,27 +272,46 @@ def _chi_squared(
     blocks_i: np.ndarray,
     blocks_j: np.ndarray,
     total: int,
+    workspace: ShardWorkspace,
+    out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson's statistic, cell by cell in the reference accumulation
-    order, and cell 1's expected count ``|B_i| * |B_j| / total``.  The
-    counts are converted to float64 once: exact below 2**53, so every
-    count and rounded product equals the integer arithmetic's bit for bit.
-    """
-    a, r1, c1 = (x.astype(np.float64) for x in (shared, blocks_i, blocks_j))
-    r2, c2 = total - r1, total - c1
-    cells = ((a, r1, c1), (r1 - a, r1, c2), (c1 - a, r2, c1), (r2 - c1 + a, r2, c2))
-    statistic = np.zeros(a.size)
-    expected_shared, buffer, diff, term = np.empty((4, a.size))
-    for cell, (obs, r, c) in enumerate(cells):
-        expected = buffer if cell else expected_shared
+    """Pearson's statistic into *out*, cell by cell in the reference
+    accumulation order; returns the shared count as float and the mask of
+    ``shared <= |B_i| * |B_j| / total`` (cell 1's expected count).  Counts
+    are converted to float64 once: exact below 2**53, so every count and
+    rounded product equals the integer arithmetic's bit for bit."""
+    size = shared.size
+    a, r1, c1, r2, c2, expected, diff = workspace.views(
+        "a r1 c1 r2 c2 expected diff", size, np.float64
+    )
+    below, positive = workspace.views("below positive", size, np.bool_)
+    np.copyto(a, shared)
+    np.copyto(r1, blocks_i)
+    np.copyto(c1, blocks_j)
+    np.subtract(total, r1, out=r2)
+    np.subtract(total, c1, out=c2)
+    # The observed counts a, r1 - a, c1 - a and r2 - c1 + a, each rounded
+    # as the reference rounds it.
+    observed = (
+        lambda: np.copyto(diff, a),
+        lambda: np.subtract(r1, a, out=diff),
+        lambda: np.subtract(c1, a, out=diff),
+        lambda: np.add(np.subtract(r2, c1, out=diff), a, out=diff),
+    )
+    out.fill(0.0)
+    for cell, (r, c) in enumerate(((r1, c1), (r1, c2), (r2, c1), (r2, c2))):
         np.multiply(r, c, out=expected)
         expected /= total
-        np.subtract(obs, expected, out=diff)
+        if cell == 0:
+            np.less_equal(a, expected, out=below)
+        observed[cell]()
+        diff -= expected
         diff *= diff
-        term.fill(0.0)
-        np.divide(diff, expected, out=term, where=expected > 0.0)
-        statistic += term
-    return statistic, expected_shared
+        # A cell with a zero expected count adds nothing (its term is 0).
+        np.greater(expected, 0.0, out=positive)
+        np.divide(diff, expected, out=diff, where=positive)
+        np.add(out, diff, out=out, where=positive)
+    return a, below
 
 
 # --- vectorized pruning -----------------------------------------------------
@@ -333,6 +355,7 @@ def blast_retain_mask(
     *,
     c: float,
     d: float,
+    workspace: ShardWorkspace | None = None,
 ) -> np.ndarray:
     """BLAST's retention test against the given per-node *maxima*.
 
@@ -343,9 +366,21 @@ def blast_retain_mask(
     every step (division, sum, the ``_clears`` slack) is monotone
     non-decreasing in the maxima under round-to-nearest, so an edge that
     fails against maxima no larger than the global ones fails globally.
+    The mask is a view of *workspace* (or of a private one).
     """
-    thresholds = (maxima[src] / c + maxima[dst] / c) / d
-    return (weights > 0.0) & _clears(weights, thresholds)
+    size = weights.size
+    workspace = workspace or ShardWorkspace()
+    threshold, slack = workspace.views("threshold slack", size, np.float64)
+    keep, positive = workspace.views("keep positive", size, np.bool_)
+    np.divide(np.take(maxima, src, out=threshold, mode="clip"), c, out=threshold)
+    np.divide(np.take(maxima, dst, out=slack, mode="clip"), c, out=slack)
+    threshold += slack
+    threshold /= d
+    # _clears(weights, threshold): weights >= threshold - tol * |threshold|.
+    np.multiply(np.abs(threshold, out=slack), _CLEARS_TOL, out=slack)
+    np.greater_equal(weights, np.subtract(threshold, slack, out=slack), out=keep)
+    keep &= np.greater(weights, 0.0, out=positive)
+    return keep
 
 
 def _blast_mask(
@@ -514,7 +549,9 @@ class SharedState:
 ShardResult = tuple[ShardEdges, "np.ndarray | None", "np.ndarray | None"]
 
 
-def run_shard(state: SharedState, lo: int, hi: int) -> ShardResult:
+def run_shard(
+    state: SharedState, lo: int, hi: int, workspace: ShardWorkspace | None = None
+) -> ShardResult:
     """Shard body: one id range's edges, handed over as slim as pruning allows.
 
     What comes back depends on what is still read after the shard:
@@ -529,35 +566,43 @@ def run_shard(state: SharedState, lo: int, hi: int) -> ShardResult:
       them (:func:`blast_retain_mask`), so every globally retained edge is
       among its shard's candidates; the driver re-applies the same test
       with the reduced global maxima.
+
+    Every intermediate lives in *workspace*; what is returned is fresh.
     """
+    workspace = workspace or ShardWorkspace()
     edges = shard_edge_arrays(
         state.index,
         lo,
         hi,
         block_entropies=state.block_entropies,
         need_arcs=state.need_arcs,
+        workspace=workspace,
     )
     if state.scheme is None:
-        return edges, None, None
-    counts = state.node_block_counts
+        return edges.copy(), None, None
     src, dst = edges.src, edges.dst
+    # |B_i| and |B_j| per edge, in the spent per-pair buffers.
+    blocks_i, blocks_j, _ = workspace.views("src dst block", src.size)
+    np.take(state.node_block_counts, src, out=blocks_i, mode="clip")
+    np.take(state.node_block_counts, dst, out=blocks_j, mode="clip")
     weights = compute_edge_weights(
         WeightingScheme(state.scheme),
         shared=edges.shared,
-        blocks_i=counts[src],
-        blocks_j=counts[dst],
+        blocks_i=blocks_i,
+        blocks_j=blocks_j,
         num_blocks=state.num_blocks,
         arcs_mass=edges.arcs_mass,
         entropy_mass=edges.entropy_mass,
         entropy_boost=state.entropy_boost,
+        workspace=workspace,
     )
-    maxima = None
-    if state.blast is not None:
-        c, d = state.blast
-        maxima = node_maxima(src, dst, weights, state.index.num_ids)
-        keep = blast_retain_mask(maxima, src, dst, weights, c=c, d=d)
-        src, dst, weights = src[keep], dst[keep], weights[keep]
-    return ShardEdges(src=src, dst=dst, shared=None), weights, maxima
+    if state.blast is None:
+        return ShardEdges(src.copy(), dst.copy(), None), weights.copy(), None
+    c, d = state.blast
+    maxima = node_maxima(src, dst, weights, state.index.num_ids)
+    keep = blast_retain_mask(maxima, src, dst, weights, c=c, d=d, workspace=workspace)
+    # Boolean indexing copies: the candidates leave the workspace.
+    return ShardEdges(src[keep], dst[keep], None), weights[keep], maxima
 
 
 def merge_shards(shards: list[ShardEdges]) -> ShardEdges:
@@ -618,7 +663,7 @@ def _validate_plan(plan: list[tuple[int, int]], num_ids: int) -> None:
 
 
 class Collector:
-    """Where shard results land, keyed by plan position.
+    """Where shard results land, keyed by their position in plan order.
 
     Keeps a shard's edges and weights and folds its BLAST maxima into one
     running array straight away — ``np.maximum`` is exact and order-free —
@@ -649,20 +694,26 @@ class Collector:
 
 
 def run_in_process(
-    state: SharedState,
-    plan: list[tuple[int, int]],
-    collector: Collector,
-    positions: list[int] | None = None,
+    state: SharedState, plan: list[tuple[int, int]], collector: Collector
 ) -> None:
-    """Run the shards at *positions* (default: all) here, one at a time.
+    """Run every shard of *plan* here, one at a time, into *collector*.
 
-    The ``vectorized`` backend's runner and the degradation target of the
-    pool: each shard's arrays die before the next shard is built, only
+    The ``vectorized`` backend's runner: one workspace, sized by the
+    plan's largest shard, holds every shard's intermediates in turn; only
     what the collector keeps survives.
     """
-    for position in range(len(plan)) if positions is None else positions:
-        lo, hi = plan[position]
-        collector.add(position, run_shard(state, lo, hi))
+    workspace = ShardWorkspace.for_plan(state.index, plan)
+    for position, (lo, hi) in enumerate(plan):
+        collector.add(position, run_shard(state, lo, hi, workspace))
+
+
+def fold_shards(state: SharedState, plan: list[tuple[int, int]]) -> ShardResult:
+    """Consecutive shards run here and folded into the merged edges, weights
+    and reduced maxima a collector would hold (a pool task, or its fallback)."""
+    collector = Collector(state.index.num_ids)
+    run_in_process(state, plan, collector)
+    edges, weights = collector.merge()
+    return edges, weights, collector.maxima if state.blast else None
 
 
 #: Who runs the shards of a plan: fills *collector* at every position.

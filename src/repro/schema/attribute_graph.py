@@ -75,6 +75,7 @@ class AttributeGraph:
         from repro.blocking._interned import group_assignments
         from repro.graph.sharding import (
             ShardableIndex,
+            ShardWorkspace,
             default_plan,
             shard_edge_arrays,
         )
@@ -97,9 +98,10 @@ class AttributeGraph:
             block_comparisons=comparisons,
             num_ids=len(refs),
         )
-        edges = merge_shards(
-            [shard_edge_arrays(index, lo, hi) for lo, hi in default_plan(index)]
-        )
+        plan = default_plan(index)
+        scratch = ShardWorkspace.for_plan(index, plan)
+        shards = (shard_edge_arrays(index, *ids, workspace=scratch) for ids in plan)
+        edges = merge_shards([shard.copy() for shard in shards])
         return cls(
             refs=refs,
             src=edges.src,

@@ -128,7 +128,7 @@ def test_json_schema_pin(golden_report):
         }
         assert set(cell["perf"]) == {
             "wall_seconds", "wall_seconds_mean", "cpu_seconds",
-            "peak_rss_mb",
+            "minor_faults", "peak_rss_mb",
         }
 
 

@@ -22,6 +22,7 @@ from repro.graph import MetaBlocker, WeightingScheme
 from repro.graph.blocking_graph import BlockingGraph
 from repro.graph.metablocking import reference_metablocking
 from repro.graph.parallel import (
+    _dispatch_shards,
     merge_shards,
     parallel_metablocking,
     resolve_workers,
@@ -36,13 +37,21 @@ from repro.graph.sharding import (
     MAX_DEFAULT_SHARDS,
     ShardableIndex,
     ShardEdges,
+    ShardWorkspace,
     default_plan,
     enumerate_shard_pairs,
     pair_counts_by_entity,
     plan_shards,
     shard_edge_arrays,
 )
-from repro.graph.vectorized import vectorized_metablocking
+from repro.graph.vectorized import (
+    Collector,
+    SharedState,
+    run_in_process,
+    run_shard,
+    vectorized_metablocking,
+)
+from repro.reliability import RetryPolicy
 
 
 @pytest.fixture
@@ -93,6 +102,30 @@ class TestEnumeration:
         slim = ShardableIndex.from_entity_index(dirty_blocks.entity_index)
         src, dst, pair_block = enumerate_shard_pairs(slim, 2, 2)
         assert src.size == dst.size == pair_block.size == 0
+
+    def test_every_range_is_the_restricted_enumeration(
+        self, dirty_blocks, clean_blocks
+    ):
+        # All ranges of the id space: empty (lo == hi), single-entity,
+        # E2-only (clean-clean ids 3..5 own no pair) and everything
+        # between, one workspace reused across them all.
+        for blocks in (dirty_blocks, clean_blocks):
+            slim = blocks.entity_index.shardable
+            every = [
+                (*pair, position)
+                for position, block in enumerate(blocks)
+                for pair in block.iter_pairs()
+            ]
+            workspace = ShardWorkspace()
+            n = slim.num_ids
+            for lo in range(n + 1):
+                for hi in range(lo, n + 1):
+                    src, dst, pair_block = enumerate_shard_pairs(
+                        slim, lo, hi, workspace
+                    )
+                    assert list(
+                        zip(src.tolist(), dst.tolist(), pair_block.tolist())
+                    ) == [pair for pair in every if lo <= pair[0] < hi]
 
 
 class TestPairCounts:
@@ -162,11 +195,11 @@ class TestDefaultPlan:
         empty = build_blocks({}, is_clean_clean=False)
         assert default_plan(empty.entity_index) == [(0, 0)]
 
-    def test_default_cap_cuts_sixteen_shards_of_the_benchmark_input(
+    def test_default_cap_bounds_every_shard_of_the_benchmark_input(
         self, big_index
     ):
         plan = default_plan(big_index)
-        assert len(plan) == 16
+        assert len(plan) == 48
         assert max(_shard_comparisons(big_index, plan)) <= DEFAULT_SHARD_PAIRS
 
     def test_workers_still_tighten_the_cap(self, big_index, dirty_blocks):
@@ -213,6 +246,113 @@ class TestShardEdges:
     def test_merge_of_no_shards_is_empty(self):
         merged = merge_shards([])
         assert merged.num_edges == 0
+
+
+def _random_clean_blocks(seed, *, profiles, blocks, largest):
+    rng = np.random.default_rng(seed)
+    return build_blocks(
+        {
+            f"k{position}": (
+                set(rng.choice(profiles, rng.integers(1, largest), replace=False)),
+                set(
+                    profiles
+                    + rng.choice(profiles, rng.integers(1, largest), replace=False)
+                ),
+            )
+            for position in range(blocks)
+        },
+        is_clean_clean=True,
+    )
+
+
+class _KeepingCollector(Collector):
+    """A collector that also keeps every raw shard result."""
+
+    def __init__(self, num_ids):
+        super().__init__(num_ids)
+        self.raw = {}
+
+    def add(self, position, result):
+        super().add(position, result)
+        self.raw[position] = result
+
+
+class TestWorkspaceAliasing:
+    """What leaves a shard never aliases the loop's reused workspace."""
+
+    @pytest.fixture(
+        params=["dirty", "clean"],
+        scope="class",
+    )
+    def blocks(self, request):
+        if request.param == "dirty":
+            return random_blocks(5, profiles=300, blocks=150, largest=25)
+        return _random_clean_blocks(5, profiles=150, blocks=120, largest=14)
+
+    @staticmethod
+    def _states(blocks):
+        index = blocks.entity_index
+        slim = index.shardable
+        entropies = np.linspace(0.5, 2.0, index.num_blocks)
+        weighted = dict(
+            index=slim,
+            block_entropies=entropies,
+            need_arcs=False,
+            scheme=WeightingScheme.CHI_H.value,
+            node_block_counts=index.node_block_counts,
+            num_blocks=index.num_blocks,
+        )
+        return {
+            "full arrays": SharedState(
+                index=slim, block_entropies=entropies, need_arcs=True
+            ),
+            "weighted slim": SharedState(**weighted),
+            "blast candidates": SharedState(**weighted, blast=(2.0, 2.0)),
+        }
+
+    @pytest.mark.parametrize("runner", ["in-process", "pool"])
+    def test_kept_results_equal_fresh_ones(self, blocks, runner):
+        slim = blocks.entity_index.shardable
+        plan = plan_shards(slim, max_pairs=1_500)
+        assert len(plan) >= 4
+        for shape, state in self._states(blocks).items():
+            collector = _KeepingCollector(slim.num_ids)
+            if runner == "pool":
+                _dispatch_shards(
+                    state, plan, collector, workers=2,
+                    policy=RetryPolicy(max_retries=0, backoff_base=0.0),
+                )
+            else:
+                run_in_process(state, plan, collector)
+            # The reference: every shard built alone, in a private workspace.
+            fresh = _KeepingCollector(slim.num_ids)
+            for position, (lo, hi) in enumerate(plan):
+                fresh.add(position, run_shard(state, lo, hi))
+            kept_and_fresh = [
+                (collector.merge(), fresh.merge()),
+                ((collector.maxima,), (fresh.maxima,)),
+            ]
+            if runner == "in-process":  # a pool task may fold shards
+                kept_and_fresh += [
+                    (collector.raw[position], fresh.raw[position])
+                    for position in range(len(plan))
+                ]
+            for kept, reference in kept_and_fresh:
+                for a, b in zip(_arrays(kept), _arrays(reference), strict=True):
+                    assert (a is None) == (b is None), shape
+                    if b is not None:
+                        assert a.tobytes() == b.tobytes(), shape
+            if shape == "blast candidates":
+                assert fresh.raw[0][2] is not None
+
+
+def _arrays(result):
+    """The arrays (or ``None``s) of a shard result or merged pair."""
+    for item in result:
+        if isinstance(item, ShardEdges):
+            yield from vars(item).values()
+        else:
+            yield item
 
 
 class TestResolveWorkers:
