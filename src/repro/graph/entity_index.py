@@ -290,7 +290,7 @@ class EntityIndex:
         workspace = sharding.ShardWorkspace.for_plan(slim, plan)
         packed = []
         for lo, hi in plan:
-            src, dst, _ = sharding.enumerate_shard_pairs(slim, lo, hi, workspace)
+            src, dst, *_ = sharding.enumerate_shard_pairs(slim, lo, hi, workspace)
             packed.append(sorted_unique(pack_pairs(src, dst, out=src)))
         return unpack_pairs(np.concatenate(packed))
 

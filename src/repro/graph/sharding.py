@@ -35,8 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.graph.entity_index import pack_pairs, unpack_pairs
-
 __all__ = [
     "ShardEdges",
     "ShardableIndex",
@@ -115,7 +113,7 @@ class ShardableIndex:
         holding profile ``p``, ascending (a stable sort; int32 slots)."""
         counts = np.bincount(self.entity_ids, minlength=self.num_ids)
         ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        return ptr, np.argsort(self.entity_ids, kind="stable").astype(np.int32)
+        return ptr, _stable_sort(self.entity_ids.astype(np.int64)).astype(np.int32)
 
     def pair_runs(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(owned, first_dst)`` of the members at int64 flat *slots*: the
@@ -292,88 +290,94 @@ def default_plan(
 
 def enumerate_shard_pairs(
     index, lo: int, hi: int, workspace: ShardWorkspace | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shard's comparisons as ``(src, dst, block)`` int64 arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The shard's comparisons as ``(src, dst, run_block, run_length)``.
 
     Exactly the pairs of ``for block: block.iter_pairs()`` whose ``src``
     falls in ``[lo, hi)``, in the same relative order (``src < dst``:
-    global indexing orders E1 before E2, dirty members are sorted).  Work
+    global indexing orders E1 before E2, dirty members are sorted), in
+    runs of ``run_length[r]`` pairs of block ``run_block[r]``.  Work
     is proportional to the shard's own memberships and pairs: its slots
-    come sorted from the index's cached by-entity order, and the arrays
-    are unranked by cumulative sums into views of *workspace*.
+    come sorted from the index's cached by-entity order, and the pairs
+    are repeated run by run into views of *workspace*.
     """
     index = _as_shardable(index)
     total = int(index.pair_ptr[hi] - index.pair_ptr[lo]) if lo < hi else 0
     workspace = workspace or ShardWorkspace()
-    src, dst, block = workspace.views("src dst block", total)
-    if total == 0:
-        return src, dst, block
+    src, dst, dst_slot = workspace.views("src dst dst_slot", total)
     entity_ptr, slots = index.slots_by_entity
     selected = np.sort(slots[entity_ptr[lo] : entity_ptr[hi]]).astype(np.int64)
     per_slot, first_dst = index.pair_runs(selected)
     owners = per_slot > 0
     selected, per_slot, first_dst = (a[owners] for a in (selected, per_slot, first_dst))
     starts = np.cumsum(per_slot) - per_slot
-    # An owner's pairs are a run: its id and block repeat, its dst slot
-    # counts up from first_dst.
-    block_of = index.block_of_flat
+    # An owner's pairs are a run: one src id, dst slots up from first_dst.
     ids = index.entity_ids64
-    _unrank_runs(ids[selected], per_slot, starts, 0, out=src)
-    _unrank_runs(first_dst, per_slot, starts, 1, out=block)  # dst slots, first
-    np.take(ids, block, out=dst, mode="clip")
-    _unrank_runs(block_of[selected], per_slot, starts, 0, out=block)
-    return src, dst, block
+    np.copyto(src, np.repeat(ids[selected], per_slot))
+    offsets = np.repeat(first_dst - starts, per_slot)
+    np.add(offsets, np.arange(total, dtype=np.int64), out=dst_slot)
+    np.take(ids, dst_slot, out=dst, mode="clip")
+    return src, dst, index.block_of_flat[selected], per_slot
 
 
-def _unrank_runs(heads, lengths, starts, step: int, out: np.ndarray) -> None:
-    """Fill *out* with runs ``heads[r], heads[r] + step, ...`` of ``lengths[r]``
-    items from ``starts[r]``: one in-place cumulative sum over the steps."""
-    out.fill(step)
-    steps = np.diff(heads, prepend=0)
-    steps[1:] -= step * (lengths[:-1] - 1)
-    out[starts] = steps
-    np.cumsum(out, out=out)
+def _stable_sort(keys: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Sort non-negative int64 *keys* in place, ties in input order; return
+    the input positions in sorted order (in *order*): one SIMD sort of
+    ``key << b | position``, or a stable argsort if that would pass 63 bits."""
+    order = np.empty_like(keys) if order is None else order
+    bits = keys.size.bit_length()
+    if int(keys.max(initial=0)).bit_length() + bits <= 63:
+        keys <<= bits
+        keys |= np.arange(keys.size, dtype=np.int64)
+        keys.sort()
+        np.bitwise_and(keys, (1 << bits) - 1, out=order)
+        keys >>= bits
+    else:
+        order[:] = np.argsort(keys, kind="stable")
+        keys[:] = keys[order]
+    return order
 
 
 def dedupe_pair_arrays(
     src: np.ndarray, dst: np.ndarray, workspace: ShardWorkspace | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sort + deduplicate parallel pair arrays into edge arrays.
 
-    Returns ``(edge_src, edge_dst, shared, inverse)`` where the edges are
-    sorted lexicographically, ``shared`` counts each edge's occurrences,
-    and ``inverse`` maps every input pair to its edge position — all views
-    of *workspace* (or of a private one).  One sort on the packed key;
-    every output depends on the key values only, so the order among equal
-    keys does not matter.  ``inverse`` lets weighted ``bincount`` passes
-    accumulate per-edge float masses in the ORIGINAL (block-major) pair
-    order — bincount is a sequential C loop, so the summation order (and
-    hence every rounding) matches the reference path's ``stats.x += ...``
-    bit for bit.  Pairwise-summing reductions (reduceat, np.sum) would
-    drift by an ulp and flip tie-breaks.
+    Returns ``(edge_src, edge_dst, shared, order, edge_of)``: the edges,
+    sorted lexicographically, and their occurrence counts; the input
+    positions in sorted order, and the edge of each — all views of
+    *workspace* (or of a private one).  One in-place sort of a composite
+    key, the pair's offset in the shard's box above its position, so equal
+    pairs come out in input order.  A ``bincount`` over ``edge_of`` of
+    per-pair masses taken in ``order`` thus adds each edge's terms in the
+    ORIGINAL (block-major) pair order — a sequential C loop, so every
+    rounding matches the reference path's ``stats.x += ...`` bit for bit;
+    pairwise-summing reductions (reduceat, np.sum) would drift by an ulp.
     """
     size = src.size
     workspace = workspace or ShardWorkspace()
-    packed, packed_sorted = workspace.views("packed packed_sorted", size)
-    pack_pairs(src, dst, out=packed)
-    order = np.argsort(packed)
-    np.take(packed, order, out=packed_sorted, mode="clip")
+    keys, order = workspace.views("keys order", size)
     (boundary,) = workspace.views("boundary", size, np.bool_)
+    if size:  # each pair's offset in the shard's src x dst box
+        np.subtract(src, src.min(), out=keys)
+        keys *= dst.max() - dst.min() + 1
+        keys += dst
+        keys -= dst.min()
+    _stable_sort(keys, order)
     boundary[:1] = True
-    np.not_equal(packed_sorted[1:], packed_sorted[:-1], out=boundary[1:])
+    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
     num_edges = starts.size
     edge_src, edge_dst, shared = workspace.views("edge_src edge_dst shared", num_edges)
-    np.take(packed_sorted, starts, out=edge_dst, mode="clip")
-    unpack_pairs(edge_dst, out=(edge_src, edge_dst))
+    first = np.take(order, starts, out=shared, mode="clip")
+    np.take(src, first, out=edge_src, mode="clip")
+    np.take(dst, first, out=edge_dst, mode="clip")
     np.subtract(starts[1:], starts[:-1], out=shared[:-1])
     shared[-1:] = size - starts[-1:]
-    # Spent keys: packed_sorted takes each sorted pair's edge, packed each input's.
-    np.cumsum(boundary, out=packed_sorted)
-    packed_sorted -= 1
-    inverse = packed
-    inverse[order] = packed_sorted
-    return edge_src, edge_dst, shared, inverse
+    # Spent keys: the edge of each sorted pair.
+    edge_of = np.cumsum(boundary, out=keys)
+    edge_of -= 1
+    return edge_src, edge_dst, shared, order, edge_of
 
 
 def shard_edge_arrays(
@@ -396,20 +400,21 @@ def shard_edge_arrays(
     """
     index = _as_shardable(index)
     workspace = workspace or ShardWorkspace()
-    src, dst, pair_block = enumerate_shard_pairs(index, lo, hi, workspace)
-    edge_src, edge_dst, shared, inverse = dedupe_pair_arrays(
+    src, dst, run_block, run_length = enumerate_shard_pairs(index, lo, hi, workspace)
+    edge_src, edge_dst, shared, order, edge_of = dedupe_pair_arrays(
         src, dst, workspace
     )
     # Per-edge sums of 1/||b|| (ARCS) and of the key entropies over the
     # shared blocks, accumulated in pair order (see dedupe_pair_arrays).
-    (pair_mass,) = workspace.views("pair_mass", pair_block.size, np.float64)
+    (pair_mass,) = workspace.views("pair_mass", src.size, np.float64)
     masses = []
     arcs_share = index.block_arcs_share if need_arcs else None
     for per_block in (arcs_share, block_entropies):
         if per_block is not None:
-            np.take(per_block, pair_block, out=pair_mass, mode="clip")
+            run_mass = np.repeat(per_block[run_block], run_length)
+            np.take(run_mass, order, out=pair_mass, mode="clip")
             per_block = np.bincount(
-                inverse, weights=pair_mass, minlength=edge_src.size
+                edge_of, weights=pair_mass, minlength=edge_src.size
             )
         masses.append(per_block)
     return ShardEdges(edge_src, edge_dst, shared, *masses)

@@ -8,11 +8,12 @@ entity-id shard (``repro.graph.sharding``) at a time:
 
 1. :func:`run_shard` enumerates one id range's comparisons from the CSR
    :class:`~repro.graph.entity_index.EntityIndex`, deduplicates them with
-   one sort into per-edge ``src``/``dst``/``shared``/``arcs_mass``/
-   ``entropy_mass`` arrays, and — for every weighting except EJS —
-   evaluates the weights with :func:`compute_edge_weights`, elementwise
-   numpy arithmetic that mirrors the reference operation order, so
-   weights agree bit-for-bit.  Its intermediates are views of the plan
+   one in-place sort of a composite ``(pair, position)`` key into
+   per-edge ``src``/``dst``/``shared``/``arcs_mass``/``entropy_mass``
+   arrays, and — for every weighting except EJS — evaluates the weights
+   with :func:`compute_edge_weights`, elementwise numpy arithmetic that
+   mirrors the reference operation order (CHI_H's from a per-run grid),
+   so weights agree bit-for-bit.  Its intermediates are views of the plan
    loop's one :class:`~repro.graph.sharding.ShardWorkspace`; it hands
    over fresh arrays of what is still read: endpoints and weights, and
    under BLAST pruning only the *candidate* edges that pass BLAST's test
@@ -195,6 +196,7 @@ def compute_edge_weights(
     degrees_dst: np.ndarray | None = None,
     num_edges: int | None = None,
     entropy_boost: bool = False,
+    chi_grid: tuple[np.ndarray, np.ndarray] | None = None,
     workspace: ShardWorkspace | None = None,
 ) -> np.ndarray:
     """Edge weights under *scheme* from raw per-edge arrays.
@@ -204,8 +206,9 @@ def compute_edge_weights(
     (the EJS degree statistics arrive pre-gathered per edge), so
     evaluating a shard's slice produces bit-identical values to
     evaluating the same rows inside the full arrays — the property the
-    plan-independence of the result rests on.  The intermediates and the
-    returned weights are views of *workspace* (or of a private one).
+    plan-independence of the result rests on.  CHI_H gathers the statistic
+    from *chi_grid* when given.  The intermediates and the returned weights
+    are views of *workspace* (or of a private one).
     """
     scheme = WeightingScheme(scheme)
     size = shared.size
@@ -237,7 +240,20 @@ def compute_edge_weights(
     else:  # CHI_H — one-sided chi-squared x mean entropy.
         if entropy_mass is None:
             raise ValueError("CHI_H weighting needs the per-edge entropy mass")
-        a, below = _chi_squared(shared, blocks_i, blocks_j, total, workspace, weights)
+        if chi_grid is None:
+            a, below = _chi_squared(
+                shared, blocks_i, blocks_j, total, workspace, weights
+            )
+        else:  # the same statistic, gathered at each edge's grid cell
+            (cell,) = workspace.views("cell", size)
+            (a,) = workspace.views("a", size, np.float64)
+            np.multiply(shared, chi_grid[0].shape[0], out=cell)
+            cell += blocks_i
+            cell *= chi_grid[0].shape[0]
+            cell += blocks_j
+            np.take(chi_grid[0], cell, out=weights, mode="clip")
+            below = np.take(chi_grid[1], cell, mode="clip")
+            np.copyto(a, shared)
         # chi * (entropy_mass / shared), zero unless shared beats expected.
         weights *= np.divide(entropy_mass, a, out=a)
         np.copyto(weights, 0.0, where=below)
@@ -314,6 +330,20 @@ def _chi_squared(
     return a, below
 
 
+def _chi_squared_grid(max_blocks: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_chi_squared` and its mask at every ``[shared, |B_i|, |B_j|]``
+    up to *max_blocks*, a ``shared`` layer at a time: the same IEEE
+    arithmetic on the same inputs as per edge, so every lookup is exact."""
+    side = max_blocks + 1
+    chi, below = np.empty((side, side**2)), np.empty((side, side**2), np.bool_)
+    blocks = np.indices((side, side), dtype=np.int64).reshape(2, -1)
+    workspace = ShardWorkspace()
+    for shared in range(side):
+        layer = np.full(side**2, shared, dtype=np.int64)
+        below[shared] = _chi_squared(layer, *blocks, total, workspace, chi[shared])[1]
+    return chi.reshape((side,) * 3), below.reshape((side,) * 3)
+
+
 # --- vectorized pruning -----------------------------------------------------
 
 
@@ -336,13 +366,15 @@ def node_maxima(
 ) -> np.ndarray:
     """Dense ``M_i``: the maximum weight incident to each profile id.
 
-    Never negative (isolated ids read 0.0).  A maximum is an exact,
-    order-free reduction, so maxima taken over disjoint edge subsets
-    combine with ``np.maximum`` into exactly the whole-graph array — what
-    lets :func:`run_shard` take them per shard.
+    *src* must be ascending (its side is one reduction per run).  Never
+    negative (isolated ids read 0.0).  A maximum is an exact, order-free
+    reduction, so maxima taken over disjoint edge subsets combine with
+    ``np.maximum`` into exactly the whole-graph array — what lets
+    :func:`run_shard` take them per shard.
     """
     maxima = np.zeros(num_ids, dtype=np.float64)
-    np.maximum.at(maxima, src, weights)
+    heads = np.flatnonzero(np.diff(src, prepend=-1))
+    maxima[src[heads]] = np.maximum(np.maximum.reduceat(weights, heads), 0.0)
     np.maximum.at(maxima, dst, weights)
     return maxima
 
@@ -529,9 +561,10 @@ class SharedState:
     evaluates (its string value, not the enum member) or ``None`` when the
     shard hands over its full edge arrays: to be weighted after the merge
     (EJS, which needs global degrees) or held as they are
-    (:class:`ArrayBlockingGraph`).  ``blast`` is BLAST pruning's ``(c, d)``
-    when the shards pre-prune against their local maxima (see
-    :func:`run_shard`), else ``None``.
+    (:class:`ArrayBlockingGraph`).  ``chi_grid`` is CHI_H's statistic per
+    run (:func:`_chi_squared_grid`) or ``None``.  ``blast`` is BLAST
+    pruning's ``(c, d)`` when the shards pre-prune against their local
+    maxima (see :func:`run_shard`), else ``None``.
     """
 
     index: ShardableIndex
@@ -541,6 +574,7 @@ class SharedState:
     entropy_boost: bool = False
     node_block_counts: np.ndarray | None = None
     num_blocks: int = 0
+    chi_grid: tuple[np.ndarray, np.ndarray] | None = None
     blast: tuple[float, float] | None = None
 
 
@@ -582,7 +616,7 @@ def run_shard(
         return edges.copy(), None, None
     src, dst = edges.src, edges.dst
     # |B_i| and |B_j| per edge, in the spent per-pair buffers.
-    blocks_i, blocks_j, _ = workspace.views("src dst block", src.size)
+    blocks_i, blocks_j, _ = workspace.views("src dst dst_slot", src.size)
     np.take(state.node_block_counts, src, out=blocks_i, mode="clip")
     np.take(state.node_block_counts, dst, out=blocks_j, mode="clip")
     weights = compute_edge_weights(
@@ -594,6 +628,7 @@ def run_shard(
         arcs_mass=edges.arcs_mass,
         entropy_mass=edges.entropy_mass,
         entropy_boost=state.entropy_boost,
+        chi_grid=state.chi_grid,
         workspace=workspace,
     )
     if state.blast is None:
@@ -776,6 +811,9 @@ def sharded_metablocking(
         if type(pruning) is BlastPruning and weight_in_shard
         else None
     )
+    # CHI_H reads only (shared, |B_i|, |B_j|): grid them if no bigger than the run.
+    side = int(index.node_block_counts.max(initial=0)) + 1
+    grid = weighting is WeightingScheme.CHI_H and side**3 <= slim.pair_ptr[-1]
     state = SharedState(
         index=slim,
         block_entropies=index.block_entropies(key_entropy)
@@ -786,6 +824,7 @@ def sharded_metablocking(
         entropy_boost=entropy_boost,
         node_block_counts=index.node_block_counts if weight_in_shard else None,
         num_blocks=index.num_blocks,
+        chi_grid=_chi_squared_grid(side - 1, index.num_blocks) if grid else None,
         blast=blast,
     )
     collector = Collector(slim.num_ids)

@@ -11,9 +11,13 @@ from repro.graph.sharding import enumerate_shard_pairs
 
 
 def _enumerate_all(collection: BlockCollection):
-    """Every comparison as one shard: the whole id space."""
+    """Every comparison as one shard, the whole id space: ``(src, dst,
+    block)`` per pair."""
     index = collection.entity_index
-    return enumerate_shard_pairs(index, 0, index.node_block_counts.size)
+    src, dst, run_block, run_length = enumerate_shard_pairs(
+        index, 0, index.node_block_counts.size
+    )
+    return src, dst, np.repeat(run_block, run_length)
 
 
 def _clean_collection() -> BlockCollection:

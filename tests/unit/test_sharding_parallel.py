@@ -70,13 +70,19 @@ def clean_blocks():
     )
 
 
+def _pairs_with_blocks(slim, lo, hi, workspace=None):
+    """``(src, dst, block)`` per pair of the shard ``[lo, hi)``."""
+    src, dst, run_block, run_length = enumerate_shard_pairs(slim, lo, hi, workspace)
+    return src, dst, np.repeat(run_block, run_length)
+
+
 class TestEnumeration:
     def test_full_range_equals_entity_index(self, dirty_blocks, clean_blocks):
         # The whole id space as one shard is the python enumeration:
         # block-major, Block.iter_pairs() order within each block.
         for blocks in (dirty_blocks, clean_blocks):
             slim = ShardableIndex.from_entity_index(blocks.entity_index)
-            src, dst, pair_block = enumerate_shard_pairs(slim, 0, slim.num_ids)
+            src, dst, pair_block = _pairs_with_blocks(slim, 0, slim.num_ids)
             expected = [
                 (*pair, position)
                 for position, block in enumerate(blocks)
@@ -89,18 +95,18 @@ class TestEnumeration:
     def test_shards_partition_the_pairs(self, dirty_blocks, clean_blocks):
         for blocks in (dirty_blocks, clean_blocks):
             slim = ShardableIndex.from_entity_index(blocks.entity_index)
-            full_src, full_dst, _ = enumerate_shard_pairs(slim, 0, slim.num_ids)
+            full_src, full_dst, *_ = enumerate_shard_pairs(slim, 0, slim.num_ids)
             full = sorted(zip(full_src.tolist(), full_dst.tolist()))
             pieces = []
             for lo, hi in plan_shards(slim, num_shards=3):
-                src, dst, _ = enumerate_shard_pairs(slim, lo, hi)
+                src, dst, *_ = enumerate_shard_pairs(slim, lo, hi)
                 assert np.all((src >= lo) & (src < hi))
                 pieces.extend(zip(src.tolist(), dst.tolist()))
             assert sorted(pieces) == full
 
     def test_empty_range_yields_no_pairs(self, dirty_blocks):
         slim = ShardableIndex.from_entity_index(dirty_blocks.entity_index)
-        src, dst, pair_block = enumerate_shard_pairs(slim, 2, 2)
+        src, dst, pair_block = _pairs_with_blocks(slim, 2, 2)
         assert src.size == dst.size == pair_block.size == 0
 
     def test_every_range_is_the_restricted_enumeration(
@@ -120,7 +126,7 @@ class TestEnumeration:
             n = slim.num_ids
             for lo in range(n + 1):
                 for hi in range(lo, n + 1):
-                    src, dst, pair_block = enumerate_shard_pairs(
+                    src, dst, pair_block = _pairs_with_blocks(
                         slim, lo, hi, workspace
                     )
                     assert list(
