@@ -22,8 +22,7 @@ from harness import (
 
 from repro.blocking.schema_aware import make_key_entropy
 from repro.core import MetaBlockingStage, PipelineContext
-from repro.graph import BlockingGraph, WeightingScheme, compute_weights
-from repro.graph.metablocking import blocks_from_edges
+from repro.graph import MetaBlocker, WeightingScheme
 from repro.graph.pruning import BlastPruning, WeightNodePruning
 from repro.metrics import evaluate_blocks
 
@@ -42,24 +41,18 @@ def _ablation_quality(name: str, stage: MetaBlockingStage):
 
 
 def _wsh_quality(name: str):
-    """BLAST pruning over entropy-boosted traditional weighting schemes.
-
-    Equivalent to applying ``MetaBlockingStage(weighting=scheme,
-    entropy_boost=True)`` per scheme, but shares one blocking graph across
-    all five schemes — the graph is the expensive part of this sweep.
-    """
+    """BLAST pruning over entropy-boosted traditional weighting schemes."""
     dataset = clean_dataset(name)
-    collection = blocks_L(name)
-    graph = BlockingGraph(
-        collection, key_entropy=make_key_entropy(partitioning_of(name))
-    )
+    key_entropy = make_key_entropy(partitioning_of(name))
     pcs, pqs = [], []
     for scheme in WeightingScheme.traditional():
-        weights = compute_weights(graph, scheme, entropy_boost=True)
-        retained = BlastPruning().prune(graph, weights)
-        quality = evaluate_blocks(
-            blocks_from_edges(retained, collection.is_clean_clean), dataset
+        meta = MetaBlocker(
+            weighting=scheme,
+            pruning=BlastPruning(),
+            entropy_boost=True,
+            key_entropy=key_entropy,
         )
+        quality = evaluate_blocks(meta.run(blocks_L(name)), dataset)
         pcs.append(quality.pair_completeness)
         pqs.append(quality.pair_quality)
     return sum(pcs) / len(pcs), sum(pqs) / len(pqs)

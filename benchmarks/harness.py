@@ -16,8 +16,7 @@ from repro.blocking.base import BlockCollection
 from repro.core import Blast, BlastConfig, prepare_blocks
 from repro.data.dataset import ERDataset
 from repro.datasets import load_clean_clean, load_dirty
-from repro.graph import BlockingGraph, MetaBlocker, WeightingScheme, compute_weights
-from repro.graph.metablocking import blocks_from_edges
+from repro.graph import MetaBlocker, WeightingScheme
 from repro.graph.pruning import PruningScheme
 from repro.metrics import BlockingQuality, evaluate_blocks
 from repro.schema.partition import AttributePartitioning
@@ -96,17 +95,14 @@ def traditional_mb_row(
 ) -> BenchRow:
     """Traditional meta-blocking averaged over the 5 weighting schemes [20].
 
-    The blocking graph is built once; each scheme weights and prunes it;
-    PC/PQ/F1/||B|| are averaged across schemes, as in the paper's tables.
+    Each scheme runs meta-blocking on the collection; PC/PQ/F1/||B|| are
+    averaged across schemes, as in the paper's tables.
     """
     with Timer() as timer:
-        graph = BlockingGraph(collection)
         qualities: list[BlockingQuality] = []
         for scheme in WeightingScheme.traditional():
-            weights = compute_weights(graph, scheme)
-            retained = pruning_factory().prune(graph, weights)
-            out = blocks_from_edges(retained, collection.is_clean_clean)
-            qualities.append(evaluate_blocks(out, dataset))
+            meta = MetaBlocker(weighting=scheme, pruning=pruning_factory())
+            qualities.append(evaluate_blocks(meta.run(collection), dataset))
     n = len(qualities)
     mean = BlockingQuality(
         pair_completeness=sum(q.pair_completeness for q in qualities) / n,

@@ -12,7 +12,7 @@ Run:  python examples/paper_walkthrough.py
 from repro.blocking import LooselySchemaAwareBlocking, TokenBlocking
 from repro.blocking.schema_aware import make_key_entropy
 from repro.data import EntityCollection, EntityProfile, ERDataset, GroundTruth
-from repro.graph import BlockingGraph, MetaBlocker, WeightingScheme, compute_weights
+from repro.graph import ArrayBlockingGraph, MetaBlocker, WeightingScheme
 from repro.schema.entropy import extract_loose_schema_entropies
 from repro.schema.partition import AttributePartitioning
 
@@ -41,9 +41,10 @@ def figure1_dataset() -> ERDataset:
     )
 
 
-def show_weights(title: str, weights: dict) -> None:
+def show_weights(title: str, graph: ArrayBlockingGraph, weights) -> None:
+    """Print one line per edge; edges and weights are aligned arrays."""
     print(f"\n{title}")
-    for (i, j), w in sorted(weights.items()):
+    for i, j, w in zip(graph.src.tolist(), graph.dst.tolist(), weights.tolist()):
         print(f"  {NAMES[i]}-{NAMES[j]}: {w:.2f}")
 
 
@@ -58,9 +59,9 @@ def main() -> None:
         print(f"  {block.key:>7}: {{{members}}}")
 
     # --- Figure 1c: the blocking graph (co-occurrence weights) -----------
-    graph = BlockingGraph(blocks)
+    graph = ArrayBlockingGraph(blocks)
     show_weights("Figure 1c - blocking graph (CBS weights):",
-                 compute_weights(graph, WeightingScheme.CBS))
+                 graph, graph.weights(WeightingScheme.CBS))
 
     # --- Figure 2: blocking-key disambiguation ---------------------------
     # The idealized loose schema info of the paper: person-name attributes
@@ -79,9 +80,9 @@ def main() -> None:
         if block.key.startswith("abram"):
             members = ", ".join(NAMES[i] for i in sorted(block.profiles))
             print(f"  {block.key}: {{{members}}}")
-    aware_graph = BlockingGraph(aware_blocks)
+    aware_graph = ArrayBlockingGraph(aware_blocks)
     show_weights("Figure 2b - graph after disambiguation (CBS):",
-                 compute_weights(aware_graph, WeightingScheme.CBS))
+                 aware_graph, aware_graph.weights(WeightingScheme.CBS))
 
     # --- Figure 3: entropy-weighted meta-blocking ------------------------
     partitioning = extract_loose_schema_entropies(
@@ -92,11 +93,13 @@ def main() -> None:
         label = "glue (other attr.)" if cid == 0 else "cluster 1 (names)"
         print(f"  {label}: {partitioning.entropy_of(cid):.2f}")
 
-    meta = MetaBlocker(key_entropy=make_key_entropy(partitioning))
-    final, _, weights, retained = meta.run_detailed(aware_blocks)
-    show_weights("Figure 3b - chi-squared x entropy weights:", weights)
+    key_entropy = make_key_entropy(partitioning)
+    entropy_graph = ArrayBlockingGraph(aware_blocks, key_entropy=key_entropy)
+    show_weights("Figure 3b - chi-squared x entropy weights:",
+                 entropy_graph, entropy_graph.weights(WeightingScheme.CHI_H))
+    retained = MetaBlocker(key_entropy=key_entropy).retained_edges(aware_blocks)
     print("\nFigure 3c - retained comparisons after BLAST pruning:")
-    for i, j in sorted(retained):
+    for i, j in retained:
         truth = "match" if (i, j) in dataset.truth_pairs else "SUPERFLUOUS"
         print(f"  {NAMES[i]}-{NAMES[j]}  ({truth})")
     print(f"\n{len(retained)} comparisons instead of "

@@ -265,8 +265,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="cap on comparisons per shard of the parallel "
                              "backend (strict, except a single entity "
                              "owning more); bounds peak per-shard memory "
-                             "(default: about 100k, at least one shard "
-                             "per worker)")
+                             "(default: DEFAULT_SHARD_PAIRS of "
+                             "repro.graph.sharding, raised only past "
+                             "MAX_DEFAULT_SHARDS shards; at least one "
+                             "shard per worker)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         help="seconds one shard task of the parallel "
                              "backend may take before it is declared lost "

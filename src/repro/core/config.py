@@ -83,9 +83,10 @@ class BlastConfig:
         backend (peak per-shard edge-array bytes scale with it; only a
         single entity owning more than the cap may exceed it); ``None``
         takes the default plan the ``vectorized`` backend always uses
-        (about 100k comparisons per shard, at least one shard per
-        worker).  Rejected with the serial built-ins, forwarded to custom
-        backends.
+        (``sharding.DEFAULT_SHARD_PAIRS`` comparisons per shard, raised
+        only past ``sharding.MAX_DEFAULT_SHARDS`` shards; at least one
+        shard per worker).  Rejected with the serial built-ins, forwarded
+        to custom backends.
     task_timeout:
         Seconds one shard task of the ``parallel`` backend may take
         before it is declared lost and retried (``None`` waits forever);

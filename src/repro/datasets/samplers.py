@@ -118,11 +118,6 @@ def record_label(rng: np.random.Generator, v: Vocabulary) -> str:
     return v.pick(rng, v.labels)
 
 
-def track_title(rng: np.random.Generator, v: Vocabulary) -> str:
-    count = int(rng.integers(1, 5))
-    return " ".join(v.pick(rng, v.title_words) for _ in range(count))
-
-
 def categorical_field(pool: tuple[str, ...], max_words: int = 3) -> FieldSampler:
     """A sampler over a fixed sub-pool — builds the rare, narrow attributes
     of the dbp-like wide-schema datasets."""

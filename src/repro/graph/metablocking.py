@@ -128,10 +128,6 @@ class MetaBlocker:
     backend: str = "vectorized"
     backend_options: dict = field(default_factory=dict)
 
-    def build_graph(self, collection: BlockCollection) -> BlockingGraph:
-        """Materialize the (reference) blocking graph of *collection*."""
-        return BlockingGraph(collection, key_entropy=self.key_entropy)
-
     def retained_edges(self, collection: BlockCollection) -> list[Edge]:
         """The pruned edge set of *collection*, lexicographically sorted."""
         return get_backend(self.backend)(
@@ -149,28 +145,4 @@ class MetaBlocker:
             self.retained_edges(collection),
             collection.is_clean_clean,
             presorted=True,
-        )
-
-    def run_detailed(
-        self, collection: BlockCollection
-    ) -> tuple[BlockCollection, BlockingGraph, dict[Edge, float], set[Edge]]:
-        """Like :meth:`run` but also returns graph, weights and retained edges.
-
-        Useful for inspection, ablations, and the supervised comparator that
-        needs raw edge features.  Always runs the reference path (the
-        returned graph and weight dict are its artifacts); backends are
-        result-equivalent, so the retained set matches :meth:`run`.
-        """
-        graph = self.build_graph(collection)
-        weights = compute_weights(
-            graph, scheme=self.weighting, entropy_boost=self.entropy_boost
-        )
-        retained = self.pruning.prune(graph, weights)
-        return (
-            blocks_from_edges(
-                sorted(retained), collection.is_clean_clean, presorted=True
-            ),
-            graph,
-            weights,
-            retained,
         )

@@ -9,46 +9,32 @@ over a small vector of schema-agnostic features per edge:
   quantity: comparisons in small shared blocks are stronger evidence);
 * ``JS``   — Jaccard coefficient of the endpoints' block sets;
 * ``ND_u``, ``ND_v`` — normalized node degrees of the two endpoints.
+
+Every column is a quantity the array graph already holds or weighs, bit
+for bit as the reference graph's per-edge arithmetic.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.graph.blocking_graph import BlockingGraph, Edge
+from repro.graph.vectorized import ArrayBlockingGraph
+from repro.graph.weights import WeightingScheme
 
 EDGE_FEATURE_NAMES = ("cf_ibf", "raccb", "js", "nd_u", "nd_v")
 
 
-def edge_features(graph: BlockingGraph, edges: list[Edge]) -> np.ndarray:
-    """Feature matrix of shape ``(len(edges), 5)`` in EDGE_FEATURE_NAMES order."""
-    total_blocks = max(1, graph.num_blocks)
+def edge_features(graph: ArrayBlockingGraph) -> np.ndarray:
+    """Feature matrix of shape ``(graph.num_edges, 5)`` in EDGE_FEATURE_NAMES
+    order, one row per edge in the graph's lexicographic order."""
     num_nodes = max(1, graph.num_nodes)
     degrees = graph.degrees
-    out = np.zeros((len(edges), len(EDGE_FEATURE_NAMES)), dtype=float)
-    for row, edge in enumerate(edges):
-        i, j = edge
-        stats = graph.stats(edge)
-        shared = stats.shared_blocks
-        blocks_i = graph.node_blocks[i]
-        blocks_j = graph.node_blocks[j]
-        cf_ibf = (
-            shared
-            * _safe_log(total_blocks / blocks_i)
-            * _safe_log(total_blocks / blocks_j)
+    return np.column_stack(
+        (
+            graph.weights(WeightingScheme.ECBS),
+            graph.arcs_mass,
+            graph.weights(WeightingScheme.JS),
+            degrees[graph.src] / num_nodes,
+            degrees[graph.dst] / num_nodes,
         )
-        js = shared / (blocks_i + blocks_j - shared)
-        out[row, 0] = cf_ibf
-        out[row, 1] = stats.arcs_mass
-        out[row, 2] = js
-        out[row, 3] = degrees[i] / num_nodes
-        out[row, 4] = degrees[j] / num_nodes
-    return out
-
-
-def _safe_log(value: float) -> float:
-    if value <= 1.0:
-        return 0.0
-    return math.log10(value)
+    )

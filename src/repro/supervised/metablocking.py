@@ -11,15 +11,16 @@ the classifier's threshold is global).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.blocking.base import BlockCollection
 from repro.data.dataset import ERDataset
-from repro.graph.blocking_graph import BlockingGraph, Edge
+from repro.graph.entity_index import pack_pairs
 from repro.graph.metablocking import blocks_from_edges
+from repro.graph.vectorized import ArrayBlockingGraph
 from repro.supervised.features import edge_features
 from repro.supervised.svm import LinearSVM
 from repro.utils.rng import make_rng
-
-import numpy as np
 
 
 class SupervisedMetaBlocking:
@@ -52,35 +53,32 @@ class SupervisedMetaBlocking:
 
     def run(self, collection: BlockCollection, dataset: ERDataset) -> BlockCollection:
         """Restructure *collection* with the trained edge classifier."""
-        graph = BlockingGraph(collection)
-        edges = [edge for edge, _ in graph.edges()]
-        if not edges:
-            return blocks_from_edges([], collection.is_clean_clean)
-        features = edge_features(graph, edges)
+        graph = ArrayBlockingGraph(collection)
+        src, dst = graph.src, graph.dst
+        truth = np.array(sorted(dataset.truth_pairs), dtype=np.int64).reshape(-1, 2)
+        is_match = np.isin(pack_pairs(src, dst), pack_pairs(truth[:, 0], truth[:, 1]))
+        positive_rows = np.flatnonzero(is_match)
+        negative_rows = np.flatnonzero(~is_match)
+        # A degenerate graph (no matches survived blocking, or no negatives
+        # at all) leaves nothing to learn: keep everything.
+        if positive_rows.size and negative_rows.size:
+            features = edge_features(graph)
+            rng = make_rng(self.seed)
+            n_pos = max(1, round(self.training_fraction * positive_rows.size))
+            n_neg = min(
+                negative_rows.size, max(1, round(self.negative_ratio * n_pos))
+            )
+            pos_sample = rng.choice(positive_rows.size, size=n_pos, replace=False)
+            neg_sample = rng.choice(negative_rows.size, size=n_neg, replace=False)
+            train_rows = np.concatenate(
+                (positive_rows[pos_sample], negative_rows[neg_sample])
+            )
+            labels = np.array([1.0] * n_pos + [-1.0] * n_neg, dtype=np.float64)
 
-        rng = make_rng(self.seed)
-        truth = dataset.truth_pairs
-        positive_rows = [row for row, edge in enumerate(edges) if edge in truth]
-        negative_rows = [row for row, edge in enumerate(edges) if edge not in truth]
-        if not positive_rows or not negative_rows:
-            # Degenerate graph (no matches survived blocking, or no
-            # negatives at all): nothing to learn, keep everything.
-            return blocks_from_edges(edges, collection.is_clean_clean)
-
-        n_pos = max(1, round(self.training_fraction * len(positive_rows)))
-        n_neg = min(len(negative_rows), max(1, round(self.negative_ratio * n_pos)))
-        pos_sample = rng.choice(len(positive_rows), size=n_pos, replace=False)
-        neg_sample = rng.choice(len(negative_rows), size=n_neg, replace=False)
-        train_rows = [positive_rows[i] for i in pos_sample] + [
-            negative_rows[i] for i in neg_sample
-        ]
-        labels = np.array([1.0] * n_pos + [-1.0] * n_neg, dtype=np.float64)
-
-        svm = LinearSVM(seed=self.seed)
-        svm.fit(features[train_rows], labels)
-        retained: list[Edge] = [
-            edge
-            for edge, prediction in zip(edges, svm.predict(features))
-            if prediction > 0
-        ]
-        return blocks_from_edges(retained, collection.is_clean_clean)
+            svm = LinearSVM(seed=self.seed)
+            svm.fit(features[train_rows], labels)
+            keep = svm.predict(features) > 0
+            src, dst = src[keep], dst[keep]
+        return blocks_from_edges(
+            zip(src.tolist(), dst.tolist()), collection.is_clean_clean, presorted=True
+        )

@@ -72,7 +72,9 @@ def test_every_committed_config_runs_at_tiny_scale(config_path):
 
 def test_harness_helpers_at_tiny_scale():
     harness = importlib.import_module("harness")
+    from repro.graph import MetaBlocker, WeightingScheme
     from repro.graph.pruning import WeightNodePruning
+    from repro.metrics import evaluate_blocks
 
     dataset = harness.clean_dataset("ar1", scale=0.05)
     blocks = harness.blocks_T("ar1", scale=0.05)
@@ -82,3 +84,19 @@ def test_harness_helpers_at_tiny_scale():
     )
     assert "smoke" in row.formatted()
     assert 0.0 <= row.quality.pair_completeness <= 1.0
+    # The row is the python oracle's per-scheme average.
+    oracle = [
+        evaluate_blocks(
+            MetaBlocker(
+                weighting=scheme, pruning=WeightNodePruning(), backend="python"
+            ).run(blocks),
+            dataset,
+        )
+        for scheme in WeightingScheme.traditional()
+    ]
+    n = len(oracle)
+    assert row.quality.pair_completeness == sum(
+        q.pair_completeness for q in oracle
+    ) / n
+    assert row.quality.pair_quality == sum(q.pair_quality for q in oracle) / n
+    assert row.quality.comparisons == round(sum(q.comparisons for q in oracle) / n)

@@ -2,18 +2,26 @@
 
 The interned blocker, Block Purging and Block Filtering hand each other
 index-born collections; the vectorized and parallel backends read the
-CSR arrays.  So a default run constructs ``Block`` objects only for its
-*output* (one per retained edge), while ``initial_blocks`` still turns
-into the very blocks the ``python`` backend consumed the moment someone
-iterates it.
+CSR arrays, and so does supervised meta-blocking.  So a default run
+constructs ``Block`` objects only for its *output* (one per retained
+edge), while ``initial_blocks`` still turns into the very blocks the
+``python`` backend consumed the moment someone iterates it.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 
-from repro import BlastConfig, build_pipeline, load_clean_clean, load_dirty
+from repro import (
+    BlastConfig,
+    build_pipeline,
+    load_clean_clean,
+    load_dirty,
+    prepare_blocks,
+)
 from repro.blocking.base import Block
+from repro.supervised import SupervisedMetaBlocking
 
 
 @pytest.fixture(scope="module", params=["clean-clean", "dirty"])
@@ -28,8 +36,9 @@ def reference(dataset):
     return build_pipeline(BlastConfig(backend="python")).run(dataset)
 
 
-def _run_counting_blocks(config, dataset):
-    """Run the pipeline; return the result and every ``Block`` key built."""
+@contextmanager
+def _counting_blocks():
+    """Yield a list that collects the key of every ``Block`` built."""
     built: list[str] = []
     init = Block.__init__
 
@@ -38,6 +47,12 @@ def _run_counting_blocks(config, dataset):
         init(self, key, *args, **kwargs)
 
     with mock.patch.object(Block, "__init__", spy):
+        yield built
+
+
+def _run_counting_blocks(config, dataset):
+    """Run the pipeline; return the result and every ``Block`` key built."""
+    with _counting_blocks() as built:
         result = build_pipeline(config).run(dataset)
     return result, built
 
@@ -67,3 +82,12 @@ def test_python_backend_materialises_the_filtered_collection_only(dataset):
     consumed = [block.key for block in result.initial_blocks]
     assert built[: len(consumed)] == consumed
     assert len(built) == len(consumed) + len(result.blocks)
+
+
+def test_supervised_builds_output_blocks_only(dataset):
+    blocks = prepare_blocks(dataset)
+    with _counting_blocks() as built:
+        out = SupervisedMetaBlocking(seed=7).run(blocks, dataset)
+    assert len(out) > 0
+    assert built == [block.key for block in out]
+    assert all(key.startswith("e:") for key in built)

@@ -39,15 +39,6 @@ class TestMetaBlocker:
         assert after.pair_quality > before.pair_quality
         assert after.pair_completeness == before.pair_completeness
 
-    def test_run_detailed_consistency(self, figure1_dirty):
-        blocks = TokenBlocking().build(figure1_dirty)
-        mb = MetaBlocker()
-        out, graph, weights, retained = mb.run_detailed(blocks)
-        assert len(out) == len(retained)
-        assert set(weights) == {edge for edge, _ in graph.edges()}
-        assert retained <= set(weights)
-        assert {tuple(sorted(b.profiles)) for b in out} == retained
-
     def test_pluggable_weighting_and_pruning(self, figure1_dirty):
         blocks = TokenBlocking().build(figure1_dirty)
         mb = MetaBlocker(

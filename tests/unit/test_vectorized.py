@@ -170,11 +170,3 @@ class TestBackendSelection:
         assert BlastConfig(backend="python").backend == "python"
         with pytest.raises(ValueError, match="backend"):
             BlastConfig(backend="")
-
-    def test_run_detailed_matches_run(self, figure1_dirty):
-        collection = _blocks(figure1_dirty)
-        meta = MetaBlocker()
-        blocks, graph, weights, retained = meta.run_detailed(collection)
-        assert blocks.distinct_pairs() == meta.run(collection).distinct_pairs()
-        assert set(weights) == {edge for edge, _ in graph.edges()}
-        assert retained <= set(weights)
