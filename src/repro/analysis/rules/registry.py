@@ -12,9 +12,10 @@ sites statically against the protocols the registry documents:
 * ``register_weighting`` — a :class:`WeightingScheme` member or a
   callable taking exactly one argument (the blocking graph);
 * ``register_backend`` — ``(collection, *, weighting, pruning,
-  entropy_boost, key_entropy, **options) -> list[Edge]``: one leading
-  positional parameter, and every protocol keyword either named or
-  absorbed by ``**kwargs``.
+  entropy_boost, key_entropy, **options) -> np.ndarray``, the retained
+  edges as one sorted ``(E, 2)`` int64 array: one leading positional
+  parameter, and every protocol keyword either named or absorbed by
+  ``**kwargs`` (the return value is left to the conformance matrix).
 
 Both the decorator form (``@register_blocker("x")``, ``@BLOCKERS.register
 ("x")``) and the call form (``BACKENDS.register("x", fn)``) are checked;

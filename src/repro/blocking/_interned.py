@@ -102,12 +102,9 @@ def collection_from_assignments(
             if group_codes.size
             else np.zeros(0, dtype=np.int64)
         )
-        right_sizes = sizes - left_sizes
-        comparisons = left_sizes * right_sizes
-        valid = (left_sizes > 0) & (right_sizes > 0)
+        valid = (left_sizes > 0) & (sizes > left_sizes)
     else:
         left_sizes = sizes
-        comparisons = sizes * (sizes - 1) // 2
         valid = sizes >= 2
     if max_block_size is not None:
         valid &= sizes <= max_block_size
@@ -126,11 +123,10 @@ def collection_from_assignments(
     )
     return BlockCollection.from_index(
         EntityIndex.from_arrays(
-            is_clean_clean=is_clean_clean,
-            keys=tuple([keys[position] for position in order]),
-            block_ptr=block_ptr,
-            block_split=block_ptr[:-1] + left_sizes[groups],
-            entity_ids=members[gather],
-            block_comparisons=comparisons[groups],
+            is_clean_clean,
+            tuple([keys[position] for position in order]),
+            sizes_out,
+            left_sizes[groups],
+            members[gather],
         )
     )

@@ -12,9 +12,8 @@ single member set (``right is None``).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,25 +102,22 @@ class Block:
 class BlockCollection(Sequence[Block]):
     """An ordered collection of blocks emitted by one blocking technique.
 
+    Its one stored form is a CSR :class:`~repro.graph.entity_index.EntityIndex`.
     A collection is born either from :class:`Block` objects (the
-    constructor) or from a CSR :class:`~repro.graph.entity_index.EntityIndex`
-    (:meth:`from_index` — the interned blockers, Block Purging and Block
-    Filtering).  An index-born collection answers ``len``, the
-    cardinalities and :attr:`entity_index` from the arrays and builds its
-    ``Block`` objects only when someone iterates, indexes or
-    :meth:`filter_blocks` it.
+    constructor, which lowers them once and keeps the list as its
+    ``Block`` view) or from an index (:meth:`from_index` — the interned
+    blockers, Block Purging, Block Filtering and meta-blocking's
+    one-comparison blocks).  ``len``, the cardinalities and
+    :attr:`entity_index` read the arrays; an index-born collection builds
+    its ``Block`` objects only when someone iterates or indexes it.
     """
 
     def __init__(self, blocks: Iterable[Block], is_clean_clean: bool) -> None:
+        from repro.graph.entity_index import EntityIndex
+
+        self._block_list: list[Block] | None = list(blocks)
+        self._index = EntityIndex.from_blocks(self._block_list, is_clean_clean)
         self.is_clean_clean = is_clean_clean
-        self._index = None
-        self._block_list: list[Block] | None = []
-        for block in blocks:
-            if block.is_clean_clean != is_clean_clean:
-                raise ValueError(
-                    f"block {block.key!r} kind does not match the collection"
-                )
-            self._block_list.append(block)
 
     @classmethod
     def from_index(cls, index) -> "BlockCollection":
@@ -140,24 +136,19 @@ class BlockCollection(Sequence[Block]):
             ids = index.entity_ids.tolist()
             starts = index.block_ptr.tolist()
             splits = index.block_split.tolist()
-            if self.is_clean_clean:
-                self._block_list = [
-                    Block(key, frozenset(ids[lo:mid]), frozenset(ids[mid:hi]))
-                    for key, lo, mid, hi in zip(
-                        index.keys, starts, splits, starts[1:]
-                    )
-                ]
-            else:
-                self._block_list = [
-                    Block(key, frozenset(ids[lo:hi]))
-                    for key, lo, hi in zip(index.keys, starts, starts[1:])
-                ]
+            # A dirty block's split is its end: ``left`` holds every member.
+            self._block_list = [
+                Block(
+                    key,
+                    frozenset(ids[lo:mid]),
+                    frozenset(ids[mid:hi]) if self.is_clean_clean else None,
+                )
+                for key, lo, mid, hi in zip(index.keys, starts, splits, starts[1:])
+            ]
         return self._block_list
 
     def __len__(self) -> int:
-        if self._block_list is None:
-            return self._index.num_blocks
-        return len(self._block_list)
+        return self._index.num_blocks
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self._blocks)
@@ -171,39 +162,21 @@ class BlockCollection(Sequence[Block]):
             f"comparisons={self.aggregate_cardinality})"
         )
 
-    @cached_property
+    @property
     def aggregate_cardinality(self) -> int:
         """``||B||``: total comparisons across all blocks (with redundancy)."""
-        if self._block_list is None:
-            return self._index.total_comparisons
-        return sum(block.num_comparisons for block in self._block_list)
-
-    @cached_property
-    def profile_block_sets(self) -> dict[int, frozenset[int]]:
-        """``B_i`` for every profile: the set of block positions containing it."""
-        return self.entity_index.profile_block_sets()
+        return self._index.total_comparisons
 
     @property
     def num_indexed_profiles(self) -> int:
         """How many distinct profiles appear in at least one block."""
-        return self.entity_index.num_indexed_profiles
+        return self._index.num_indexed_profiles
 
-    @cached_property
+    @property
     def entity_index(self):
-        """CSR array view of the collection (cached).
-
-        The flat ``block_ptr``/``entity_ids``/cardinality arrays the
-        vectorized meta-blocking backend and the pair-streaming helpers
-        operate on; see :class:`repro.graph.entity_index.EntityIndex`.
-        An index-born collection hands back the index it was built from
-        (so dropping this cache never loses it); a Block-born one is
-        lowered once.
-        """
-        if self._index is not None:
-            return self._index
-        from repro.graph.entity_index import EntityIndex
-
-        return EntityIndex.from_collection(self)
+        """The collection's CSR arrays
+        (:class:`repro.graph.entity_index.EntityIndex`)."""
+        return self._index
 
     def iter_distinct_pairs(self) -> Iterator[tuple[int, int]]:
         """Stream the distinct comparison pairs in lexicographic order.
@@ -245,13 +218,6 @@ class BlockCollection(Sequence[Block]):
         pairs and :meth:`count_distinct_pairs` counts them.
         """
         return set(self.iter_distinct_pairs())
-
-    def filter_blocks(self, predicate: Callable[[Block], bool]) -> "BlockCollection":
-        """A new collection keeping only blocks satisfying *predicate*."""
-        return BlockCollection(
-            (block for block in self._blocks if predicate(block)),
-            self.is_clean_clean,
-        )
 
 
 def build_blocks(

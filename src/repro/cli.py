@@ -362,8 +362,7 @@ def _write_pairs(result, dataset: ERDataset, output: Path) -> int:
     with output.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id1", "id2"])
-        for block in result.blocks:
-            i, j = sorted(block.profiles)
+        for i, j in result.blocks.iter_distinct_pairs():
             writer.writerow(
                 [dataset.profile(i).profile_id, dataset.profile(j).profile_id]
             )

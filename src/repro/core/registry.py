@@ -36,7 +36,8 @@ from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 if TYPE_CHECKING:
-    from repro.graph.blocking_graph import Edge
+    import numpy as np
+
     from repro.streaming.index import IncrementalBlockIndex
     from repro.streaming.views import ExactStreamView, FastStreamView
 
@@ -143,8 +144,9 @@ WEIGHTINGS: Registry[WeightingSpec] = Registry("weighting")
 #: Pruning-scheme factories: ``name -> (config) -> PruningScheme``.
 PRUNERS: Registry[Callable[[BlastConfig], PruningScheme]] = Registry("pruning")
 #: Meta-blocking execution backends: ``name -> (collection, *, weighting,
-#: pruning, entropy_boost, key_entropy) -> list[Edge]`` (sorted edges).
-BACKENDS: Registry[Callable[..., list[Edge]]] = Registry("backend")
+#: pruning, entropy_boost, key_entropy) -> np.ndarray``: the retained edges
+#: as one sorted ``(E, 2)`` int64 array of ``(i, j)`` rows, ``i < j``.
+BACKENDS: Registry[Callable[..., np.ndarray]] = Registry("backend")
 #: Streaming query-view factories: ``name -> (IncrementalBlockIndex) ->
 #: view`` (the consistency modes of the streaming subsystem).
 STREAM_VIEWS: Registry[Callable[[IncrementalBlockIndex], Any]] = Registry(

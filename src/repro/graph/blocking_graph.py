@@ -70,12 +70,11 @@ class BlockingGraph:
         self.num_blocks = len(collection)
         self._edges: dict[Edge, EdgeStats] = {}
         # |B_i| per node: how many blocks contain each profile.
-        self.node_blocks: dict[int, int] = {
-            profile: len(positions)
-            for profile, positions in collection.profile_block_sets.items()
-        }
+        self.node_blocks: dict[int, int] = {}
 
         for block in collection:
+            for profile in block.profiles:
+                self.node_blocks[profile] = self.node_blocks.get(profile, 0) + 1
             entropy = key_entropy(block.key) if key_entropy is not None else 1.0
             comparisons = block.num_comparisons
             if comparisons == 0:

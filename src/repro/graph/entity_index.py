@@ -1,11 +1,10 @@
 """CSR-style entity index of a block collection.
 
-The array-backed meta-blocking backend (``repro.graph.vectorized``) never
-walks Python block objects in its hot path.  Instead a
-:class:`BlockCollection` is lowered once into a compressed-sparse-row
-layout — flat ``int32`` member arrays plus per-block offset/cardinality
-arrays — from which every co-occurrence pair can be enumerated with pure
-numpy arithmetic:
+This index is the one stored form of a :class:`BlockCollection`: a
+compressed-sparse-row layout — flat ``int32`` member arrays plus
+per-block offset/cardinality arrays — from which every co-occurrence pair
+can be enumerated, and every "do i and j share a block" answered
+(:meth:`EntityIndex.co_blocked`), with pure numpy arithmetic:
 
 * ``entity_ids[block_ptr[b]:block_ptr[b+1]]`` are block *b*'s members;
   for clean-clean blocks ``block_split[b]`` separates the (sorted) E1
@@ -23,6 +22,7 @@ block.iter_pairs()`` — with no per-pair Python bytecode.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -32,7 +32,9 @@ import numpy as np
 from repro.utils.arrays import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base -> here)
-    from repro.blocking.base import BlockCollection
+    from collections.abc import Iterable
+
+    from repro.blocking.base import Block
     from repro.graph.sharding import ShardableIndex
 
 #: Bit width used to pack an ``(src, dst)`` pair into one int64 sort key.
@@ -50,7 +52,8 @@ class EntityIndex:
         Whether the indexed collection is clean-clean.
     keys:
         Blocking key of every block, aligned with the block axis (used to
-        attach per-key entropies without touching block objects again).
+        attach per-key entropies without touching block objects again);
+        meta-blocking's output formats its ``"e:i-j"`` keys on read.
     block_ptr:
         ``int32[num_blocks + 1]`` offsets into :attr:`entity_ids`.
     block_split:
@@ -66,7 +69,7 @@ class EntityIndex:
     """
 
     is_clean_clean: bool
-    keys: tuple[str, ...]
+    keys: Sequence[str]
     block_ptr: np.ndarray
     block_split: np.ndarray
     entity_ids: np.ndarray
@@ -74,69 +77,63 @@ class EntityIndex:
     node_block_counts: np.ndarray
 
     @classmethod
-    def from_collection(cls, collection: "BlockCollection") -> "EntityIndex":
-        """Lower *collection* into the flat array layout (one Python pass)."""
+    def from_blocks(
+        cls, blocks: "Iterable[Block]", is_clean_clean: bool
+    ) -> "EntityIndex":
+        """Lower ``Block`` objects into the flat array layout (one Python
+        pass); the :class:`BlockCollection` constructor's only step."""
         keys: list[str] = []
         flat: list[int] = []
         sizes: list[int] = []
         left_sizes: list[int] = []
-        comparisons: list[int] = []
-        for block in collection:
+        for block in blocks:
+            if block.is_clean_clean != is_clean_clean:
+                raise ValueError(
+                    f"block {block.key!r} kind does not match the collection"
+                )
             keys.append(block.key)
-            left = sorted(block.left)
-            flat.extend(left)
-            if block.right is not None:
-                right = sorted(block.right)
-                flat.extend(right)
-                sizes.append(len(left) + len(right))
-                comparisons.append(len(left) * len(right))
-            else:
-                n = len(left)
-                sizes.append(n)
-                comparisons.append(n * (n - 1) // 2)
-            left_sizes.append(len(left))
-
-        block_ptr = np.zeros(len(keys) + 1, dtype=np.int32)
-        np.cumsum(np.asarray(sizes, dtype=np.int32), out=block_ptr[1:])
+            flat += sorted(block.left) + sorted(block.right or ())
+            sizes.append(block.size)
+            left_sizes.append(len(block.left))
         return cls.from_arrays(
-            is_clean_clean=collection.is_clean_clean,
-            keys=tuple(keys),
-            block_ptr=block_ptr,
-            block_split=block_ptr[:-1] + np.asarray(left_sizes, dtype=np.int32),
-            entity_ids=np.asarray(flat, dtype=np.int32),
-            block_comparisons=np.asarray(comparisons, dtype=np.int64),
+            is_clean_clean, tuple(keys), sizes, left_sizes, flat
         )
 
     @classmethod
     def from_arrays(
         cls,
         is_clean_clean: bool,
-        keys: tuple[str, ...],
-        block_ptr: np.ndarray,
-        block_split: np.ndarray,
-        entity_ids: np.ndarray,
-        block_comparisons: np.ndarray,
+        keys: Sequence[str],
+        sizes,
+        left_sizes,
+        entity_ids,
     ) -> "EntityIndex":
-        """Build an index straight from pre-interned key/member arrays.
+        """Build an index from per-block member counts and the members.
 
-        The interned blocking kernels (``repro.blocking._interned``) emit
-        exactly this layout, so the CSR lowering skips the
-        dict-of-strings/Block-object walk of :meth:`from_collection`.
-        Members of each block must already be sorted ascending per side.
+        Block *b* holds the next ``sizes[b]`` ids of *entity_ids*, its
+        first ``left_sizes[b]`` from E1 (all of them, for dirty ER), each
+        side sorted ascending; offsets, splits and ``||b||`` follow.  The
+        interned blocking kernels (``repro.blocking._interned``), the
+        index restructurings and ``blocks_from_edges`` emit exactly this,
+        so no ``Block`` object is walked.
         """
-        node_block_counts = (
-            np.bincount(entity_ids)
-            if entity_ids.size
-            else np.zeros(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        left_sizes = np.asarray(left_sizes, dtype=np.int64)
+        entity_ids = np.asarray(entity_ids, dtype=np.int32)
+        block_ptr = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=block_ptr[1:])
+        if is_clean_clean:
+            comparisons = left_sizes * (sizes - left_sizes)
+        else:
+            comparisons = sizes * (sizes - 1) // 2
         return cls(
             is_clean_clean=is_clean_clean,
             keys=keys,
-            block_ptr=block_ptr.astype(np.int32, copy=False),
-            block_split=block_split.astype(np.int32, copy=False),
-            entity_ids=entity_ids.astype(np.int32, copy=False),
-            block_comparisons=block_comparisons.astype(np.int64, copy=False),
-            node_block_counts=node_block_counts,
+            block_ptr=block_ptr.astype(np.int32),
+            block_split=(block_ptr[:-1] + left_sizes).astype(np.int32),
+            entity_ids=entity_ids,
+            block_comparisons=comparisons,
+            node_block_counts=np.bincount(entity_ids).astype(np.int64),
         )
 
     def take_blocks(self, block_mask: np.ndarray) -> "EntityIndex":
@@ -189,22 +186,13 @@ class EntityIndex:
         *sizes* / *left_sizes* are the per-block member counts under
         *member_mask*, aligned with the current block axis.
         """
-        sizes = sizes[block_mask].astype(np.int64, copy=False)
-        left_sizes = left_sizes[block_mask].astype(np.int64, copy=False)
-        block_ptr = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=block_ptr[1:])
-        if self.is_clean_clean:
-            comparisons = left_sizes * (sizes - left_sizes)
-        else:
-            comparisons = sizes * (sizes - 1) // 2
         keys = self.keys
         return EntityIndex.from_arrays(
-            is_clean_clean=self.is_clean_clean,
-            keys=tuple([keys[b] for b in np.flatnonzero(block_mask).tolist()]),
-            block_ptr=block_ptr,
-            block_split=block_ptr[:-1] + left_sizes,
-            entity_ids=self.entity_ids[member_mask],
-            block_comparisons=comparisons,
+            self.is_clean_clean,
+            tuple([keys[b] for b in np.flatnonzero(block_mask).tolist()]),
+            sizes[block_mask],
+            left_sizes[block_mask],
+            self.entity_ids[member_mask],
         )
 
     @property
@@ -243,15 +231,34 @@ class EntityIndex:
             return np.zeros(0, dtype=np.int64)
         return blocks[ptr[profile] : ptr[profile + 1]]
 
-    def profile_block_sets(self) -> dict[int, frozenset[int]]:
-        """``B_p`` — the block positions of every indexed profile."""
+    def co_blocked(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Whether profiles ``src[k]`` and ``dst[k]`` share a block, per k.
+
+        One array test: every block of each ``src[k]`` is gathered from
+        the profile -> blocks CSR, packed with ``dst[k]`` as a
+        ``(profile, block)`` key and binary-searched among the packed
+        memberships, which that CSR already holds in ascending order
+        (``np.isin`` would hash both sides, 15x slower on a 1.2 M-member
+        index).  Ids past ``max_id`` share no block.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
         ptr, blocks = self._member_blocks_csr
-        bounds = ptr.tolist()
-        flat = blocks.tolist()
-        return {
-            p: frozenset(flat[bounds[p] : bounds[p + 1]])
-            for p in np.flatnonzero(self.node_block_counts).tolist()
-        }
+        counts = np.diff(ptr)
+        members = pack_pairs(
+            np.repeat(np.arange(counts.size, dtype=np.int64), counts), blocks
+        )
+        rows = np.flatnonzero((src < counts.size) & (dst < counts.size))
+        runs = counts[src[rows]]
+        pair_of = np.repeat(rows, runs)
+        slots = np.arange(pair_of.size, dtype=np.int64) + np.repeat(
+            ptr[src[rows]] - (np.cumsum(runs) - runs), runs
+        )
+        probes = pack_pairs(dst[pair_of], blocks[slots])
+        at = np.minimum(np.searchsorted(members, probes), members.size - 1)
+        found = np.zeros(src.size, dtype=bool)
+        found[pair_of[members[at] == probes]] = True
+        return found
 
     @cached_property
     def shardable(self) -> "ShardableIndex":

@@ -21,39 +21,62 @@ through :data:`repro.core.registry.BACKENDS`:
   reference fallback).
 
 A backend is a callable ``(collection, *, weighting, pruning,
-entropy_boost, key_entropy) -> list[Edge]`` returning the retained edges
-in lexicographic order.
+entropy_boost, key_entropy) -> np.ndarray`` returning the retained edges
+as one ``(E, 2)`` ``int64`` array of ``(i, j)`` rows, ``i < j``, sorted
+lexicographically: the one edge format from backend to PC/PQ.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.blocking.base import Block, BlockCollection
-from repro.graph.blocking_graph import BlockingGraph, Edge, KeyEntropyFn
+import numpy as np
+
+from repro.blocking.base import BlockCollection
+from repro.graph.blocking_graph import BlockingGraph, KeyEntropyFn
+from repro.graph.entity_index import EntityIndex
 from repro.graph.pruning import BlastPruning, PruningScheme
 from repro.graph.weights import WeightingScheme, compute_weights
 
 
-def blocks_from_edges(
-    edges: Iterable[Edge], is_clean_clean: bool, *, presorted: bool = False
-) -> BlockCollection:
-    """One single-comparison block per retained edge.
+class _EdgeKeys(Sequence[str]):
+    """The ``"e:i-j"`` keys of one-comparison blocks, formatted on read."""
 
-    Keys encode the pair (``"e:i-j"``) purely for debuggability; nothing
-    downstream depends on them.  Pass ``presorted=True`` when *edges*
-    already arrive in lexicographic order (backend outputs do) to skip
-    the deterministic re-sort.
+    def __init__(self, edges: np.ndarray) -> None:
+        self._edges = edges
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def __getitem__(self, position: int) -> str:  # type: ignore[override]
+        i, j = self._edges[position].tolist()
+        return f"e:{i}-{j}"
+
+
+def blocks_from_edges(
+    edges, is_clean_clean: bool, *, presorted: bool = False
+) -> BlockCollection:
+    """One single-comparison block per retained ``(i, j)`` edge, ``i < j``.
+
+    *edges* is an ``(E, 2)`` array (or a list of tuples).  Pass
+    ``presorted=True`` when it is already lexicographic (backend outputs
+    are) to skip the re-sort.  The collection is index-born; its keys
+    (``"e:i-j"``, for debuggability only) are formatted when read.
     """
-    ordered = edges if presorted else sorted(edges)
-    blocks = []
-    for i, j in ordered:
-        if is_clean_clean:
-            blocks.append(Block(f"e:{i}-{j}", frozenset((i,)), frozenset((j,))))
-        else:
-            blocks.append(Block(f"e:{i}-{j}", frozenset((i, j))))
-    return BlockCollection(blocks, is_clean_clean)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if not presorted:
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    sizes = np.full(len(pairs), 2, dtype=np.int64)
+    return BlockCollection.from_index(
+        EntityIndex.from_arrays(
+            is_clean_clean,
+            _EdgeKeys(pairs),
+            sizes,
+            sizes // 2 if is_clean_clean else sizes,
+            pairs.reshape(-1),
+        )
+    )
 
 
 def reference_metablocking(
@@ -63,11 +86,12 @@ def reference_metablocking(
     pruning: PruningScheme,
     entropy_boost: bool = False,
     key_entropy: KeyEntropyFn | None = None,
-) -> list[Edge]:
+) -> np.ndarray:
     """The ``python`` backend: the pure-Python oracle path.
 
     *weighting* may be a :class:`WeightingScheme` (or its string name) or
-    any callable ``graph -> {edge: weight}``.
+    any callable ``graph -> {edge: weight}``.  The sorted edge list
+    becomes the ``(E, 2)`` backend array here, at its boundary.
     """
     graph = BlockingGraph(collection, key_entropy=key_entropy)
     if callable(weighting) and not isinstance(weighting, WeightingScheme):
@@ -76,7 +100,8 @@ def reference_metablocking(
         weights = compute_weights(
             graph, scheme=weighting, entropy_boost=entropy_boost
         )
-    return sorted(pruning.prune(graph, weights))
+    retained = sorted(pruning.prune(graph, weights))
+    return np.asarray(retained, dtype=np.int64).reshape(-1, 2)
 
 
 def get_backend(name: str):
@@ -128,8 +153,8 @@ class MetaBlocker:
     backend: str = "vectorized"
     backend_options: dict = field(default_factory=dict)
 
-    def retained_edges(self, collection: BlockCollection) -> list[Edge]:
-        """The pruned edge set of *collection*, lexicographically sorted."""
+    def retained_edges(self, collection: BlockCollection) -> np.ndarray:
+        """The pruned edges of *collection*: a sorted ``(E, 2)`` array."""
         return get_backend(self.backend)(
             collection,
             weighting=self.weighting,

@@ -39,8 +39,10 @@ import os
 import time
 import warnings
 
+import numpy as np
+
 from repro.blocking.base import BlockCollection
-from repro.graph.blocking_graph import Edge, KeyEntropyFn
+from repro.graph.blocking_graph import KeyEntropyFn
 from repro.graph.pruning import PruningScheme
 from repro.graph.vectorized import (
     Collector,
@@ -229,7 +231,7 @@ def parallel_metablocking(
     task_timeout: float | None = None,
     max_retries: int | None = None,
     retry_policy: RetryPolicy | None = None,
-) -> list[Edge]:
+) -> np.ndarray:
     """The ``parallel`` meta-blocking backend: sorted retained edges.
 
     :func:`~repro.graph.vectorized.sharded_metablocking` with a worker

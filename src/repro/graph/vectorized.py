@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.blocking.base import BlockCollection
-from repro.graph.blocking_graph import Edge, KeyEntropyFn
+from repro.graph.blocking_graph import KeyEntropyFn
 from repro.graph.entity_index import EntityIndex
 from repro.graph.pruning import (
     BlastPruning,
@@ -154,10 +154,6 @@ class ArrayBlockingGraph:
         return np.bincount(self.src, minlength=num_ids) + np.bincount(
             self.dst, minlength=num_ids
         )
-
-    def edge_list(self) -> list[Edge]:
-        """Edges as Python ``(i, j)`` tuples, lexicographically sorted."""
-        return list(zip(self.src.tolist(), self.dst.tolist()))
 
     def weights(
         self,
@@ -766,8 +762,8 @@ def sharded_metablocking(
     num_shards: int = 1,
     shard_size: int | None = None,
     shard_plan: list[tuple[int, int]] | None = None,
-) -> list[Edge]:
-    """The one array meta-blocking driver: sorted retained edges.
+) -> np.ndarray:
+    """The one array meta-blocking driver: sorted retained edges, ``(E, 2)``.
 
     Plans (an explicit *shard_plan*, validated; else
     :func:`~repro.graph.sharding.default_plan` with at least *num_shards*
@@ -842,7 +838,7 @@ def sharded_metablocking(
         if weights is None:
             weights = graph.weights(weighting, entropy_boost=entropy_boost)
         mask = prune_mask(pruning, graph, weights)
-    return list(zip(edges.src[mask].tolist(), edges.dst[mask].tolist()))
+    return np.column_stack((edges.src[mask], edges.dst[mask]))
 
 
 def vectorized_metablocking(
@@ -852,7 +848,7 @@ def vectorized_metablocking(
     pruning: PruningScheme,
     entropy_boost: bool = False,
     key_entropy: KeyEntropyFn | None = None,
-) -> list[Edge]:
+) -> np.ndarray:
     """The ``vectorized`` meta-blocking backend: sorted retained edges.
 
     :func:`sharded_metablocking` over the default plan, every shard run in

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.blocking.base import BlockCollection
 from repro.data.dataset import ERDataset
 
@@ -52,13 +54,8 @@ def f1_score(pc: float, pq: float) -> float:
 
 def detected_duplicates(collection: BlockCollection, dataset: ERDataset) -> int:
     """|D_B|: ground-truth pairs co-occurring in at least one block."""
-    block_sets = collection.profile_block_sets
-    empty: frozenset[int] = frozenset()
-    count = 0
-    for i, j in dataset.truth_pairs:
-        if not block_sets.get(i, empty).isdisjoint(block_sets.get(j, empty)):
-            count += 1
-    return count
+    truth = np.array(list(dataset.truth_pairs), dtype=np.int64).reshape(-1, 2)
+    return int(collection.entity_index.co_blocked(truth[:, 0], truth[:, 1]).sum())
 
 
 def evaluate_blocks(collection: BlockCollection, dataset: ERDataset) -> BlockingQuality:

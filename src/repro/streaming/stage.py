@@ -22,11 +22,15 @@ machinery::
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import BlastConfig
 from repro.core.stages import BaseStage, PipelineContext
+from repro.graph.entity_index import pack_pairs, unpack_pairs
 from repro.graph.metablocking import blocks_from_edges
 from repro.graph.pruning import PruningScheme
 from repro.streaming.session import StreamingSession
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["STREAMING_SESSION", "StreamingStage"]
 
@@ -76,7 +80,7 @@ class StreamingStage(BaseStage):
             session.upsert(profile, source=dataset.source_of(gidx))
 
         offset2 = dataset.offset2 if dataset.is_clean_clean else None
-        pairs: set[tuple[int, int]] = set()
+        pairs: list[tuple[int, int]] = []
         for gidx, profile in dataset.iter_profiles():
             source = dataset.source_of(gidx)
             # Query through the metablocker directly: the session would
@@ -91,9 +95,13 @@ class StreamingStage(BaseStage):
                     other = offset2 + dataset.collection2.index_of(
                         candidate.profile_id
                     )
-                pairs.add((gidx, other) if gidx < other else (other, gidx))
+                pairs.append((gidx, other))
 
         context.artifacts[STREAMING_SESSION] = session
+        edges = np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        packed = sorted_unique(pack_pairs(edges[:, 0], edges[:, 1]))
         context.blocks = blocks_from_edges(
-            sorted(pairs), dataset.is_clean_clean, presorted=True
+            np.column_stack(unpack_pairs(packed)),
+            dataset.is_clean_clean,
+            presorted=True,
         )

@@ -80,5 +80,5 @@ class SupervisedMetaBlocking:
             keep = svm.predict(features) > 0
             src, dst = src[keep], dst[keep]
         return blocks_from_edges(
-            zip(src.tolist(), dst.tolist()), collection.is_clean_clean, presorted=True
+            np.column_stack((src, dst)), collection.is_clean_clean, presorted=True
         )

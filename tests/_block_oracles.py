@@ -1,10 +1,11 @@
-"""Set-based Block Purging / Block Filtering, kept as the test oracle.
+"""Set-based block restructuring and quality, kept as the test oracles.
 
-These are the bodies ``repro.blocking.purging`` and
-``repro.blocking.filtering`` had before they became array kernels over
-the CSR entity index: they walk ``Block`` objects and Python sets only,
-touch no numpy, and define the output the kernels must reproduce bit for
-bit (keys, block order, member sets).
+These are the bodies ``repro.blocking.purging``,
+``repro.blocking.filtering``, ``blocks_from_edges`` and the PC count had
+before they became array code over the CSR entity index: they walk
+``Block`` objects and Python sets only, touch no numpy, and define the
+output the array code must reproduce bit for bit (keys, block order,
+member sets, detected duplicates).
 
 Lives beside the root ``conftest.py`` so every suite can import it.
 """
@@ -77,10 +78,46 @@ def oracle_block_filtering(
     return BlockCollection(blocks, collection.is_clean_clean)
 
 
+def oracle_blocks_from_edges(
+    edges, is_clean_clean: bool, *, presorted: bool = False
+) -> BlockCollection:
+    """One ``Block`` per ``(i, j)`` tuple of *edges*, built one by one."""
+    ordered = edges if presorted else sorted(edges)
+    blocks = []
+    for i, j in ordered:
+        if is_clean_clean:
+            blocks.append(Block(f"e:{i}-{j}", frozenset((i,)), frozenset((j,))))
+        else:
+            blocks.append(Block(f"e:{i}-{j}", frozenset((i, j))))
+    return BlockCollection(blocks, is_clean_clean)
+
+
+def oracle_detected_duplicates(collection: BlockCollection, truth_pairs) -> int:
+    """|D_B| by frozensets: ``B_p`` for every profile, then one
+    ``isdisjoint`` test per truth pair."""
+    block_sets: dict[int, set[int]] = {}
+    for position, block in enumerate(collection):
+        for profile in block.profiles:
+            block_sets.setdefault(profile, set()).add(position)
+    empty: frozenset[int] = frozenset()
+    return sum(
+        not block_sets.get(i, empty).isdisjoint(block_sets.get(j, empty))
+        for i, j in truth_pairs
+    )
+
+
+def assert_same_edges(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Backend outputs: ``(E, 2)`` int64 arrays, equal row for row."""
+    for edges in (actual, expected):
+        assert edges.dtype == np.int64
+        assert edges.ndim == 2 and edges.shape[1] == 2
+    assert actual.tolist() == expected.tolist()
+
+
 def assert_same_index(got: EntityIndex, want: EntityIndex) -> None:
     """Field-by-field CSR equality, dtypes included."""
     assert got.is_clean_clean == want.is_clean_clean
-    assert got.keys == want.keys
+    assert tuple(got.keys) == tuple(want.keys)
     for name in INDEX_FIELDS:
         ours, reference = getattr(got, name), getattr(want, name)
         assert ours.dtype == reference.dtype, name
@@ -96,8 +133,5 @@ def assert_bit_identical(new: BlockCollection, oracle: BlockCollection) -> None:
     index = new.entity_index  # read before the Block view exists
     assert list(new) == list(oracle)
     assert_same_index(
-        index,
-        EntityIndex.from_collection(
-            BlockCollection(list(new), new.is_clean_clean)
-        ),
+        index, EntityIndex.from_blocks(list(new), new.is_clean_clean)
     )

@@ -100,8 +100,9 @@ def string_blocks(blocker, dataset: ERDataset) -> BlockCollection:
         )
     blocks = keyed_blocks(dataset, blocker_keys(blocker))
     if isinstance(blocker, SuffixArrayBlocking):
-        return blocks.filter_blocks(
-            lambda block: block.size <= blocker.max_block_size
+        return BlockCollection(
+            [block for block in blocks if block.size <= blocker.max_block_size],
+            blocks.is_clean_clean,
         )
     return blocks
 

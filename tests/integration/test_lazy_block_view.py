@@ -1,11 +1,13 @@
-"""Integration: the array backends never build a ``Block`` on their way in.
+"""Integration: the array paths never build a ``Block``.
 
 The interned blocker, Block Purging and Block Filtering hand each other
 index-born collections; the vectorized and parallel backends read the
-CSR arrays, and so does supervised meta-blocking.  So a default run
-constructs ``Block`` objects only for its *output* (one per retained
-edge), while ``initial_blocks`` still turns into the very blocks the
-``python`` backend consumed the moment someone iterates it.
+CSR arrays, and so does supervised meta-blocking.  Their retained edges
+stay one ``(E, 2)`` array that ``blocks_from_edges`` wraps as an index,
+and PC/PQ and the distinct pairs read that index.  So a default run,
+its evaluation and its pair stream construct no ``Block`` at all; the
+output's blocks, like ``initial_blocks``, appear only when someone
+iterates the collection.
 """
 
 from contextlib import contextmanager
@@ -14,6 +16,7 @@ from unittest import mock
 import pytest
 
 from repro import (
+    Blast,
     BlastConfig,
     build_pipeline,
     load_clean_clean,
@@ -21,6 +24,7 @@ from repro import (
     prepare_blocks,
 )
 from repro.blocking.base import Block
+from repro.metrics import evaluate_blocks
 from repro.supervised import SupervisedMetaBlocking
 
 
@@ -68,10 +72,12 @@ def _run_counting_blocks(config, dataset):
 def test_array_backends_build_output_blocks_only(config, dataset, reference):
     result, built = _run_counting_blocks(config, dataset)
     assert len(result.initial_blocks) == len(reference.initial_blocks) > 0
-    # One Block per retained edge; none for the blocker's, the purged or
-    # the filtered collection.
-    assert built == [block.key for block in result.blocks]
-    assert all(key.startswith("e:") for key in built)
+    # No Block for the blocker's, the purged, the filtered or the
+    # retained collection; iterating the output builds exactly its own.
+    assert built == []
+    with _counting_blocks() as built:
+        keys = [block.key for block in result.blocks]
+    assert built == keys and all(key.startswith("e:") for key in keys)
     # The view materialises on demand, to the python backend's input.
     assert list(result.initial_blocks) == list(reference.initial_blocks)
     assert list(result.blocks) == list(reference.blocks)
@@ -79,15 +85,24 @@ def test_array_backends_build_output_blocks_only(config, dataset, reference):
 
 def test_python_backend_materialises_the_filtered_collection_only(dataset):
     result, built = _run_counting_blocks(BlastConfig(backend="python"), dataset)
-    consumed = [block.key for block in result.initial_blocks]
-    assert built[: len(consumed)] == consumed
-    assert len(built) == len(consumed) + len(result.blocks)
+    assert built == [block.key for block in result.initial_blocks]
+    assert len(result.blocks) > 0
 
 
 def test_supervised_builds_output_blocks_only(dataset):
     blocks = prepare_blocks(dataset)
     with _counting_blocks() as built:
         out = SupervisedMetaBlocking(seed=7).run(blocks, dataset)
-    assert len(out) > 0
-    assert built == [block.key for block in out]
-    assert all(key.startswith("e:") for key in built)
+    assert len(out) > 0 and built == []
+    with _counting_blocks() as built:
+        keys = [block.key for block in out]
+    assert built == keys and all(key.startswith("e:") for key in keys)
+
+
+def test_run_evaluate_and_pairs_build_no_block(dataset):
+    with _counting_blocks() as built:
+        result = Blast().run(dataset)
+        quality = evaluate_blocks(result.blocks, dataset)
+        pairs = list(result.blocks.iter_distinct_pairs())
+    assert built == []
+    assert quality.comparisons == len(pairs) == len(result.blocks) > 0

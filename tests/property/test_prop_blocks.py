@@ -5,6 +5,7 @@ the invariants cover comparison accounting, purging/filtering monotonicity,
 and the redundancy-free guarantee of meta-blocking.
 """
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from repro.blocking.base import BlockCollection, build_blocks
@@ -37,8 +38,9 @@ class TestAccounting:
     @given(keyed_blocks)
     def test_profile_block_sets_cover_blocks(self, keyed):
         collection = _collection(keyed)
-        for profile, positions in collection.profile_block_sets.items():
-            for pos in positions:
+        index = collection.entity_index
+        for profile in np.flatnonzero(index.node_block_counts).tolist():
+            for pos in index.blocks_of(profile).tolist():
                 assert profile in collection[pos].profiles
 
     @given(keyed_blocks)

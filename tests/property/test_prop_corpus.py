@@ -107,7 +107,10 @@ def assert_identical(blocker, dataset):
     assert [b.key for b in interned] == [b.key for b in legacy]
     for a, b in zip(interned, legacy):
         assert a.left == b.left and a.right == b.right
-    assert_same_index(interned.entity_index, EntityIndex.from_collection(legacy))
+    assert_same_index(
+        interned.entity_index,
+        EntityIndex.from_blocks(list(legacy), legacy.is_clean_clean),
+    )
 
 
 class TestInternedBlockingMatchesStrings:

@@ -21,7 +21,6 @@ from _block_oracles import (
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.filtering import block_filtering
 from repro.blocking.purging import block_purging
-from repro.graph.entity_index import EntityIndex
 
 SIDE = 12  # profiles per source; clean-clean E2 ids start here
 MAX_BLOCKS = 26
@@ -71,9 +70,7 @@ def collections(draw):
             blocks.append(Block(key, frozenset(left | right)))
     collection = BlockCollection(blocks, clean)
     if draw(st.booleans()):  # the same blocks, index-born
-        collection = BlockCollection.from_index(
-            EntityIndex.from_collection(collection)
-        )
+        collection = BlockCollection.from_index(collection.entity_index)
     return collection
 
 

@@ -24,6 +24,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from _block_oracles import assert_same_edges
 from _parallel_helpers import random_blocks
 
 from repro.blocking.base import build_blocks
@@ -79,7 +80,7 @@ class TestInjectedTaskFailure:
         self, blocks, oracle, fork_only
     ):
         with FAULTS.injected(WORKER_FAULT_SITE, "raise", hits=1):
-            assert run_parallel(blocks) == oracle
+            assert_same_edges(run_parallel(blocks), oracle)
 
     def test_poisoned_shards_degrade_to_serial(
         self, blocks, oracle, fork_only
@@ -92,7 +93,7 @@ class TestInjectedTaskFailure:
                     blocks,
                     retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
                 )
-        assert result == oracle
+        assert_same_edges(result, oracle)
 
     def test_zero_retries_still_completes_serially(
         self, blocks, oracle, fork_only
@@ -103,7 +104,7 @@ class TestInjectedTaskFailure:
                     blocks,
                     retry_policy=RetryPolicy(max_retries=0, backoff_base=0.0),
                 )
-        assert result == oracle
+        assert_same_edges(result, oracle)
 
     def test_no_worker_processes_leak(self, blocks, fork_only):
         with FAULTS.injected(WORKER_FAULT_SITE, "raise"):
@@ -131,7 +132,7 @@ class TestInjectedWorkerDeath:
                     max_retries=2, task_timeout=2.0, backoff_base=0.0
                 ),
             )
-        assert result == oracle
+        assert_same_edges(result, oracle)
 
     def test_every_worker_killed_degrades_to_serial(
         self, blocks, oracle, fork_only
@@ -144,7 +145,7 @@ class TestInjectedWorkerDeath:
                         max_retries=1, task_timeout=1.0, backoff_base=0.0
                     ),
                 )
-        assert result == oracle
+        assert_same_edges(result, oracle)
 
 
 class TestInjectedDelay:
@@ -156,12 +157,15 @@ class TestInjectedDelay:
                     max_retries=2, task_timeout=0.3, backoff_base=0.0
                 ),
             )
-        assert result == oracle
+        assert_same_edges(result, oracle)
 
 
 class TestKnobPlumbing:
     def test_timeout_and_retry_shorthands(self, blocks, oracle):
-        assert run_parallel(blocks, task_timeout=30.0, max_retries=1) == oracle
+        assert_same_edges(
+            run_parallel(blocks, task_timeout=30.0, max_retries=1),
+            oracle,
+        )
 
     def test_shorthands_conflict_with_explicit_policy(self, blocks):
         with pytest.raises(ValueError, match="retry_policy"):
@@ -176,7 +180,7 @@ class TestKnobPlumbing:
             run_parallel(blocks, max_retries=-1)
 
     def test_faultless_run_matches_oracle(self, blocks, oracle):
-        assert run_parallel(blocks) == oracle
+        assert_same_edges(run_parallel(blocks), oracle)
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +229,7 @@ class TestPrePrunedShardsUnderFaults:
             weighting=weighting, pruning=pruning, entropy_boost=boost
         )
         oracle = reference_metablocking(dense_blocks, **kwargs)
-        assert oracle  # a vacuous fixture would prove nothing
+        assert len(oracle)  # a vacuous fixture would prove nothing
         with FAULTS.injected(WORKER_FAULT_SITE, **fault):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -234,7 +238,7 @@ class TestPrePrunedShardsUnderFaults:
                     retry_policy=policy, **kwargs,
                 )
         assert_no_orphans()
-        assert result == oracle
+        assert_same_edges(result, oracle)
 
     def test_fault_free_calls_leave_nothing_behind(self, dense_blocks):
         oracle = reference_metablocking(
@@ -247,7 +251,7 @@ class TestPrePrunedShardsUnderFaults:
                 pruning=BlastPruning(), workers=2,
             )
             assert_no_orphans()
-            assert result == oracle
+            assert_same_edges(result, oracle)
 
 
 class TestInterruptedDispatch:

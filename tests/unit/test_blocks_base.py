@@ -63,14 +63,14 @@ class TestBlockCollection:
         ]
         assert BlockCollection(blocks, True).aggregate_cardinality == 4
 
-    def test_profile_block_sets(self):
+    def test_blocks_of(self):
         blocks = [
             Block("a", frozenset({0}), frozenset({5})),
             Block("b", frozenset({0}), frozenset({6})),
         ]
         bc = BlockCollection(blocks, True)
-        assert bc.profile_block_sets[0] == {0, 1}
-        assert bc.profile_block_sets[5] == {0}
+        assert bc.entity_index.blocks_of(0).tolist() == [0, 1]
+        assert bc.entity_index.blocks_of(5).tolist() == [0]
         assert bc.num_indexed_profiles == 3
 
     def test_distinct_pairs_removes_redundancy(self):
@@ -79,15 +79,6 @@ class TestBlockCollection:
             Block("b", frozenset({0}), frozenset({5})),
         ]
         assert BlockCollection(blocks, True).distinct_pairs() == {(0, 5)}
-
-    def test_filter_blocks(self):
-        blocks = [
-            Block("tiny", frozenset({0}), frozenset({5})),
-            Block("big", frozenset({0, 1, 2}), frozenset({5, 6, 7})),
-        ]
-        bc = BlockCollection(blocks, True)
-        kept = bc.filter_blocks(lambda b: b.size <= 2)
-        assert [b.key for b in kept] == ["tiny"]
 
     def test_sequence_protocol(self):
         bc = BlockCollection([Block("a", frozenset({1, 2}))], False)
@@ -111,8 +102,9 @@ class TestIndexBornCollection:
         assert len(bc) == 2
         assert bc.aggregate_cardinality == 4
         assert bc.num_indexed_profiles == 4
-        assert bc.profile_block_sets == {
-            0: {0}, 1: {0, 1}, 5: {0, 1}, 6: {1}
+        index = bc.entity_index
+        assert {p: index.blocks_of(p).tolist() for p in (0, 1, 5, 6)} == {
+            0: [0], 1: [0, 1], 5: [0, 1], 6: [1]
         }
         assert bc.distinct_pairs() == {(0, 5), (1, 5), (1, 6)}
         assert "blocks=2" in repr(bc)
@@ -123,9 +115,6 @@ class TestIndexBornCollection:
         assert list(bc) == self.BLOCKS
         assert bc[1] is bc[1]
         assert bc[-1].key == "b"
-        assert [b.key for b in bc.filter_blocks(lambda b: b.size == 3)] == [
-            "a", "b"
-        ]
 
     def test_dirty_view(self):
         blocks = [Block("x", frozenset({2, 0})), Block("y", frozenset({7}))]

@@ -1,6 +1,7 @@
 """Tests for the CSR entity index (repro.graph.entity_index)."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -62,10 +63,9 @@ class TestLayout:
     def test_node_block_counts_match_profile_block_sets(self):
         for collection in (_clean_collection(), _dirty_collection()):
             index = collection.entity_index
-            expected = {
-                profile: len(positions)
-                for profile, positions in collection.profile_block_sets.items()
-            }
+            expected = Counter(
+                profile for block in collection for profile in block.profiles
+            )
             for profile, count in expected.items():
                 assert int(index.node_block_counts[profile]) == count
             assert index.num_indexed_profiles == len(expected)

@@ -47,7 +47,7 @@ class TestBlockPurging:
 
     def test_keeps_zero_comparison_blocks_it_does_not_purge(self):
         # Purging judges size and cardinality only; a singleton dirty
-        # block passes both and survives, as with filter_blocks before.
+        # block passes both and survives.
         bc = BlockCollection(
             [Block("one", frozenset({3})), Block("two", frozenset({1, 2}))],
             False,
@@ -122,7 +122,7 @@ class TestBlockFiltering:
         assert [b.key for b in filtered] == [f"k{i:02d}" for i in range(8)]
         assert filtered.entity_index.node_block_counts[0] == 8
         # ... and at the default 0.8, 15 blocks keep exactly 12.
-        first_15 = bc.filter_blocks(lambda b: b.key < "k15")
+        first_15 = BlockCollection([b for b in bc if b.key < "k15"], False)
         assert len(block_filtering(first_15, ratio=0.8)) == 12
 
     def test_ratio_one_returns_an_equal_collection(self, figure1_clean_clean):
@@ -150,14 +150,15 @@ class TestBlockFiltering:
         )
         filtered = block_filtering(bc, ratio=0.5)
         assert [b.key for b in filtered] == ["a", "b"]
-        assert 2 not in filtered.profile_block_sets
+        assert filtered.entity_index.blocks_of(2).size == 0
         assert filtered.num_indexed_profiles == 4
         assert filtered.entity_index.node_block_counts.tolist() == [1, 1, 0, 1, 1]
 
 
 class TestEntityIndexSurvivesCachePop:
     """Benchmarks drop ``__dict__["entity_index"]`` to time a cold
-    lowering; an index-born collection must answer again, equally."""
+    lowering; the index is the collection's stored form, so that pop is
+    harmless and every collection answers again, equally."""
 
     def test_blocker_purged_and_filtered_collections(self, figure1_clean_clean):
         partitioning = SchemaExtraction().extract(figure1_clean_clean)
@@ -172,9 +173,8 @@ class TestEntityIndexSurvivesCachePop:
             assert_same_index(collection.entity_index, before)
             assert len(collection) == before.num_blocks
 
-    def test_block_born_collection_is_lowered_again(self):
+    def test_block_born_keeps_its_index(self):
         bc = BlockCollection([Block("a", frozenset({0, 1}))], False)
         before = bc.entity_index
         bc.__dict__.pop("entity_index", None)
-        assert bc.entity_index is not before
-        assert_same_index(bc.entity_index, before)
+        assert bc.entity_index is before

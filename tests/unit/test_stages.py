@@ -21,6 +21,7 @@ from repro.core import (
     compose,
     prepare_blocks,
 )
+from repro.blocking.base import BlockCollection
 from repro.datasets import load_clean_clean
 from repro.graph.pruning import BlastPruning
 
@@ -192,8 +193,9 @@ class TestStageAdapters:
             phase = "blocking"
 
             def apply(self, context):
-                context.blocks = context.blocks.filter_blocks(
-                    lambda block: block.num_comparisons <= 2
+                context.blocks = BlockCollection(
+                    [b for b in context.blocks if b.num_comparisons <= 2],
+                    context.blocks.is_clean_clean,
                 )
 
         result = Pipeline([TokenBlockingStage(), UpperBound()]).run(

@@ -13,7 +13,7 @@ from repro.supervised import EDGE_FEATURE_NAMES, SupervisedMetaBlocking, edge_fe
 class TestEdgeFeatures:
     def test_shape_and_names(self, figure1_dirty):
         graph = ArrayBlockingGraph(TokenBlocking().build(figure1_dirty))
-        edges = graph.edge_list()
+        edges = list(zip(graph.src.tolist(), graph.dst.tolist()))
         X = edge_features(graph)
         assert X.shape == (len(edges), len(EDGE_FEATURE_NAMES))
         assert np.isfinite(X).all()
@@ -26,7 +26,8 @@ class TestEdgeFeatures:
         X = edge_features(graph)
         js = compute_weights(BlockingGraph(blocks), WeightingScheme.JS)
         js_column = EDGE_FEATURE_NAMES.index("js")
-        for row, edge in enumerate(graph.edge_list()):
+        edges = zip(graph.src.tolist(), graph.dst.tolist())
+        for row, edge in enumerate(edges):
             assert X[row, js_column] == pytest.approx(js[edge])
 
     def test_degree_features_normalized(self, figure1_dirty):
@@ -36,7 +37,7 @@ class TestEdgeFeatures:
 
     def test_matching_edges_score_higher_on_raccb(self, figure1_dirty):
         graph = ArrayBlockingGraph(TokenBlocking().build(figure1_dirty))
-        edges = graph.edge_list()
+        edges = list(zip(graph.src.tolist(), graph.dst.tolist()))
         X = edge_features(graph)
         raccb = dict(zip(edges, X[:, 1]))
         # true matches p1-p3 and p2-p4 accumulate more small-block mass
@@ -114,7 +115,7 @@ class TestAgainstPerEdgeOracle:
         reference = BlockingGraph(blocks)
         edges = [edge for edge, _ in reference.edges()]
         graph = ArrayBlockingGraph(blocks)
-        assert graph.edge_list() == edges
+        assert list(zip(graph.src.tolist(), graph.dst.tolist())) == edges
         assert _hex(edge_features(graph)) == _hex(
             oracle_edge_features(reference, edges)
         )
@@ -140,7 +141,8 @@ class TestAgainstPerEdgeOracle:
         blocks = TokenBlocking().build(dataset)
         meta = SupervisedMetaBlocking(seed=1)
         expected = oracle_retained(meta, blocks, dataset)
-        assert expected == ArrayBlockingGraph(blocks).edge_list()
+        graph = ArrayBlockingGraph(blocks)
+        assert expected == list(zip(graph.src.tolist(), graph.dst.tolist()))
         assert [tuple(sorted(b.profiles)) for b in meta.run(blocks, dataset)] == (
             expected
         )
