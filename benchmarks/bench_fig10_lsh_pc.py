@@ -14,7 +14,7 @@ from repro.blocking import LooselySchemaAwareBlocking, block_purging
 from repro.datasets.benchmarks import load_dbp_wide
 from repro.lsh import LSHBanding, lsh_candidate_pairs
 from repro.metrics import evaluate_blocks
-from repro.schema.attribute_profile import build_attribute_profiles
+from repro.schema.attribute_graph import AttributeGraph
 from repro.schema.lmi import LooseAttributeMatchInduction
 
 # (rows, bands) pairs: thresholds (1/b)^(1/r) ~ .10 / .26 / .51 / .71 /
@@ -26,18 +26,17 @@ CONFIGS = ((2, 100), (3, 60), (5, 30), (8, 15), (10, 10), (25, 6))
 def test_fig10_pc_vs_lsh_threshold(benchmark):
     def build_rows():
         dataset = load_dbp_wide(num_rare=200, scale=0.5)
-        profiles1 = build_attribute_profiles(dataset.collection1, 0)
-        profiles2 = build_attribute_profiles(dataset.collection2, 1)
+        graph = AttributeGraph.from_corpus(dataset.corpus, 2)
         lmi = LooseAttributeMatchInduction(glue_cluster=False)
 
         rows = ["Figure 10 - PC of LSH-LMI + Token Blocking, glue disabled",
                 f"{'config':>14} {'threshold':>10} {'PC':>9} {'clusters':>9}"]
         for r, b in CONFIGS:
             banding = LSHBanding(bands=b, rows=r)
-            candidates = lsh_candidate_pairs(
-                profiles1, profiles2, banding=banding, seed=42
+            restricted = graph.restricted_to(
+                lsh_candidate_pairs(dataset.corpus, banding=banding, seed=42)
             )
-            part = lmi.induce(profiles1, profiles2, candidates)
+            part = lmi.decide(restricted, restricted.jaccard())
             blocks = LooselySchemaAwareBlocking(part).build(dataset)
             blocks = block_purging(blocks, dataset.num_profiles)
             quality = evaluate_blocks(blocks, dataset)

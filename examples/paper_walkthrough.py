@@ -85,9 +85,7 @@ def main() -> None:
                  aware_graph, aware_graph.weights(WeightingScheme.CBS))
 
     # --- Figure 3: entropy-weighted meta-blocking ------------------------
-    partitioning = extract_loose_schema_entropies(
-        partitioning, dataset.collection1, None
-    )
+    partitioning = extract_loose_schema_entropies(partitioning, dataset.corpus)
     print("\nFigure 3a - aggregate entropies:")
     for cid in partitioning.cluster_ids:
         label = "glue (other attr.)" if cid == 0 else "cluster 1 (names)"

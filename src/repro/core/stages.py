@@ -221,46 +221,21 @@ class SchemaExtraction(BaseStage):
                 )
             else:
                 induction = AttributeClustering(glue_cluster=config.glue_cluster)
+            graph = AttributeGraph.from_corpus(corpus, floor)
             if config.use_lsh:
-                partitioning = induction.induce(
-                    *self._profiles_and_candidates(dataset)
+                from repro.lsh.banding import lsh_candidate_pairs
+
+                graph = graph.restricted_to(
+                    lsh_candidate_pairs(
+                        corpus,
+                        floor,
+                        threshold=config.lsh_threshold,
+                        num_hashes=config.lsh_num_hashes,
+                        seed=config.seed,
+                    )
                 )
-            else:
-                graph = AttributeGraph.from_corpus(corpus, floor)
-                partitioning = induction.decide(graph, graph.jaccard())
-        return extract_loose_schema_entropies(
-            partitioning,
-            dataset.collection1,
-            dataset.collection2,
-            corpus=corpus,
-            min_token_length=floor,
-        )
-
-    def _profiles_and_candidates(self, dataset: ERDataset):
-        """String attribute profiles and their LSH candidate pairs: MinHash
-        signatures are taken over token strings."""
-        from repro.lsh.banding import lsh_candidate_pairs
-        from repro.schema.attribute_profile import build_attribute_profiles
-
-        config = self.config
-        floor = config.min_token_length
-        corpus = dataset.corpus
-        profiles1 = build_attribute_profiles(
-            dataset.collection1, 0, floor, corpus=corpus
-        )
-        profiles2 = (
-            build_attribute_profiles(dataset.collection2, 1, floor, corpus=corpus)
-            if dataset.collection2 is not None
-            else None
-        )
-        candidates = lsh_candidate_pairs(
-            profiles1,
-            profiles2,
-            threshold=config.lsh_threshold,
-            num_hashes=config.lsh_num_hashes,
-            seed=config.seed,
-        )
-        return profiles1, profiles2, candidates
+            partitioning = induction.decide(graph, graph.jaccard())
+        return extract_loose_schema_entropies(partitioning, corpus, floor)
 
     def _extract_with_tfidf(self, dataset: ERDataset) -> AttributePartitioning:
         from repro.schema.representation import (

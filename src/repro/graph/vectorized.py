@@ -72,6 +72,7 @@ from repro.graph.sharding import (
     ShardableIndex,
     ShardEdges,
     ShardWorkspace,
+    _stable_sort,
     default_plan,
     shard_edge_arrays,
 )
@@ -451,6 +452,15 @@ def _wnp_mask(
     return (above_i & above_j) if scheme.reciprocal else (above_i | above_j)
 
 
+def _edge_ranking(graph: ArrayBlockingGraph, weights: np.ndarray) -> np.ndarray:
+    """Edge positions by ``(-w, i, j)``: weight descending, then edge
+    ascending — the reference's deterministic tie-break.  The graph's
+    edges are already in ``(i, j)`` order, so a stable sort by ``-w``
+    breaks ties exactly as a three-key lexsort would, at a third of its
+    cost."""
+    return np.argsort(-weights, kind="stable")
+
+
 def _cep_mask(
     scheme: CardinalityEdgePruning,
     graph: ArrayBlockingGraph,
@@ -459,11 +469,8 @@ def _cep_mask(
     k = scheme.k
     if k is None:
         k = max(1, int(graph.node_blocks.sum()) // 2)
-    # Rank by weight descending, then edge ascending (lexsort: last key
-    # is primary) — the reference's deterministic tie-break.
-    order = np.lexsort((graph.dst, graph.src, -weights))
     mask = np.zeros(weights.size, dtype=bool)
-    mask[order[:k]] = True
+    mask[_edge_ranking(graph, weights)[:k]] = True
     return mask
 
 
@@ -478,23 +485,23 @@ def _cnp_mask(
         k = max(1, math.ceil(total_assignments / max(1, graph.num_nodes)))
 
     num_edges = weights.size
-    # Two incidences per edge: positions [0, E) are the src side.
-    edge_idx = np.concatenate(
-        (np.arange(num_edges, dtype=np.int64), np.arange(num_edges, dtype=np.int64))
-    )
-    nodes = np.concatenate((graph.src, graph.dst))
-    order = np.lexsort(
-        (graph.dst[edge_idx], graph.src[edge_idx], -weights[edge_idx], nodes)
-    )
-    sorted_nodes = nodes[order]
+    rank = np.empty(num_edges, dtype=np.int64)
+    rank[_edge_ranking(graph, weights)] = np.arange(num_edges, dtype=np.int64)
+    # Two incidences per edge, positions [0, E) the src side, sorted by one
+    # composite (node, edge rank) key: each node's edges, best first.
+    width = max(1, num_edges)
+    keys = np.concatenate((graph.src, graph.dst)).astype(np.int64) * width
+    keys += np.tile(rank, 2)
+    order = _stable_sort(keys)
+    sorted_nodes = keys // width
     seg_starts = np.flatnonzero(
         np.concatenate(([True], sorted_nodes[1:] != sorted_nodes[:-1]))
     )
     seg_lengths = np.diff(np.append(seg_starts, sorted_nodes.size))
-    rank = np.arange(sorted_nodes.size, dtype=np.int64) - np.repeat(
+    rank_in_node = np.arange(sorted_nodes.size, dtype=np.int64) - np.repeat(
         seg_starts, seg_lengths
     )
-    top = order[rank < k]
+    top = order[rank_in_node < k]
 
     in_top_i = np.zeros(num_edges, dtype=bool)
     in_top_j = np.zeros(num_edges, dtype=bool)

@@ -9,13 +9,17 @@ quadratic all-pairs similarity pass.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.lsh.minhash import MinHasher
+from repro.lsh.minhash import MinHasher, hash_tokens
 from repro.lsh.scurve import estimated_threshold
-from repro.schema.attribute_profile import AttributeProfile
+from repro.schema.attribute_graph import AttributeGraph, corpus_memberships
 from repro.schema.partition import AttributeRef
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.data.corpus import InternedCorpus
 
 
 class LSHBanding:
@@ -48,40 +52,40 @@ class LSHBanding:
     def candidate_pairs(
         self,
         signatures: np.ndarray,
-        sources: Sequence[int] | None = None,
-    ) -> set[tuple[int, int]]:
-        """Indices of signature rows colliding in at least one band.
+        refs: Sequence[AttributeRef],
+        clean_clean: bool,
+    ) -> np.ndarray:
+        """Signature rows colliding in at least one band, as a sorted
+        ``(E, 2)`` int64 array of ``(i, j)`` with ``i < j``.
 
-        Parameters
-        ----------
-        signatures:
-            ``(num_attributes, bands * rows)`` signature matrix.
-        sources:
-            Optional per-row source labels; when given, only cross-source
-            pairs are emitted (the clean-clean case — same-source attribute
-            pairs are never matched by LMI).
+        Each band's buckets are blocks of the attribute graph's shard
+        kernel: a row joins one bucket per band, and the pairs sharing a
+        bucket are enumerated and deduplicated across bands exactly like
+        the token-sharing pairs.  *refs* are the sorted attribute refs of
+        the rows; for a clean-clean task only cross-source pairs are
+        emitted (same-source pairs are never matched by LMI).
         """
         n, width = signatures.shape
         if width != self.num_hashes:
             raise ValueError(
                 f"signature length {width} != bands*rows {self.num_hashes}"
             )
-        pairs: set[tuple[int, int]] = set()
+        rows, codes, offset = [], [], 0
         for band in range(self.bands):
             chunk = signatures[:, band * self.rows : (band + 1) * self.rows]
-            buckets: dict[bytes, list[int]] = {}
-            for row in range(n):
-                buckets.setdefault(chunk[row].tobytes(), []).append(row)
-            for members in buckets.values():
-                if len(members) < 2:
-                    continue
-                for i in range(len(members)):
-                    for j in range(i + 1, len(members)):
-                        a, b = members[i], members[j]
-                        if sources is not None and sources[a] == sources[b]:
-                            continue
-                        pairs.add((a, b) if a < b else (b, a))
-        return pairs
+            order = np.lexsort(chunk.T)
+            ordered = chunk[order]
+            new = np.ones(n, dtype=bool)
+            new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+            bucket = np.cumsum(new) - 1
+            shared = np.bincount(bucket)[bucket] > 1  # singletons pair nothing
+            rows.append(order[shared])
+            codes.append(bucket[shared] + offset)
+            offset += n
+        graph = AttributeGraph.build(
+            list(refs), np.concatenate(rows), np.concatenate(codes), clean_clean
+        )
+        return np.column_stack((graph.src, graph.dst))
 
 
 def choose_bands(num_hashes: int, threshold: float) -> LSHBanding:
@@ -108,18 +112,21 @@ def choose_bands(num_hashes: int, threshold: float) -> LSHBanding:
 
 
 def lsh_candidate_pairs(
-    profiles1: Sequence[AttributeProfile],
-    profiles2: Sequence[AttributeProfile] | None = None,
+    corpus: "InternedCorpus",
+    min_token_length: int = 2,
     threshold: float = 0.5,
     num_hashes: int = 150,
     seed: int | None = None,
     banding: LSHBanding | None = None,
-) -> set[tuple[AttributeRef, AttributeRef]]:
-    """End-to-end LSH step: profiles -> candidate attribute-ref pairs.
+) -> np.ndarray:
+    """End-to-end LSH step: corpus -> candidate attribute pairs.
 
     This is the optional pre-processing step of Section 3.1.2, usable in
-    front of both LMI and Attribute Clustering.  For clean-clean inputs only
-    cross-source pairs are returned.
+    front of both LMI and Attribute Clustering.  Signatures are taken over
+    the corpus' ``(attribute, token)`` ids; rows and the returned sorted
+    ``(E, 2)`` pairs index the attributes in ref order, as
+    :class:`~repro.schema.attribute_graph.AttributeGraph` does.  For
+    clean-clean inputs only cross-source pairs are returned.
 
     Parameters
     ----------
@@ -128,13 +135,10 @@ def lsh_candidate_pairs(
     banding:
         Explicit banding configuration (e.g. ``LSHBanding(30, 5)``).
     """
-    all_profiles = list(profiles1) + (list(profiles2) if profiles2 else [])
     if banding is None:
         banding = choose_bands(num_hashes, threshold)
+    refs, rows, tokens = corpus_memberships(corpus, min_token_length)
+    hashes = hash_tokens(tokens, corpus.dictionary.token_of)
     hasher = MinHasher(num_hashes=banding.num_hashes, seed=seed)
-    signatures = hasher.signatures([p.tokens for p in all_profiles])
-    sources = [p.source for p in all_profiles] if profiles2 is not None else None
-    index_pairs = banding.candidate_pairs(signatures, sources)
-    return {
-        (all_profiles[i].ref, all_profiles[j].ref) for i, j in index_pairs
-    }
+    signatures = hasher.row_signatures(rows, hashes, len(refs))
+    return banding.candidate_pairs(signatures, refs, corpus.is_clean_clean)

@@ -6,14 +6,16 @@ values.  The probability that two columns agree on one minhash equals their
 Jaccard similarity [Broder 1997], so signatures preserve exactly the
 similarity LMI measures.
 
-Hashing uses the classic universal family ``h(x) = (a*x + b) mod p`` over a
-Mersenne prime, vectorized with numpy across hash functions.
+Each distinct token is hashed once to a 32-bit id; the hash functions are
+``h(x) = a*x + b`` over Z_2^64 with odd multipliers, and a signature column
+is one ``np.minimum.reduceat`` over the row-sorted ``(attribute, token id)``
+memberships — the attribute x token index LMI reads.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +33,18 @@ def _token_id(token: str) -> int:
     """
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=4).digest()
     return int.from_bytes(digest, "big")
+
+
+def hash_tokens(codes: np.ndarray, token_of: Callable[[int], str]) -> np.ndarray:
+    """:func:`_token_id` of ``token_of(code)`` for every entry of *codes*,
+    each distinct code hashed once."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    table = np.fromiter(
+        (_token_id(token_of(code)) for code in distinct.tolist()),
+        dtype=np.uint64,
+        count=distinct.size,
+    )
+    return table[inverse.reshape(-1)]
 
 
 class MinHasher:
@@ -64,33 +78,43 @@ class MinHasher:
         token hashes identically across sets, across calls, and across
         processes — signature agreement estimates Jaccard similarity, and
         signatures of the same set are reproducible regardless of which
-        other sets share the call.
-
-        Empty token sets receive unique sentinel signatures so they can
-        never become candidates of anything (an empty attribute has Jaccard
-        0 with every other attribute).
+        other sets share the call.  Each distinct string is hashed once and
+        the sets go to :meth:`row_signatures` as memberships.
         """
-        cache: dict[str, int] = {}
-        encoded: list[np.ndarray] = []
-        for tokens in token_sets:
-            ids = [
-                cache[token] if token in cache else cache.setdefault(token, _token_id(token))
-                for token in tokens
-            ]
-            encoded.append(np.asarray(sorted(ids), dtype=np.uint64))
+        sets = [list(dict.fromkeys(tokens)) for tokens in token_sets]
+        code_of: dict[str, int] = {}
+        codes = [code_of.setdefault(t, len(code_of)) for s in sets for t in s]
+        sizes = [len(s) for s in sets]
+        rows = np.repeat(np.arange(len(sets), dtype=np.int64), sizes)
+        hashes = hash_tokens(
+            np.asarray(codes, dtype=np.int64), list(code_of).__getitem__
+        )
+        return self.row_signatures(rows, hashes, len(sets))
 
-        out = np.empty((len(encoded), self.num_hashes), dtype=np.uint64)
-        for row, ids in enumerate(encoded):
-            if ids.size == 0:
-                # Unique per-row sentinels: empty sets never collide with
-                # anything (including each other).
-                out[row] = _UINT64_MAX - np.uint64(row)
-                continue
-            # (n_hashes, n_tokens) hashes with implicit mod 2^64; min over
-            # tokens is the minhash.
-            hashed = self._a[:, None] * ids[None, :] + self._b[:, None]
-            out[row] = hashed.min(axis=1)
-        return out
+    def row_signatures(
+        self, rows: np.ndarray, hashes: np.ndarray, num_rows: int
+    ) -> np.ndarray:
+        """Signatures of ``num_rows`` sets given as ``(row, token hash)``
+        memberships.
+
+        Per hash function, the minimum of ``a * h + b`` (mod 2^64) over each
+        row's run of the row-sorted memberships.  A row with no token gets
+        its own sentinel, ``2^64 - 1 - row`` in every column, so it shares
+        no band with any other row (an empty attribute has Jaccard 0 with
+        every other attribute).
+        """
+        order = np.argsort(rows, kind="stable")
+        rows, hashes = rows[order], np.asarray(hashes, dtype=np.uint64)[order]
+        out = np.empty((self.num_hashes, num_rows), dtype=np.uint64)
+        out[:] = _UINT64_MAX - np.arange(num_rows, dtype=np.uint64)
+        if rows.size:
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            present = rows[starts]
+            for k in range(self.num_hashes):
+                out[k, present] = np.minimum.reduceat(
+                    self._a[k] * hashes + self._b[k], starts
+                )
+        return out.T.copy()
 
     def estimate_jaccard(self, sig_a: np.ndarray, sig_b: np.ndarray) -> float:
         """Fraction of agreeing minhashes — an unbiased Jaccard estimate."""

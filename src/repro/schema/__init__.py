@@ -2,7 +2,7 @@
 
 from repro.schema.attribute_clustering import AttributeClustering
 from repro.schema.attribute_graph import AttributeGraph
-from repro.schema.attribute_profile import AttributeProfile, build_attribute_profiles
+from repro.schema.attribute_profile import AttributeProfile
 from repro.schema.entropy import (
     aggregate_entropies,
     attribute_entropies,
@@ -21,7 +21,6 @@ __all__ = [
     "tfidf_attribute_match_induction",
     "AttributeGraph",
     "AttributeProfile",
-    "build_attribute_profiles",
     "LooseAttributeMatchInduction",
     "AttributeClustering",
     "AttributePartitioning",

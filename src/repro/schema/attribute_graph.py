@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.schema.attribute_profile import AttributeProfile
 from repro.schema.partition import AttributePartitioning, AttributeRef
+from repro.utils.arrays import sorted_contains, sorted_unique
 from repro.utils.unionfind import UnionFind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,7 +71,8 @@ class AttributeGraph:
         """Index ``(attribute id, token code)`` memberships, one block a token.
 
         One-sided and single-member tokens stay as zero-comparison blocks:
-        they pair nothing but still count toward ``|a|``.
+        they pair nothing but still count toward ``|a|``.  Any other block
+        code works the same way: the LSH step passes band buckets.
         """
         from repro.blocking._interned import group_assignments
         from repro.graph.sharding import (
@@ -136,52 +138,24 @@ class AttributeGraph:
     def from_corpus(
         cls, corpus: "InternedCorpus", min_token_length: int
     ) -> "AttributeGraph":
-        """Index the corpus' ``(attribute, token)`` id pairs directly.
-
-        No token string and no :class:`AttributeProfile` is materialized;
-        attributes whose values produce no token keep an id and no
-        membership, so they reach the glue cluster.
-        """
-        attributes = corpus.attributes
-        order = sorted(range(len(attributes)), key=attributes.__getitem__)
-        row_of = np.empty(len(order), dtype=np.int64)
-        row_of[order] = np.arange(len(order), dtype=np.int64)
-        counts = [
-            corpus.attribute_term_counts(source, min_token_length)
-            for source in ((0, 1) if corpus.is_clean_clean else (0,))
-        ]
+        """Index the corpus' ``(attribute, token)`` id pairs directly."""
         return cls.build(
-            [attributes[aid] for aid in order],
-            row_of[np.concatenate([attrs for attrs, _, _ in counts])],
-            np.concatenate([toks for _, toks, _ in counts]),
-            corpus.is_clean_clean,
+            *corpus_memberships(corpus, min_token_length), corpus.is_clean_clean
         )
 
-    def restricted_to(
-        self, candidate_pairs: CandidatePairs | None
-    ) -> "AttributeGraph":
-        """The graph with only the edges *candidate_pairs* names (LSH step).
+    def restricted_to(self, pairs: np.ndarray) -> "AttributeGraph":
+        """The graph with only the edges among the row *pairs* (LSH step).
 
-        Pairs may come in either orientation and repeat; a pair naming an
-        unknown ref, or two attributes the graph does not pair, is ignored.
+        *pairs* is an ``(E, 2)`` array of attribute ids in either
+        orientation, repeats allowed; a pair the graph does not link is
+        ignored.  An edge stays if its packed pair is among the packed
+        candidates, one binary search each.
         """
-        if candidate_pairs is None:
-            return self
         from repro.graph.entity_index import pack_pairs
 
-        row_of = {ref: row for row, ref in enumerate(self.refs)}
-        pairs = np.asarray(
-            [
-                (row_of[a], row_of[b])
-                for a, b in candidate_pairs
-                if a in row_of and b in row_of
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        keep = np.isin(
-            pack_pairs(self.src, self.dst),
-            pack_pairs(pairs.min(axis=1), pairs.max(axis=1)),
-        )
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        keys = sorted_unique(pack_pairs(pairs[:, 0], pairs[:, 1]))
+        keep = sorted_contains(keys, pack_pairs(self.src, self.dst))
         return replace(
             self, src=self.src[keep], dst=self.dst[keep], shared=self.shared[keep]
         )
@@ -194,6 +168,31 @@ class AttributeGraph:
         """
         sizes = self.sizes
         return self.shared / (sizes[self.src] + sizes[self.dst] - self.shared)
+
+
+def corpus_memberships(
+    corpus: "InternedCorpus", min_token_length: int
+) -> tuple[list[AttributeRef], np.ndarray, np.ndarray]:
+    """``(refs, rows, tokens)``: every attribute of *corpus* in ref order,
+    and one ``(row, token id)`` membership per distinct token of a row.
+
+    No token string and no :class:`AttributeProfile` is materialized;
+    attributes whose values produce no token keep a row and no membership,
+    so they reach the glue cluster.
+    """
+    attributes = corpus.attributes
+    order = sorted(range(len(attributes)), key=attributes.__getitem__)
+    row_of = np.empty(len(order), dtype=np.int64)
+    row_of[order] = np.arange(len(order), dtype=np.int64)
+    counts = [
+        corpus.attribute_term_counts(source, min_token_length)
+        for source in ((0, 1) if corpus.is_clean_clean else (0,))
+    ]
+    return (
+        [attributes[aid] for aid in order],
+        row_of[np.concatenate([attrs for attrs, _, _ in counts])],
+        np.concatenate([toks for _, toks, _ in counts]),
+    )
 
 
 class AttributeMatchInduction:
@@ -245,7 +244,15 @@ class AttributeMatchInduction:
                 token_sets[profile.ref] = profile.tokens
         graph = AttributeGraph.from_token_sets(
             token_sets, clean_clean=profiles2 is not None
-        ).restricted_to(candidate_pairs)
+        )
+        if candidate_pairs is not None:
+            row_of = {ref: row for row, ref in enumerate(graph.refs)}
+            pairs = [
+                (row_of[a], row_of[b])
+                for a, b in candidate_pairs
+                if a in row_of and b in row_of
+            ]
+            graph = graph.restricted_to(np.asarray(pairs, dtype=np.int64))
         return self.decide(graph, graph.jaccard())
 
     def decide(self, graph: AttributeGraph, sim: np.ndarray) -> AttributePartitioning:

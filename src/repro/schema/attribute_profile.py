@@ -11,14 +11,8 @@ for MinHashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.data.collection import EntityCollection
 from repro.schema.partition import AttributeRef
-from repro.utils.tokenize import tokenize
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.data.corpus import InternedCorpus
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,39 +30,3 @@ class AttributeProfile:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-def build_attribute_profiles(
-    collection: EntityCollection,
-    source: int,
-    min_token_length: int = 2,
-    corpus: "InternedCorpus | None" = None,
-) -> list[AttributeProfile]:
-    """Profile every attribute of *collection*.
-
-    Attributes whose values produce no tokens at all (e.g. only punctuation)
-    are still emitted, with an empty token set: they must reach the glue
-    cluster rather than silently vanish from the partitioning.
-
-    With a *corpus*, the token sets are gathered from the interned
-    ``(attribute, token)`` id pairs of the shared tokenization pass and
-    materialized to strings once per distinct pair.
-    """
-    token_sets: dict[str, set[str]] = {name: set() for name in collection.attribute_names}
-    if corpus is not None:
-        attrs, toks, _ = corpus.attribute_term_counts(source, min_token_length)
-        token_of = corpus.dictionary.token_of
-        attributes = corpus.attributes
-        for aid, tid in zip(attrs.tolist(), toks.tolist()):
-            name = attributes[aid][1]
-            bucket = token_sets.get(name)
-            if bucket is not None:
-                bucket.add(token_of(tid))
-    else:
-        for profile in collection:
-            for name, value in profile.iter_pairs():
-                token_sets[name].update(tokenize(value, min_token_length))
-    return [
-        AttributeProfile(source, name, frozenset(tokens))
-        for name, tokens in sorted(token_sets.items())
-    ]

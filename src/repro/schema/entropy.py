@@ -7,25 +7,22 @@ from it.  A cluster of attributes carries the *aggregate entropy*
 ``H(C_k) = (1/|C_k|) * sum_{A_j in C_k} H(A_j)``, which the BLAST weighting
 function later applies as the multiplicative factor ``h(B_uv)``.
 
-Token frequencies come from the dataset's interned corpus when one is
-supplied — per-``(attribute, token)`` id counts from a single shared
-tokenization pass — and fall back to Counter-over-strings otherwise.  Both
-paths produce identical entropies: :func:`shannon_entropy` sums with
-``math.fsum``, which rounds exactly regardless of term order, so the
-id-sorted corpus counts and the insertion-ordered Counter agree bit for
-bit.
+Token frequencies are the per-``(attribute, token)`` id counts of the
+dataset's interned corpus, from its single shared tokenization pass.
+:func:`shannon_entropy` sums with ``math.fsum``, which rounds exactly
+regardless of term order, so the id-sorted counts give the same float as
+any other order of the same counts.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING
 
-from repro.data.collection import EntityCollection
+import numpy as np
+
 from repro.schema.partition import AttributePartitioning, AttributeRef
-from repro.utils.tokenize import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.data.corpus import InternedCorpus
@@ -35,8 +32,7 @@ def shannon_entropy(frequencies: Iterable[int]) -> float:
     """Entropy in bits of the distribution given by raw *frequencies*.
 
     The term sum uses ``math.fsum`` (exactly rounded), so the result does
-    not depend on the order the frequencies arrive in — Counter order and
-    token-id order yield the same float.
+    not depend on the order the frequencies arrive in.
 
     >>> shannon_entropy([1, 1])  # two equiprobable values
     1.0
@@ -53,40 +49,17 @@ def shannon_entropy(frequencies: Iterable[int]) -> float:
 
 
 def attribute_entropies(
-    collection: EntityCollection,
-    source: int,
-    min_token_length: int = 2,
-    corpus: "InternedCorpus | None" = None,
+    corpus: "InternedCorpus", source: int, min_token_length: int = 2
 ) -> dict[AttributeRef, float]:
-    """Shannon entropy of every attribute of *collection*.
+    """Shannon entropy of every attribute of *source* in *corpus*.
 
     Token occurrences are counted across all values of the attribute (with
     multiplicity — a token repeated in many records makes the attribute more
-    predictable, lowering its entropy).  With the dataset's *corpus*, the
-    counts come from its interned ``(attribute, token)`` id arrays and the
-    attribute space from its refs of *source* — every ``(name, value)``
-    pair got an attribute id before tokenizing — so nothing is re-tokenized
-    and the collection is not walked.
+    predictable, lowering its entropy).  The counts come from the corpus'
+    interned ``(attribute, token)`` id arrays and the attribute space from
+    its refs of *source* — every ``(name, value)`` pair got an attribute id
+    before tokenizing — so nothing is re-tokenized.
     """
-    if corpus is not None:
-        return _attribute_entropies_interned(source, min_token_length, corpus)
-    counters: dict[str, Counter[str]] = {}
-    for profile in collection:
-        for name, value in profile.iter_pairs():
-            counter = counters.setdefault(name, Counter())
-            counter.update(tokenize(value, min_token_length))
-    out: dict[AttributeRef, float] = {}
-    for name in collection.attribute_names:
-        counter = counters.get(name, Counter())
-        out[(source, name)] = shannon_entropy(counter.values())
-    return out
-
-
-def _attribute_entropies_interned(
-    source: int, min_token_length: int, corpus: "InternedCorpus"
-) -> dict[AttributeRef, float]:
-    import numpy as np
-
     attrs, _, counts = corpus.attribute_term_counts(source, min_token_length)
     by_attr: dict[int, float] = {}
     if attrs.size:
@@ -131,9 +104,7 @@ def aggregate_entropies(
 
 def extract_loose_schema_entropies(
     partitioning: AttributePartitioning,
-    collection1: EntityCollection,
-    collection2: EntityCollection | None = None,
-    corpus: "InternedCorpus | None" = None,
+    corpus: "InternedCorpus",
     min_token_length: int = 2,
 ) -> AttributePartitioning:
     """Attach aggregate entropies to *partitioning* (Phase 1, step 2).
@@ -142,9 +113,7 @@ def extract_loose_schema_entropies(
     over the tokens that become blocking keys.  Returns a new partitioning;
     the input is unchanged.
     """
-    entropies = attribute_entropies(collection1, 0, min_token_length, corpus)
-    if collection2 is not None:
-        entropies.update(
-            attribute_entropies(collection2, 1, min_token_length, corpus)
-        )
+    entropies: dict[AttributeRef, float] = {}
+    for source in (0, 1) if corpus.is_clean_clean else (0,):
+        entropies.update(attribute_entropies(corpus, source, min_token_length))
     return partitioning.with_entropies(aggregate_entropies(partitioning, entropies))

@@ -107,7 +107,6 @@ def tfidf_attribute_match_induction(
     method: str = "lmi",
     alpha: float = 0.9,
     glue_cluster: bool = True,
-    candidate_pairs=None,
 ) -> AttributePartitioning:
     """Attribute-match induction over the TF-IDF/cosine representation.
 
@@ -127,7 +126,7 @@ def tfidf_attribute_match_induction(
     graph = AttributeGraph.from_token_sets(
         {ref: model.vector(ref) for ref in model.refs},
         clean_clean=any(source == 1 for source, _ in model.refs),
-    ).restricted_to(candidate_pairs)
+    )
     refs = graph.refs
     sim = np.asarray(
         [

@@ -20,6 +20,7 @@ from repro.graph.metablocking import blocks_from_edges
 from repro.graph.vectorized import ArrayBlockingGraph
 from repro.supervised.features import edge_features
 from repro.supervised.svm import LinearSVM
+from repro.utils.arrays import sorted_contains
 from repro.utils.rng import make_rng
 
 
@@ -56,7 +57,9 @@ class SupervisedMetaBlocking:
         graph = ArrayBlockingGraph(collection)
         src, dst = graph.src, graph.dst
         truth = np.array(sorted(dataset.truth_pairs), dtype=np.int64).reshape(-1, 2)
-        is_match = np.isin(pack_pairs(src, dst), pack_pairs(truth[:, 0], truth[:, 1]))
+        is_match = sorted_contains(
+            pack_pairs(truth[:, 0], truth[:, 1]), pack_pairs(src, dst)
+        )
         positive_rows = np.flatnonzero(is_match)
         negative_rows = np.flatnonzero(~is_match)
         # A degenerate graph (no matches survived blocking, or no negatives

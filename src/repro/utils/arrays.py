@@ -14,3 +14,15 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     if keys.size == 0:
         return keys
     return keys[np.r_[True, keys[1:] != keys[:-1]]]
+
+
+def sorted_contains(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Whether each of *probes* occurs in the ascending 1-D *keys*.
+
+    A binary search per probe: ``np.isin`` would sort or hash both sides
+    again, several times slower when *keys* is already in order.
+    """
+    if keys.size == 0:
+        return np.zeros(probes.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(keys, probes), keys.size - 1)
+    return keys[at] == probes

@@ -15,6 +15,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from _lsh_oracles import lsh_candidate_refs
+from _schema_oracles import (
+    ac_oracle,
+    build_attribute_profiles,
+    lmi_oracle,
+    string_loose_schema_entropies,
+)
+
 from repro.blocking.base import BlockCollection, build_blocks
 from repro.blocking.canopy import CanopyBlocking
 from repro.blocking.qgrams import QGramsBlocking
@@ -27,10 +35,6 @@ from repro.blocking.suffix_array import SuffixArrayBlocking
 from repro.blocking.token import TokenBlocking
 from repro.core.config import BlastConfig
 from repro.data import EntityProfile, ERDataset
-from repro.schema.attribute_clustering import AttributeClustering
-from repro.schema.attribute_profile import build_attribute_profiles
-from repro.schema.entropy import extract_loose_schema_entropies
-from repro.schema.lmi import LooseAttributeMatchInduction
 from repro.schema.partition import AttributePartitioning
 from repro.schema.representation import (
     TfIdfAttributeModel,
@@ -110,13 +114,10 @@ def string_blocks(blocker, dataset: ERDataset) -> BlockCollection:
 def string_schema(
     dataset: ERDataset, config: BlastConfig | None = None
 ) -> AttributePartitioning:
-    """``SchemaExtraction(config).extract(dataset)`` on string token sets.
-
-    Without LSH: ``src/`` already runs that step through the string
-    ``induce``.
-    """
+    """``SchemaExtraction(config).extract(dataset)`` on string token sets:
+    string profiles, the string LSH step, the pair-by-pair LMI / AC and
+    ``Counter`` entropies."""
     config = config or BlastConfig()
-    assert not config.use_lsh
     floor = config.min_token_length
     collection1, collection2 = dataset.collection1, dataset.collection2
     if config.representation == "tfidf":
@@ -127,20 +128,35 @@ def string_schema(
             glue_cluster=config.glue_cluster,
         )
     else:
-        induction = (
-            LooseAttributeMatchInduction(
-                alpha=config.alpha, glue_cluster=config.glue_cluster
-            )
-            if config.induction == "lmi"
-            else AttributeClustering(glue_cluster=config.glue_cluster)
-        )
         profiles1 = build_attribute_profiles(collection1, 0, floor)
         profiles2 = (
             build_attribute_profiles(collection2, 1, floor)
             if collection2 is not None
             else None
         )
-        partitioning = induction.induce(profiles1, profiles2)
-    return extract_loose_schema_entropies(
+        candidates = (
+            lsh_candidate_refs(
+                profiles1,
+                profiles2,
+                threshold=config.lsh_threshold,
+                num_hashes=config.lsh_num_hashes,
+                seed=config.seed,
+            )
+            if config.use_lsh
+            else None
+        )
+        if config.induction == "lmi":
+            partitioning = lmi_oracle(
+                profiles1,
+                profiles2,
+                candidates,
+                alpha=config.alpha,
+                glue_cluster=config.glue_cluster,
+            )
+        else:
+            partitioning = ac_oracle(
+                profiles1, profiles2, candidates, glue_cluster=config.glue_cluster
+            )
+    return string_loose_schema_entropies(
         partitioning, collection1, collection2, min_token_length=floor
     )

@@ -12,16 +12,25 @@ One documented difference: handed a same-source candidate pair in a
 clean-clean call, the oracle scores it (the arrays ignore it, as Algorithm
 1 scores A1 x A2 only), so differential tests draw cross-source candidates.
 
+The string inputs live here too: :func:`build_attribute_profiles`
+re-tokenizes every value into per-attribute token sets, and
+:func:`string_entropies` counts tokens with a ``Counter`` — what
+``repro.schema`` reads from the interned corpus.
+
 Lives beside the root ``conftest.py`` so every suite can import it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Set
 
+from repro.data.collection import EntityCollection
 from repro.schema.attribute_profile import AttributeProfile
+from repro.schema.entropy import aggregate_entropies, shannon_entropy
 from repro.schema.partition import AttributePartitioning, AttributeRef
 from repro.schema.similarity import jaccard
+from repro.utils.tokenize import tokenize
 from repro.utils.unionfind import UnionFind
 
 SimilarityFn = Callable[[Set[str], Set[str]], float]
@@ -149,3 +158,51 @@ def ac_oracle(
     for ref, (_, partner) in best.items():
         links.union(ref, partner)
     return _partitioning(by_ref, links, glue_cluster)
+
+
+def build_attribute_profiles(
+    collection: EntityCollection, source: int, min_token_length: int = 2
+) -> list[AttributeProfile]:
+    """Profile every attribute of *collection*, sorted by name.
+
+    Attributes whose values produce no tokens at all (e.g. only punctuation)
+    are still emitted, with an empty token set: they must reach the glue
+    cluster rather than silently vanish from the partitioning.
+    """
+    token_sets: dict[str, set[str]] = {name: set() for name in collection.attribute_names}
+    for profile in collection:
+        for name, value in profile.iter_pairs():
+            token_sets[name].update(tokenize(value, min_token_length))
+    return [
+        AttributeProfile(source, name, frozenset(tokens))
+        for name, tokens in sorted(token_sets.items())
+    ]
+
+
+def string_entropies(
+    collection: EntityCollection, source: int, min_token_length: int = 2
+) -> dict[AttributeRef, float]:
+    """Shannon entropy of every attribute of *collection*, from a
+    ``Counter`` of its re-tokenized values."""
+    counters: dict[str, Counter[str]] = {}
+    for profile in collection:
+        for name, value in profile.iter_pairs():
+            counter = counters.setdefault(name, Counter())
+            counter.update(tokenize(value, min_token_length))
+    return {
+        (source, name): shannon_entropy(counters.get(name, Counter()).values())
+        for name in collection.attribute_names
+    }
+
+
+def string_loose_schema_entropies(
+    partitioning: AttributePartitioning,
+    collection1: EntityCollection,
+    collection2: EntityCollection | None = None,
+    min_token_length: int = 2,
+) -> AttributePartitioning:
+    """``extract_loose_schema_entropies`` over :func:`string_entropies`."""
+    entropies = string_entropies(collection1, 0, min_token_length)
+    if collection2 is not None:
+        entropies.update(string_entropies(collection2, 1, min_token_length))
+    return partitioning.with_entropies(aggregate_entropies(partitioning, entropies))

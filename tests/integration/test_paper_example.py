@@ -15,9 +15,9 @@ from repro.graph import (
     WeightingScheme,
     compute_weights,
 )
+from repro.core.config import BlastConfig
+from repro.core.stages import SchemaExtraction
 from repro.metrics import evaluate_blocks
-from repro.schema import build_attribute_profiles, LooseAttributeMatchInduction
-from repro.schema.entropy import extract_loose_schema_entropies
 
 P1, P2, P3, P4 = 0, 1, 2, 3
 
@@ -42,10 +42,7 @@ class TestFigure2:
     def test_lmi_separates_names_from_streets(self, figure1_clean_clean):
         """LMI on the four profiles finds a person-name cluster distinct
         from the street/address cluster — the prerequisite of Figure 2."""
-        ds = figure1_clean_clean
-        profiles1 = build_attribute_profiles(ds.collection1, 0)
-        profiles2 = build_attribute_profiles(ds.collection2, 1)
-        part = LooseAttributeMatchInduction(alpha=0.8).induce(profiles1, profiles2)
+        part = SchemaExtraction(BlastConfig(alpha=0.8)).extract(figure1_clean_clean)
         name_cluster = part.cluster_of(0, "Name")
         street_cluster = part.cluster_of(0, "mail")
         assert name_cluster != street_cluster
@@ -84,10 +81,7 @@ class TestFigure3:
     def test_full_blast_retains_exactly_the_matches(self, figure1_clean_clean):
         """Figure 3c: both superfluous comparisons removed, both matches kept."""
         ds = figure1_clean_clean
-        profiles1 = build_attribute_profiles(ds.collection1, 0)
-        profiles2 = build_attribute_profiles(ds.collection2, 1)
-        part = LooseAttributeMatchInduction(alpha=0.8).induce(profiles1, profiles2)
-        part = extract_loose_schema_entropies(part, ds.collection1, ds.collection2)
+        part = SchemaExtraction(BlastConfig(alpha=0.8)).extract(ds)
         blocks = LooselySchemaAwareBlocking(part).build(ds)
         out = MetaBlocker(key_entropy=make_key_entropy(part)).run(blocks)
         quality = evaluate_blocks(out, ds)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from _block_oracles import assert_same_index
 from _blocker_oracles import string_blocks, string_schema
+from _schema_oracles import build_attribute_profiles, string_entropies
 from repro.blocking.canopy import CanopyBlocking
 from repro.blocking.qgrams import QGramsBlocking
 from repro.blocking.schema_aware import LooselySchemaAwareBlocking
@@ -24,7 +25,7 @@ from repro.core.config import BlastConfig
 from repro.core.stages import SchemaExtraction
 from repro.data import EntityCollection, EntityProfile, ERDataset, GroundTruth
 from repro.graph.entity_index import EntityIndex
-from repro.schema.attribute_profile import build_attribute_profiles
+from repro.schema.attribute_graph import corpus_memberships
 from repro.schema.entropy import attribute_entropies
 from repro.schema.partition import AttributePartitioning
 
@@ -175,22 +176,27 @@ class TestInternedSchemaMatchesStrings:
             if collection is None:
                 continue
             assert attribute_entropies(
-                collection, source, min_length, corpus=corpus
-            ) == attribute_entropies(collection, source, min_length)
+                corpus, source, min_length
+            ) == string_entropies(collection, source, min_length)
 
     @settings(deadline=None, max_examples=30)
     @given(datasets, st.integers(min_value=1, max_value=3))
-    def test_attribute_profiles(self, dataset, min_length):
+    def test_attribute_memberships(self, dataset, min_length):
         corpus = dataset.corpus
+        refs, rows, tokens = corpus_memberships(corpus, min_length)
+        token_sets = {ref: set() for ref in refs}
+        for row, tid in zip(rows.tolist(), tokens.tolist()):
+            token_sets[refs[row]].add(corpus.dictionary.token_of(tid))
+        expected = {}
         for source, collection in (
             (0, dataset.collection1),
             (1, dataset.collection2),
         ):
-            if collection is None:
-                continue
-            assert build_attribute_profiles(
-                collection, source, min_length, corpus=corpus
-            ) == build_attribute_profiles(collection, source, min_length)
+            if collection is not None:
+                for profile in build_attribute_profiles(collection, source, min_length):
+                    expected[profile.ref] = profile.tokens
+        assert refs == sorted(expected)
+        assert token_sets == expected
 
     @settings(deadline=None, max_examples=20)
     @given(

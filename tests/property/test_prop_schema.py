@@ -6,22 +6,22 @@ pair-by-pair bodies they replaced.  Hypothesis draws attribute -> token-set
 maps over a tiny vocabulary, so ties (equal Jaccards, equal maxima, equal
 best partners) are the common case, and demands the same partitioning —
 members, cluster ids, glue — through the public ``induce``.  The
-dataset-level half demands the same of the whole stage, entropies
-included, on every seeded generator.
+dataset-level half demands the same of the whole stage, the LSH step and
+entropies included, against the string oracle
+(``tests/_blocker_oracles.py::string_schema``) on every seeded generator.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _blocker_oracles import string_schema
 from _schema_oracles import ac_oracle, lmi_oracle
 from repro.core.config import BlastConfig
 from repro.core.stages import SchemaExtraction
 from repro.datasets import load_clean_clean, load_dirty
 from repro.datasets.benchmarks import load_dbp_wide
-from repro.lsh import lsh_candidate_pairs
 from repro.schema.attribute_clustering import AttributeClustering
-from repro.schema.attribute_profile import AttributeProfile, build_attribute_profiles
-from repro.schema.entropy import extract_loose_schema_entropies
+from repro.schema.attribute_profile import AttributeProfile
 from repro.schema.lmi import LooseAttributeMatchInduction
 
 VOCABULARY = tuple("abcdefgh")
@@ -95,29 +95,5 @@ def test_stage_equals_oracle_plus_entropies(dataset, induction, use_lsh, glue_cl
         lsh_threshold=0.3,
         glue_cluster=glue_cluster,
     )
-    profiles1 = build_attribute_profiles(dataset.collection1, 0)
-    profiles2 = (
-        build_attribute_profiles(dataset.collection2, 1)
-        if dataset.collection2 is not None
-        else None
-    )
-    candidates = None
-    if use_lsh:
-        candidates = lsh_candidate_pairs(
-            profiles1,
-            profiles2,
-            threshold=config.lsh_threshold,
-            num_hashes=config.lsh_num_hashes,
-            seed=config.seed,
-        )
-    if induction == "lmi":
-        oracle = lmi_oracle(
-            profiles1, profiles2, candidates,
-            alpha=config.alpha, glue_cluster=glue_cluster,
-        )
-    else:
-        oracle = ac_oracle(profiles1, profiles2, candidates, glue_cluster=glue_cluster)
-    expected = extract_loose_schema_entropies(
-        oracle, dataset.collection1, dataset.collection2
-    )
+    expected = string_schema(dataset, config)
     assert SchemaExtraction(config).extract(dataset).to_dict() == expected.to_dict()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _schema_oracles import build_attribute_profiles, string_entropies
 
 from repro.data import corpus as corpus_module
 from repro.data import (
@@ -12,7 +13,7 @@ from repro.data import (
     InternedCorpus,
     TokenDictionary,
 )
-from repro.schema.attribute_profile import build_attribute_profiles
+from repro.schema.attribute_graph import corpus_memberships
 from repro.schema.entropy import attribute_entropies
 from repro.utils.tokenize import qgrams, suffixes, tokenize
 
@@ -241,15 +242,20 @@ class TestSchemaConsumers:
             (0, figure1_clean_clean.collection1),
             (1, figure1_clean_clean.collection2),
         ):
-            assert attribute_entropies(
-                collection, source, corpus=corpus
-            ) == attribute_entropies(collection, source)
+            assert attribute_entropies(corpus, source) == string_entropies(
+                collection, source
+            )
 
-    def test_attribute_profiles_equal_string_path(self, figure1_dirty):
+    def test_attribute_memberships_equal_string_path(self, figure1_dirty):
         corpus = figure1_dirty.corpus
-        assert build_attribute_profiles(
-            figure1_dirty.collection1, 0, corpus=corpus
-        ) == build_attribute_profiles(figure1_dirty.collection1, 0)
+        refs, rows, tokens = corpus_memberships(corpus, 2)
+        token_sets = {ref: set() for ref in refs}
+        for row, tid in zip(rows.tolist(), tokens.tolist()):
+            token_sets[refs[row]].add(corpus.dictionary.token_of(tid))
+        assert token_sets == {
+            profile.ref: profile.tokens
+            for profile in build_attribute_profiles(figure1_dirty.collection1, 0)
+        }
 
 
 def profile_with(pid: str, text: str) -> EntityProfile:

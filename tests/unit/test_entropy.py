@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from _schema_oracles import string_entropies
 
 from repro.data import EntityCollection, EntityProfile, ERDataset, GroundTruth
 from repro.schema.entropy import (
@@ -38,6 +39,10 @@ class TestShannonEntropy:
         assert shannon_entropy(counts) <= math.log2(len(counts))
 
 
+def _corpus(collection: EntityCollection):
+    return ERDataset(collection, None, GroundTruth([], clean_clean=False)).corpus
+
+
 class TestAttributeEntropies:
     def _collection(self) -> EntityCollection:
         # "year" repeats one token; "name" has four distinct tokens.
@@ -50,7 +55,7 @@ class TestAttributeEntropies:
         )
 
     def test_high_vs_low_entropy_attributes(self):
-        entropies = attribute_entropies(self._collection(), source=0)
+        entropies = attribute_entropies(_corpus(self._collection()), source=0)
         assert entropies[(0, "name")] == pytest.approx(2.0)  # 4 equiprobable
         assert entropies[(0, "year")] == 0.0  # always "1985"
 
@@ -58,8 +63,7 @@ class TestAttributeEntropies:
         c = EntityCollection(
             [EntityProfile.from_dict("1", {"junk": "..."})], "c"
         )
-        assert attribute_entropies(c, source=0)[(0, "junk")] == 0.0
-
+        assert attribute_entropies(_corpus(c), source=0)[(0, "junk")] == 0.0
 
     @pytest.mark.parametrize(
         "profiles",
@@ -85,9 +89,9 @@ class TestAttributeEntropies:
         )
         corpus = ERDataset(collection, other, GroundTruth([])).corpus
         for source, side in ((0, collection), (1, other)):
-            interned = attribute_entropies(side, source, corpus=corpus)
+            interned = attribute_entropies(corpus, source)
             assert {name for _, name in interned} == side.attribute_names
-            assert interned == attribute_entropies(side, source)
+            assert interned == string_entropies(side, source)
 
 
 class TestAggregateEntropies:
@@ -117,11 +121,7 @@ class TestExtraction:
             [{(0, "Name"), (1, "name2")}],
             glue=[(0, "year"), (1, "birth year")],
         )
-        enriched = extract_loose_schema_entropies(
-            part,
-            figure1_clean_clean.collection1,
-            figure1_clean_clean.collection2,
-        )
+        enriched = extract_loose_schema_entropies(part, figure1_clean_clean.corpus)
         # names carry more information than the year attributes
         assert enriched.entropy_of(1) > enriched.entropy_of(GLUE_CLUSTER_ID)
         # the original partitioning is untouched (neutral entropies)

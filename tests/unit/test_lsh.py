@@ -12,7 +12,7 @@ from repro.lsh import (
     lsh_candidate_pairs,
     scurve_points,
 )
-from repro.schema.attribute_profile import AttributeProfile
+from repro.data import EntityCollection, EntityProfile, ERDataset, GroundTruth
 from repro.schema.similarity import jaccard
 
 
@@ -81,33 +81,46 @@ class TestSCurve:
             candidate_probability(0.5, 5, 0)
 
 
+def _pairs(array):
+    return {tuple(pair) for pair in array.tolist()}
+
+
 class TestBanding:
+    REFS = [(0, "a"), (0, "b"), (1, "c")]
+
     def test_num_hashes(self):
         assert LSHBanding(bands=30, rows=5).num_hashes == 150
 
     def test_identical_signatures_are_candidates(self):
         sigs = MinHasher(num_hashes=20, seed=1).signatures([{"a", "b"}, {"a", "b"}])
-        pairs = LSHBanding(bands=4, rows=5).candidate_pairs(sigs)
-        assert (0, 1) in pairs
+        pairs = LSHBanding(bands=4, rows=5).candidate_pairs(sigs, self.REFS[:2], False)
+        assert _pairs(pairs) == {(0, 1)}
 
     def test_disjoint_sets_rarely_candidates(self):
         sets = [{f"x{i}"} for i in range(10)]
         sigs = MinHasher(num_hashes=20, seed=1).signatures(sets)
-        pairs = LSHBanding(bands=4, rows=5).candidate_pairs(sigs)
-        assert pairs == set()
+        refs = [(0, f"n{i}") for i in range(10)]
+        pairs = LSHBanding(bands=4, rows=5).candidate_pairs(sigs, refs, False)
+        assert pairs.shape == (0, 2)
 
     def test_cross_source_filter(self):
         sigs = MinHasher(num_hashes=20, seed=1).signatures(
             [{"a", "b"}, {"a", "b"}, {"a", "b"}]
         )
-        pairs = LSHBanding(bands=4, rows=5).candidate_pairs(sigs, sources=[0, 0, 1])
-        assert (0, 1) not in pairs  # same source
-        assert (0, 2) in pairs and (1, 2) in pairs
+        pairs = LSHBanding(bands=4, rows=5).candidate_pairs(sigs, self.REFS, True)
+        assert _pairs(pairs) == {(0, 2), (1, 2)}  # (0, 1) is same-source
+
+    def test_pairs_sorted_int64(self):
+        sigs = MinHasher(num_hashes=20, seed=1).signatures([{"a"}] * 4)
+        refs = [(0, f"n{i}") for i in range(4)]
+        pairs = LSHBanding(bands=4, rows=5).candidate_pairs(sigs, refs, False)
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
     def test_wrong_signature_width_rejected(self):
         sigs = MinHasher(num_hashes=10, seed=1).signatures([{"a"}])
         with pytest.raises(ValueError, match="bands\\*rows"):
-            LSHBanding(bands=4, rows=5).candidate_pairs(sigs)
+            LSHBanding(bands=4, rows=5).candidate_pairs(sigs, self.REFS[:1], False)
 
 
 class TestChooseBands:
@@ -127,38 +140,55 @@ class TestChooseBands:
 
 
 class TestLshCandidatePairs:
-    def _profiles(self):
-        p1 = [
-            AttributeProfile(0, "name", frozenset(f"n{i}" for i in range(60))),
-            AttributeProfile(0, "year", frozenset({"1985", "1990", "2001"})),
-        ]
-        p2 = [
-            AttributeProfile(1, "fullname", frozenset(f"n{i}" for i in range(55))),
-            AttributeProfile(1, "when", frozenset({"1985", "1990"})),
-        ]
-        return p1, p2
+    @staticmethod
+    def _dataset(left, right=None):
+        def collection(rows, name):
+            return EntityCollection(
+                [EntityProfile.from_dict(f"{name}{i}", row) for i, row in enumerate(rows)],
+                name,
+            )
+
+        return ERDataset(
+            collection(left, "l"),
+            collection(right, "r") if right is not None else None,
+            GroundTruth([], clean_clean=right is not None),
+        )
+
+    def _clean_clean(self):
+        names = [f"n{i}" for i in range(60)]
+        return self._dataset(
+            [{"name": " ".join(names), "year": "1985 1990 2001"}],
+            [{"fullname": " ".join(names[:55]), "when": "1985 1990"}],
+        )
+
+    def _refs(self, dataset, pairs):
+        refs = sorted(dataset.corpus.attributes)
+        return {(refs[i], refs[j]) for i, j in pairs.tolist()}
 
     def test_similar_attributes_become_candidates(self):
-        p1, p2 = self._profiles()
-        pairs = lsh_candidate_pairs(p1, p2, threshold=0.3, num_hashes=100, seed=5)
-        assert ((0, "name"), (1, "fullname")) in pairs
+        dataset = self._clean_clean()
+        pairs = lsh_candidate_pairs(
+            dataset.corpus, threshold=0.3, num_hashes=100, seed=5
+        )
+        assert ((0, "name"), (1, "fullname")) in self._refs(dataset, pairs)
 
     def test_only_cross_source_pairs(self):
-        p1, p2 = self._profiles()
-        pairs = lsh_candidate_pairs(p1, p2, threshold=0.1, num_hashes=100, seed=5)
-        assert all(a[0] != b[0] for a, b in pairs)
+        dataset = self._clean_clean()
+        pairs = lsh_candidate_pairs(
+            dataset.corpus, threshold=0.1, num_hashes=100, seed=5
+        )
+        assert pairs.size
+        assert all(a[0] != b[0] for a, b in self._refs(dataset, pairs))
 
     def test_dirty_mode_allows_within_source(self):
-        profiles = [
-            AttributeProfile(0, "a", frozenset({"x", "y", "z"})),
-            AttributeProfile(0, "b", frozenset({"x", "y", "z"})),
-        ]
-        pairs = lsh_candidate_pairs(profiles, None, threshold=0.3,
-                                    num_hashes=100, seed=5)
-        assert ((0, "a"), (0, "b")) in pairs
+        dataset = self._dataset([{"a": "xx yy zz", "b": "xx yy zz"}])
+        pairs = lsh_candidate_pairs(
+            dataset.corpus, threshold=0.3, num_hashes=100, seed=5
+        )
+        assert self._refs(dataset, pairs) == {((0, "a"), (0, "b"))}
 
     def test_explicit_banding_overrides_threshold(self):
-        p1, p2 = self._profiles()
+        dataset = self._clean_clean()
         banding = LSHBanding(bands=25, rows=4)
-        pairs = lsh_candidate_pairs(p1, p2, banding=banding, seed=5)
-        assert ((0, "name"), (1, "fullname")) in pairs
+        pairs = lsh_candidate_pairs(dataset.corpus, banding=banding, seed=5)
+        assert ((0, "name"), (1, "fullname")) in self._refs(dataset, pairs)

@@ -1,9 +1,10 @@
-"""Tests for set similarities and attribute profile construction."""
+"""Tests for set similarities and the corpus attribute memberships."""
 
 import pytest
+from _schema_oracles import build_attribute_profiles
 
-from repro.data import EntityCollection, EntityProfile
-from repro.schema.attribute_profile import build_attribute_profiles
+from repro.data import EntityCollection, EntityProfile, ERDataset, GroundTruth
+from repro.schema.attribute_graph import corpus_memberships
 from repro.schema.similarity import cosine, dice, jaccard
 
 
@@ -43,30 +44,41 @@ class TestDiceCosine:
         assert dice(a, b) >= jaccard(a, b)
 
 
-class TestBuildAttributeProfiles:
-    def _collection(self) -> EntityCollection:
-        return EntityCollection(
+class TestCorpusMemberships:
+    def _dataset(self) -> ERDataset:
+        collection = EntityCollection(
             [
                 EntityProfile.from_dict("1", {"name": "John Abram", "year": "1985"}),
                 EntityProfile.from_dict("2", {"name": "Ellen Smith", "note": "..."}),
             ],
             "c",
         )
+        return ERDataset(collection, None, GroundTruth([], clean_clean=False))
+
+    def _token_sets(self, dataset: ERDataset) -> dict:
+        corpus = dataset.corpus
+        refs, rows, tokens = corpus_memberships(corpus, 2)
+        token_sets = {ref: set() for ref in refs}
+        for row, tid in zip(rows.tolist(), tokens.tolist()):
+            token_sets[refs[row]].add(corpus.dictionary.token_of(tid))
+        return token_sets
 
     def test_token_sets_per_attribute(self):
-        profiles = {p.name: p for p in build_attribute_profiles(self._collection(), 0)}
-        assert profiles["name"].tokens == {"john", "abram", "ellen", "smith"}
-        assert profiles["year"].tokens == {"1985"}
+        token_sets = self._token_sets(self._dataset())
+        assert token_sets[(0, "name")] == {"john", "abram", "ellen", "smith"}
+        assert token_sets[(0, "year")] == {"1985"}
 
-    def test_tokenless_attribute_still_emitted(self):
-        # "note" has only punctuation: empty token set, but present.
-        profiles = {p.name: p for p in build_attribute_profiles(self._collection(), 0)}
-        assert profiles["note"].tokens == frozenset()
+    def test_tokenless_attribute_keeps_a_row(self):
+        # "note" has only punctuation: no membership, but a row.
+        assert self._token_sets(self._dataset())[(0, "note")] == set()
 
-    def test_ref_carries_source(self):
-        profiles = build_attribute_profiles(self._collection(), 1)
-        assert all(p.ref[0] == 1 for p in profiles)
+    def test_refs_sorted_with_source(self):
+        refs, _, _ = corpus_memberships(self._dataset().corpus, 2)
+        assert refs == [(0, "name"), (0, "note"), (0, "year")]
 
-    def test_deterministic_order(self):
-        names = [p.name for p in build_attribute_profiles(self._collection(), 0)]
-        assert names == sorted(names)
+    def test_equals_string_profiles(self):
+        dataset = self._dataset()
+        assert self._token_sets(dataset) == {
+            profile.ref: profile.tokens
+            for profile in build_attribute_profiles(dataset.collection1, 0)
+        }

@@ -3,6 +3,7 @@
 import pytest
 
 from _blocker_oracles import string_schema
+from _schema_oracles import string_entropies
 from repro.blocking.qgrams import QGramsBlocking
 from repro.core import (
     Blast,
@@ -241,21 +242,21 @@ class TestSchemaExtractionStage:
     ):
         # Entropies weight blocking keys, so they are taken over the tokens
         # the blocker emits: a non-default floor must reach them.
-        from repro.schema.entropy import aggregate_entropies, attribute_entropies
+        from repro.schema.entropy import aggregate_entropies
 
         config = BlastConfig(min_token_length=4, representation=representation)
         if interned:
             part = SchemaExtraction(config).extract(seeded_benchmark)
         else:
             part = string_schema(seeded_benchmark, config)
-        entropies = attribute_entropies(seeded_benchmark.collection1, 0, 4)
-        entropies.update(attribute_entropies(seeded_benchmark.collection2, 1, 4))
+        entropies = string_entropies(seeded_benchmark.collection1, 0, 4)
+        entropies.update(string_entropies(seeded_benchmark.collection2, 1, 4))
         expected = aggregate_entropies(part, entropies)
         assert part.to_dict()["entropies"] == {
             str(cid): value for cid, value in expected.items()
         }
-        at_default_floor = attribute_entropies(seeded_benchmark.collection1, 0)
-        at_default_floor.update(attribute_entropies(seeded_benchmark.collection2, 1))
+        at_default_floor = string_entropies(seeded_benchmark.collection1, 0)
+        at_default_floor.update(string_entropies(seeded_benchmark.collection2, 1))
         assert aggregate_entropies(part, at_default_floor) != expected
 
     def test_default_run_builds_no_attribute_profile(self, seeded_benchmark):
@@ -271,3 +272,33 @@ class TestSchemaExtractionStage:
             part = SchemaExtraction().extract(seeded_benchmark)
         assert part.to_dict() == reference.to_dict()
         assert part.num_clusters > 1
+
+    @pytest.mark.parametrize("induction", ["lmi", "ac"])
+    def test_lsh_run_reads_each_token_string_once(self, seeded_benchmark, induction):
+        # MinHash hashes each distinct token once, by its string; the
+        # attribute sets themselves stay corpus ids end to end.
+        from collections import Counter
+        from unittest import mock
+
+        from repro.data.corpus import TokenDictionary
+        from repro.schema.attribute_profile import AttributeProfile
+
+        def fail(*args, **kwargs):
+            raise AssertionError("AttributeProfile built on the LSH path")
+
+        config = BlastConfig(induction=induction, use_lsh=True, lsh_threshold=0.3)
+        reference = string_schema(seeded_benchmark, config)
+        calls: Counter[int] = Counter()
+        token_of = TokenDictionary.token_of
+
+        def counting_token_of(self, tid):
+            calls[tid] += 1
+            return token_of(self, tid)
+
+        seeded_benchmark.corpus  # built outside the counted region
+        with mock.patch.object(AttributeProfile, "__init__", fail), mock.patch.object(
+            TokenDictionary, "token_of", counting_token_of
+        ):
+            part = SchemaExtraction(config).extract(seeded_benchmark)
+        assert part.to_dict() == reference.to_dict()
+        assert calls and max(calls.values()) == 1
