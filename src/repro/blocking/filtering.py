@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blocking.base import BlockCollection
+from repro.utils.arrays import stable_sort
 
 
 def block_filtering(
@@ -45,9 +46,16 @@ def block_filtering(
     profiles = index.entity_ids
     block_of = index.shardable.block_of_flat
     # Rank each profile's memberships by ascending block size, ties broken
-    # by block position for determinism.
-    sizes = np.diff(index.block_ptr)
-    order = np.lexsort((block_of, sizes[block_of], profiles))
+    # by block position for determinism: one sort of the distinct key
+    # profile * num_blocks + rank of the block by (size, position).
+    num_blocks = index.num_blocks
+    block_rank = np.empty(num_blocks, dtype=np.int64)
+    block_rank[np.argsort(np.diff(index.block_ptr), kind="stable")] = np.arange(
+        num_blocks, dtype=np.int64
+    )
+    membership = profiles.astype(np.int64) * num_blocks
+    membership += block_rank[block_of]
+    order = stable_sort(membership)
     counts = index.node_block_counts
     first = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=first[1:])

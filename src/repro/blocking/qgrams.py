@@ -39,7 +39,7 @@ class QGramsBlocking:
         return collection_from_assignments(
             rows,
             grams,
-            key_of=table[0].token_of,
+            term_of=table[0].token_of,
             is_clean_clean=dataset.is_clean_clean,
             offset2=corpus.offset2,
         )

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blocking._interned import (
-    collection_from_assignments,
-    group_assignments,
-    packed_key_of,
-)
+from repro.blocking._interned import collection_from_assignments, group_assignments
 from repro.blocking.base import BlockCollection
 from repro.data.dataset import ERDataset
 from repro.data.profile import EntityProfile
@@ -79,7 +75,7 @@ def split_key(key: str) -> tuple[str, int]:
     return token, int(cluster)
 
 
-def make_key_entropy(partitioning: AttributePartitioning):
+def make_key_entropy(partitioning: AttributePartitioning) -> "ClusterKeyEntropy":
     """Blocking-key -> aggregate-entropy function for the blocking graph.
 
     Maps each disambiguated key (``token#cluster``) to the aggregate entropy
@@ -87,12 +83,38 @@ def make_key_entropy(partitioning: AttributePartitioning):
     result as ``key_entropy`` to :class:`repro.graph.BlockingGraph` or
     :class:`repro.graph.MetaBlocker`.
     """
+    return ClusterKeyEntropy(partitioning)
 
-    def key_entropy(key: str) -> float:
+
+class ClusterKeyEntropy:
+    """``h(b)`` of a disambiguated key: its cluster's aggregate entropy.
+
+    Called on a key string, it parses the cluster id back out.  It also
+    carries :attr:`table`, :meth:`AttributePartitioning.entropy_of` of
+    every cluster id (1.0 for one without an entropy), so
+    :meth:`repro.graph.entity_index.EntityIndex.block_entropies` reads the
+    blockers' coded keys by cluster with :meth:`gather`.
+    """
+
+    separator = KEY_SEPARATOR
+
+    def __init__(self, partitioning: AttributePartitioning) -> None:
+        self.partitioning = partitioning
+        self.table = self._entropies(max(partitioning.cluster_ids, default=-1) + 1)
+
+    def _entropies(self, width: int) -> np.ndarray:
+        entropy_of = self.partitioning.entropy_of
+        return np.fromiter(map(entropy_of, range(width)), dtype=np.float64, count=width)
+
+    def __call__(self, key: str) -> float:
         _, cluster = split_key(key)
-        return partitioning.entropy_of(cluster)
+        return self.partitioning.entropy_of(cluster)
 
-    return key_entropy
+    def gather(self, clusters: np.ndarray) -> np.ndarray:
+        """The entropy of each non-negative cluster id of *clusters*."""
+        width = int(clusters.max(initial=-1)) + 1
+        table = self.table if width <= self.table.size else self._entropies(width)
+        return table[clusters]
 
 
 class LooselySchemaAwareBlocking:
@@ -137,8 +159,8 @@ class LooselySchemaAwareBlocking:
         """Index *dataset* and return the disambiguated block collection.
 
         Keys are ``(term_id, cluster_id)`` pairs packed into integer codes
-        (``term * C + cluster``) through dedup/grouping; they become
-        ``token#cluster`` strings only once per distinct surviving key.
+        (``term * C + cluster``) from grouping to weighting; one reads as
+        a ``token#cluster`` string only when someone asks for it.
         """
         corpus = dataset.corpus
         partitioning = self.partitioning
@@ -190,7 +212,9 @@ class LooselySchemaAwareBlocking:
         return collection_from_assignments(
             rows,
             codes,
-            key_of=packed_key_of(terms.token_of, int(num_codes), KEY_SEPARATOR),
+            term_of=terms.token_of,
             is_clean_clean=dataset.is_clean_clean,
             offset2=corpus.offset2,
+            modulus=int(num_codes),
+            separator=KEY_SEPARATOR,
         )

@@ -27,7 +27,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.blocking._interned import collection_from_assignments, packed_key_of
+from repro.blocking._interned import collection_from_assignments
 from repro.blocking.base import BlockCollection, build_blocks
 from repro.data.dataset import ERDataset
 from repro.data.profile import EntityProfile
@@ -119,11 +119,11 @@ class StandardBlocking:
         return collection_from_assignments(
             rows,
             codes,
-            key_of=packed_key_of(
-                corpus.dictionary.token_of, int(num_groups), "@"
-            ),
+            term_of=corpus.dictionary.token_of,
             is_clean_clean=dataset.is_clean_clean,
             offset2=corpus.offset2,
+            modulus=int(num_groups),
+            separator="@",
         )
 
     def _value_keys(self, profile: EntityProfile, side: int) -> set[str]:

@@ -47,7 +47,7 @@ class SuffixArrayBlocking:
         return collection_from_assignments(
             rows,
             suffix_ids,
-            key_of=table[0].token_of,
+            term_of=table[0].token_of,
             is_clean_clean=dataset.is_clean_clean,
             offset2=corpus.offset2,
             max_block_size=self.max_block_size,

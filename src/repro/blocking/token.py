@@ -41,7 +41,7 @@ class TokenBlocking:
         return collection_from_assignments(
             rows,
             toks,
-            key_of=corpus.dictionary.token_of,
+            term_of=corpus.dictionary.token_of,
             is_clean_clean=dataset.is_clean_clean,
             offset2=corpus.offset2,
         )

@@ -22,7 +22,7 @@ block.iter_pairs()`` — with no per-pair Python bytecode.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -42,6 +42,42 @@ _PAIR_SHIFT = np.int64(31)
 _PAIR_MASK = np.int64((1 << 31) - 1)
 
 
+class CodedKeys(Sequence[str]):
+    """Block keys held as int64 codes, formatted on read.
+
+    ``codes[b]`` is block *b*'s key code ``term * modulus + suffix``, and
+    ``decode(code)`` its key string (``repro.blocking._interned`` builds
+    these; its docstring states why code order is key-string order).
+    """
+
+    def __init__(
+        self,
+        codes: np.ndarray,
+        decode: Callable[[int], str],
+        modulus: int = 1,
+        separator: str = "",
+    ) -> None:
+        self.codes = codes
+        self.decode = decode
+        self.modulus = modulus
+        self.separator = separator
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __getitem__(self, position: int) -> str:  # type: ignore[override]
+        return self.decode(int(self.codes[position]))
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.decode, self.codes.tolist())
+
+    def take(self, block_mask: np.ndarray) -> "CodedKeys":
+        """The keys of the flagged blocks, still codes."""
+        return CodedKeys(
+            self.codes[block_mask], self.decode, self.modulus, self.separator
+        )
+
+
 @dataclass(frozen=True)
 class EntityIndex:
     """Array (CSR) view of a block collection.
@@ -51,9 +87,11 @@ class EntityIndex:
     is_clean_clean:
         Whether the indexed collection is clean-clean.
     keys:
-        Blocking key of every block, aligned with the block axis (used to
-        attach per-key entropies without touching block objects again);
-        meta-blocking's output formats its ``"e:i-j"`` keys on read.
+        Blocking key of every block, aligned with the block axis: a
+        tuple for a block-born index, :class:`CodedKeys` (codes that
+        restructuring selects and entropy weighting reads, formatted on
+        read) for the interned blockers', and meta-blocking's
+        ``"e:i-j"`` keys, also formatted on read.
     block_ptr:
         ``int32[num_blocks + 1]`` offsets into :attr:`entity_ids`.
     block_split:
@@ -189,7 +227,9 @@ class EntityIndex:
         keys = self.keys
         return EntityIndex.from_arrays(
             self.is_clean_clean,
-            tuple([keys[b] for b in np.flatnonzero(block_mask).tolist()]),
+            keys.take(block_mask)
+            if isinstance(keys, CodedKeys)
+            else tuple([keys[b] for b in np.flatnonzero(block_mask).tolist()]),
             sizes[block_mask],
             left_sizes[block_mask],
             self.entity_ids[member_mask],
@@ -271,12 +311,21 @@ class EntityIndex:
         return ShardableIndex.from_entity_index(self)
 
     def block_entropies(self, key_entropy=None) -> np.ndarray:
-        """Per-block entropy ``h(b)`` via *key_entropy* (1.0 when ``None``)."""
+        """Per-block entropy ``h(b)`` via *key_entropy* (1.0 when ``None``).
+
+        A *key_entropy* with a ``separator`` and a ``gather(suffixes)``
+        (:func:`repro.blocking.schema_aware.make_key_entropy`'s) reads
+        :class:`CodedKeys` of that separator by their suffix codes, with
+        no string built; any other callable is mapped over the keys.
+        """
         if key_entropy is None:
             return np.ones(self.num_blocks, dtype=np.float64)
-        return np.asarray(
-            [key_entropy(key) for key in self.keys], dtype=np.float64
-        )
+        keys = self.keys
+        if isinstance(keys, CodedKeys) and keys.separator == getattr(
+            key_entropy, "separator", None
+        ):
+            return key_entropy.gather(keys.codes % keys.modulus)
+        return np.asarray([key_entropy(key) for key in keys], dtype=np.float64)
 
     def distinct_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated comparison pairs, sorted lexicographically.

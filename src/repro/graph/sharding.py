@@ -35,6 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.utils.arrays import stable_sort
+
 __all__ = [
     "ShardEdges",
     "ShardableIndex",
@@ -113,7 +115,7 @@ class ShardableIndex:
         holding profile ``p``, ascending (a stable sort; int32 slots)."""
         counts = np.bincount(self.entity_ids, minlength=self.num_ids)
         ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        return ptr, _stable_sort(self.entity_ids.astype(np.int64)).astype(np.int32)
+        return ptr, stable_sort(self.entity_ids.astype(np.int64)).astype(np.int32)
 
     def pair_runs(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(owned, first_dst)`` of the members at int64 flat *slots*: the
@@ -320,24 +322,6 @@ def enumerate_shard_pairs(
     return src, dst, index.block_of_flat[selected], per_slot
 
 
-def _stable_sort(keys: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """Sort non-negative int64 *keys* in place, ties in input order; return
-    the input positions in sorted order (in *order*): one SIMD sort of
-    ``key << b | position``, or a stable argsort if that would pass 63 bits."""
-    order = np.empty_like(keys) if order is None else order
-    bits = keys.size.bit_length()
-    if int(keys.max(initial=0)).bit_length() + bits <= 63:
-        keys <<= bits
-        keys |= np.arange(keys.size, dtype=np.int64)
-        keys.sort()
-        np.bitwise_and(keys, (1 << bits) - 1, out=order)
-        keys >>= bits
-    else:
-        order[:] = np.argsort(keys, kind="stable")
-        keys[:] = keys[order]
-    return order
-
-
 def dedupe_pair_arrays(
     src: np.ndarray, dst: np.ndarray, workspace: ShardWorkspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -363,7 +347,7 @@ def dedupe_pair_arrays(
         keys *= dst.max() - dst.min() + 1
         keys += dst
         keys -= dst.min()
-    _stable_sort(keys, order)
+    stable_sort(keys, order)
     boundary[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)

@@ -72,11 +72,11 @@ from repro.graph.sharding import (
     ShardableIndex,
     ShardEdges,
     ShardWorkspace,
-    _stable_sort,
     default_plan,
     shard_edge_arrays,
 )
 from repro.graph.weights import WeightingScheme
+from repro.utils.arrays import stable_sort
 
 __all__ = [
     "ArrayBlockingGraph",
@@ -492,7 +492,7 @@ def _cnp_mask(
     width = max(1, num_edges)
     keys = np.concatenate((graph.src, graph.dst)).astype(np.int64) * width
     keys += np.tile(rank, 2)
-    order = _stable_sort(keys)
+    order = stable_sort(keys)
     sorted_nodes = keys // width
     seg_starts = np.flatnonzero(
         np.concatenate(([True], sorted_nodes[1:] != sorted_nodes[:-1]))

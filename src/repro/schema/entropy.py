@@ -11,7 +11,8 @@ Token frequencies are the per-``(attribute, token)`` id counts of the
 dataset's interned corpus, from its single shared tokenization pass.
 :func:`shannon_entropy` sums with ``math.fsum``, which rounds exactly
 regardless of term order, so the id-sorted counts give the same float as
-any other order of the same counts.
+any other order of the same counts.  :func:`attribute_entropies` takes
+every attribute at once and equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.schema.partition import AttributePartitioning, AttributeRef
+from repro.utils.arrays import sorted_unique, stable_sort
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.data.corpus import InternedCorpus
@@ -64,17 +66,58 @@ def attribute_entropies(
     by_attr: dict[int, float] = {}
     if attrs.size:
         starts = np.flatnonzero(np.r_[True, attrs[1:] != attrs[:-1]])
-        ends = np.r_[starts[1:], attrs.size]
-        counts_list = counts.tolist()
-        for start, end, attr in zip(
-            starts.tolist(), ends.tolist(), attrs[starts].tolist()
-        ):
-            by_attr[attr] = shannon_entropy(counts_list[start:end])
+        by_attr = dict(
+            zip(attrs[starts].tolist(), _grouped_entropies(counts, starts).tolist())
+        )
     return {
         ref: by_attr.get(aid, 0.0)
         for aid, ref in enumerate(corpus.attributes)
         if ref[0] == source
     }
+
+
+def _grouped_entropies(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """:func:`shannon_entropy` of each run ``counts[starts[g]:starts[g + 1]]``,
+    bit for bit.
+
+    Each distinct ``(total, count)`` pair gets its term
+    ``(c/t) * log2(c/t)`` once, in ``math`` as :func:`shannon_entropy`
+    computes it; pairs are deduplicated by one sort of
+    ``rank(total) * width + count``, which stays far below 2**63 for
+    counts of occurrences held in memory.  A run of one or two terms is
+    negated (and added) in numpy: one IEEE addition is exactly rounded, so
+    it equals ``math.fsum`` of the two.  Only longer runs call
+    ``math.fsum``.
+    """
+    lengths = np.diff(np.r_[starts, counts.size])
+    group_totals = np.add.reduceat(counts, starts)
+    totals = sorted_unique(group_totals)
+    width = int(counts.max()) + 1
+    keys = np.repeat(np.searchsorted(totals, group_totals) * width, lengths)
+    keys += counts
+    order = stable_sort(keys)
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    pair_of = np.empty_like(order)
+    pair_of[order] = np.cumsum(first) - 1
+    pairs = keys[first]
+    table = [
+        (count / total) * math.log2(count / total)
+        for total, count in zip(
+            totals[pairs // width].tolist(), (pairs % width).tolist()
+        )
+    ]
+    terms = np.asarray(table, dtype=np.float64)[pair_of]
+    entropies = -terms[starts]
+    double = starts[lengths == 2]
+    entropies[lengths == 2] = -(terms[double] + terms[double + 1])
+    long = np.flatnonzero(lengths > 2)
+    terms_list = terms.tolist()
+    bounds = np.r_[starts, counts.size].tolist()
+    entropies[long] = [
+        -math.fsum(terms_list[bounds[group] : bounds[group + 1]])
+        for group in long.tolist()
+    ]
+    return entropies
 
 
 def aggregate_entropies(

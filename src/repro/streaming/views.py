@@ -186,8 +186,12 @@ class ExactStreamView:
         np.divide(
             1.0, comparisons, out=self._arcs_share, where=comparisons > 0
         )
-        self._entropies = ei.block_entropies(
-            index.key_entropy if index.partitioning is not None else None
+        # The collection's keys are the index's key ids: read each one's
+        # entropy by id, with no key string built.
+        self._entropies = np.fromiter(
+            map(index.key_entropy_by_id, ei.keys.codes.tolist()),
+            dtype=np.float64,
+            count=self.total_blocks,
         )
 
     # -- id mapping ----------------------------------------------------------
