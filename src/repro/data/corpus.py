@@ -361,8 +361,11 @@ class InternedCorpus:
             mask = self.token_lengths[self.token_ids[lo:hi]] >= min_token_length
             vocab = np.int64(max(1, self.vocabulary_size))
             codes = attrs[mask] * vocab + toks[mask]
-            unique, counts = np.unique(codes, return_counts=True)
-            cached = (unique // vocab, unique % vocab, counts.astype(np.int64))
+            codes.sort()  # in place, where np.unique would sort a copy
+            # Count each run of equal codes from its head (none if empty).
+            heads = np.flatnonzero(np.r_[codes.size > 0, codes[1:] != codes[:-1]])
+            unique, counts = codes[heads], np.diff(heads, append=codes.size)
+            cached = (unique // vocab, unique % vocab, counts)
             self._cache[key] = cached
         return cached
 

@@ -1,17 +1,16 @@
 """Multi-process meta-blocking: the ``parallel`` backend.
 
 The array driver (:func:`repro.graph.vectorized.sharded_metablocking`)
-plans entity-id shards, collects each shard's slim result and decides
-over the merged arrays; who runs the shards is its one degree of
-freedom.  This module is the runner that hands them to worker processes:
-the per-run state (CSR index, dense per-node arrays) reaches each worker
-once through the pool initializer, a task is one worker's run of
-consecutive ``(lo, hi)`` id ranges, and what comes back is their
-:func:`~repro.graph.vectorized.run_shard` results folded into one — under
-BLAST pruning candidates and node maxima, never the whole blocking graph.
-The retained edge set therefore matches the ``vectorized`` (and the
-``python`` oracle) backend exactly, for every weighting scheme and
-built-in pruning strategy, by construction: same driver, same shards.
+plans entity-id shards, collects each shard's slim result and lets the
+pruning decide over the merged arrays; who runs the shards is its one
+degree of freedom.  This module hands them to worker processes: the
+per-run state (CSR index, dense per-node arrays, the pruning's decision
+object) reaches each worker once through the pool initializer, a task is
+one worker's run of consecutive ``(lo, hi)`` id ranges, and what comes
+back is their :func:`~repro.graph.vectorized.run_shard` results folded
+into one: the pruning's candidates and reduced state.  The retained edge
+set therefore matches the ``vectorized`` (and the ``python`` oracle)
+backend exactly, by construction: same driver, same shards.
 
 ``workers=1`` runs the shards in-process — no pool, no pickling — which
 is the ``vectorized`` backend with the planning knobs (``shard_size``,
@@ -162,7 +161,7 @@ def _dispatch_shards(
         run_in_process(state, plan, collector)
         return
     # A task is a run of consecutive shards its worker folds into one
-    # result: one dense maxima array crosses the pipe per worker.
+    # result: one reduced partial state crosses the pipe per worker.
     runs, size = min(len(plan), workers), len(plan)
     tasks = [plan[size * k // runs : size * (k + 1) // runs] for k in range(runs)]
     pending = list(range(runs))
@@ -230,7 +229,6 @@ def parallel_metablocking(
     shard_plan: list[tuple[int, int]] | None = None,
     task_timeout: float | None = None,
     max_retries: int | None = None,
-    retry_policy: RetryPolicy | None = None,
 ) -> np.ndarray:
     """The ``parallel`` meta-blocking backend: sorted retained edges.
 
@@ -269,25 +267,16 @@ def parallel_metablocking(
     max_retries:
         Pool retries per dispatch round before degrading the remaining
         shards to in-process execution (default 2).
-    retry_policy:
-        Full :class:`~repro.reliability.RetryPolicy` override (timeout,
-        retries, seeded backoff).  Mutually exclusive with the
-        ``task_timeout``/``max_retries`` shorthands.
     """
     if shard_size is not None and shard_size < 1:
         raise ValueError(f"shard_size must be positive, got {shard_size}")
-    if retry_policy is None:
-        retry_policy = RetryPolicy(
-            max_retries=2 if max_retries is None else max_retries,
-            task_timeout=task_timeout,
-        )
-    elif task_timeout is not None or max_retries is not None:
-        raise ValueError(
-            "pass either retry_policy or task_timeout/max_retries, not both"
-        )
+    policy = RetryPolicy(
+        max_retries=2 if max_retries is None else max_retries,
+        task_timeout=task_timeout,
+    )
     workers = resolve_workers(workers)
     run_shards = (
-        functools.partial(_dispatch_shards, workers=workers, policy=retry_policy)
+        functools.partial(_dispatch_shards, workers=workers, policy=policy)
         if workers > 1
         else run_in_process
     )

@@ -54,9 +54,9 @@ __all__ = [
 #: fastest measured cap whose workspace adds no peak memory (DESIGN.md).
 DEFAULT_SHARD_PAIRS = 32_000
 
-#: Most shards the default plan cuts.  Every shard pays a fixed O(ids)
-#: cost (the dense maxima array a BLAST shard hands over), so on huge
-#: inputs the cap grows with ``||B||`` instead of the shard count.
+#: Most shards the default plan cuts.  A shard may pay a fixed O(ids)
+#: cost (a pruning's dense partial state, such as BLAST's node maxima), so
+#: on huge inputs the cap grows with ``||B||`` instead of the shard count.
 MAX_DEFAULT_SHARDS = 512
 
 

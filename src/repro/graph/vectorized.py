@@ -4,7 +4,9 @@ The reference implementation (``repro.graph.blocking_graph`` +
 ``repro.graph.weights`` + ``repro.graph.pruning``) materializes a
 ``dict[(i, j), EdgeStats]`` with a Python-level inner loop per comparison.
 This module re-expresses the same pipeline over flat numpy arrays, one
-entity-id shard (``repro.graph.sharding``) at a time:
+entity-id shard (``repro.graph.sharding``) at a time.  Every built-in
+pruning scheme is an :class:`ArrayPruning`, a decision object the driver
+runs in four steps and nothing else:
 
 1. :func:`run_shard` enumerates one id range's comparisons from the CSR
    :class:`~repro.graph.entity_index.EntityIndex`, deduplicates them with
@@ -13,20 +15,18 @@ entity-id shard (``repro.graph.sharding``) at a time:
    arrays, and — for every weighting except EJS — evaluates the weights
    with :func:`compute_edge_weights`, elementwise numpy arithmetic that
    mirrors the reference operation order (CHI_H's from a per-run grid),
-   so weights agree bit-for-bit.  Its intermediates are views of the plan
-   loop's one :class:`~repro.graph.sharding.ShardWorkspace`; it hands
-   over fresh arrays of what is still read: endpoints and weights, and
-   under BLAST pruning only the *candidate* edges that pass BLAST's test
-   against the shard's own per-node maxima, plus those maxima;
-2. :class:`Collector` folds the maxima into one running array and keeps
-   the rest; shards cover ascending ``src`` ranges, so concatenating them
-   (:func:`merge_shards`) IS the lexicographic edge order of
-   ``BlockingGraph.edges()``;
-3. the decision runs over the merged arrays: BLAST by
-   :func:`blast_retain_mask` against the reduced global maxima, the other
-   built-in schemes (WEP, CEP, WNP, CNP) by :func:`prune_mask` via dense
-   per-node scatter/gather and segmented rankings; EJS, which needs the
-   global degrees, is weighted here too.
+   so weights agree bit-for-bit.  The pruning's ``reduce`` then takes
+   the shard's partial state and its ``select`` the candidates against
+   it; the shard hands over fresh arrays of the candidates' endpoints
+   and weights, plus the partial.  Its intermediates are views of the
+   plan loop's one :class:`~repro.graph.sharding.ShardWorkspace`;
+2. :class:`Collector` folds the partials through ``combine`` in plan
+   order and keeps the rest; shards cover ascending ``src`` ranges, so
+   concatenating them (:func:`merge_shards`) IS the lexicographic edge
+   order of ``BlockingGraph.edges()``;
+3. the pruning's ``decide`` runs over the merged candidates against the
+   reduced state; EJS, which needs the global degrees, is weighted (and
+   reduced, as one shard) over the merged arrays first.
 
 :func:`sharded_metablocking` is that driver.  Who runs the shards is its
 only degree of freedom: :func:`vectorized_metablocking` (registered under
@@ -35,11 +35,9 @@ only degree of freedom: :func:`vectorized_metablocking` (registered under
 and under BLAST pruning neither do the outputs;
 ``repro.graph.parallel`` hands the same shards to a worker pool.  Because
 each edge lives in exactly one shard with all of its block occurrences,
-every plan yields the same arrays, and BLAST's shard-local filter is
-exact, not approximate: a maximum is an order-free reduction, local
-maxima never exceed the global ones and the test is monotone in them, so
-a shard only ever drops edges the global test drops too — and the global
-test is what decides.
+every plan yields the same arrays, and a pruning's shard-local selection
+must be exact, not approximate: it may drop only edges its decision drops
+too (BLAST's argument sits beside :class:`_BlastDecision`).
 
 Inputs the arrays cannot express (custom weighting callables,
 user-defined or subclassed pruning schemes) are delegated to
@@ -80,6 +78,8 @@ from repro.utils.arrays import stable_sort
 
 __all__ = [
     "ArrayBlockingGraph",
+    "ArrayPruning",
+    "array_pruning",
     "blast_retain_mask",
     "compute_edge_weights",
     "merge_shards",
@@ -121,7 +121,7 @@ class ArrayBlockingGraph:
             block_entropies=index.block_entropies(key_entropy),
             need_arcs=True,
         )
-        collector = Collector(state.index.num_ids)
+        collector = Collector()
         run_in_process(state, default_plan(state.index), collector)
         self._hold(index, collector.merge()[0])
 
@@ -341,7 +341,7 @@ def _chi_squared_grid(max_blocks: int, total: int) -> tuple[np.ndarray, np.ndarr
     return chi.reshape((side,) * 3), below.reshape((side,) * 3)
 
 
-# --- vectorized pruning -----------------------------------------------------
+# --- vectorized pruning: one decision object per built-in scheme -----------
 
 
 def _clears(weights: np.ndarray, thresholds: np.ndarray | float) -> np.ndarray:
@@ -354,10 +354,6 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def _node_count(graph: ArrayBlockingGraph) -> int:
-    return int(graph.node_blocks.size)
-
-
 def node_maxima(
     src: np.ndarray, dst: np.ndarray, weights: np.ndarray, num_ids: int
 ) -> np.ndarray:
@@ -366,8 +362,8 @@ def node_maxima(
     *src* must be ascending (its side is one reduction per run).  Never
     negative (isolated ids read 0.0).  A maximum is an exact, order-free
     reduction, so maxima taken over disjoint edge subsets combine with
-    ``np.maximum`` into exactly the whole-graph array — what lets
-    :func:`run_shard` take them per shard.
+    ``np.maximum`` into exactly the whole-graph array — BLAST's
+    ``reduce`` / ``combine``.
     """
     maxima = np.zeros(num_ids, dtype=np.float64)
     heads = np.flatnonzero(np.diff(src, prepend=-1))
@@ -388,14 +384,10 @@ def blast_retain_mask(
 ) -> np.ndarray:
     """BLAST's retention test against the given per-node *maxima*.
 
-    The one definition of the ``(M_i/c + M_j/c)/d`` threshold: the mask
-    below applies it to a whole graph, the shard loop applies it twice —
-    per shard against the shard's local maxima, then over the merged
-    candidates against the reduced global ones.  For positive ``c``/``d``
-    every step (division, sum, the ``_clears`` slack) is monotone
-    non-decreasing in the maxima under round-to-nearest, so an edge that
-    fails against maxima no larger than the global ones fails globally.
-    The mask is a view of *workspace* (or of a private one).
+    The one definition of the ``(M_i/c + M_j/c)/d`` threshold, BLAST's
+    ``select`` (against a shard's own maxima) and ``decide`` (against the
+    reduced global ones).  The mask is a view of *workspace* (or of a
+    private one).
     """
     size = weights.size
     workspace = workspace or ShardWorkspace()
@@ -412,44 +404,89 @@ def blast_retain_mask(
     return keep
 
 
-def _blast_mask(
-    scheme: BlastPruning, graph: ArrayBlockingGraph, weights: np.ndarray
-) -> np.ndarray:
-    maxima = node_maxima(graph.src, graph.dst, weights, _node_count(graph))
-    return blast_retain_mask(
-        maxima, graph.src, graph.dst, weights, c=scheme.c, d=scheme.d
-    )
+class ArrayPruning:
+    """A built-in pruning scheme as the shard driver runs it, in four steps:
+    ``reduce`` one shard's edges to a partial state; ``combine`` the
+    partials in plan order (*acc* is ``None`` at first); ``select`` the
+    shard's candidates against its partial (a boolean mask, a view of
+    *workspace*, or ``None`` for every edge), dropping only edges the
+    decision drops too; ``decide`` the retain-mask over the merged
+    candidates against the reduced state.  This base reduces nothing and
+    selects every edge: its subclasses decide over the whole merged graph.
+    An instance holds its scheme and pickles (:class:`SharedState`).
+    """
+
+    def __init__(self, scheme: PruningScheme) -> None:
+        self.scheme = scheme
+
+    def reduce(self, src, dst, weights, num_ids):
+        return None
+
+    def combine(self, acc, partial):
+        return None
+
+    def select(self, src, dst, weights, partial, workspace=None):
+        return None
+
+    def decide(self, graph, weights, reduced):
+        raise NotImplementedError
 
 
-def _wep_mask(
-    scheme: WeightEdgePruning, graph: ArrayBlockingGraph, weights: np.ndarray
-) -> np.ndarray:
-    theta = (
-        scheme.threshold
-        if scheme.threshold is not None
-        else _sequential_sum(weights) / weights.size
-    )
-    return _clears(weights, np.float64(theta))
+class _BlastDecision(ArrayPruning):
+    """BLAST: reduce to per-node maxima, select and decide by one test.
+
+    The selection is exact.  A shard's maxima cover a subset of each
+    node's edges, so they never exceed the global ones, and
+    :func:`blast_retain_mask` is monotone non-decreasing in the maxima for
+    positive ``c``/``d`` (division, sum and the ``_clears`` slack each
+    are, under round-to-nearest): an edge that fails in its shard fails
+    globally.  The max of the shards' maxima is the whole-graph maximum,
+    bit for bit, so the decision is the whole-graph test.
+    """
+
+    def reduce(self, src, dst, weights, num_ids):
+        return node_maxima(src, dst, weights, num_ids)
+
+    def combine(self, acc, partial):
+        return partial.copy() if acc is None else np.maximum(acc, partial, out=acc)
+
+    def select(self, src, dst, weights, partial, workspace=None):
+        c, d = self.scheme.c, self.scheme.d
+        return blast_retain_mask(
+            partial, src, dst, weights, c=c, d=d, workspace=workspace
+        )
+
+    def decide(self, graph, weights, reduced):
+        return self.select(graph.src, graph.dst, weights, reduced)
 
 
-def _wnp_mask(
-    scheme: WeightNodePruning, graph: ArrayBlockingGraph, weights: np.ndarray
-) -> np.ndarray:
-    # The reference accumulates src then dst per edge, in edge order —
-    # interleaving plus bincount's sequential loop reproduces that float
-    # summation order exactly.
-    nodes = np.empty(2 * weights.size, dtype=np.int64)
-    nodes[0::2] = graph.src
-    nodes[1::2] = graph.dst
-    values = np.repeat(weights, 2)
-    node_count = _node_count(graph)
-    sums = np.bincount(nodes, weights=values, minlength=node_count)
-    counts = np.bincount(nodes, minlength=node_count)
-    thresholds = np.zeros_like(sums)
-    np.divide(sums, counts, out=thresholds, where=counts > 0)
-    above_i = _clears(weights, thresholds[graph.src])
-    above_j = _clears(weights, thresholds[graph.dst])
-    return (above_i & above_j) if scheme.reciprocal else (above_i | above_j)
+class _WepDecision(ArrayPruning):
+    def decide(self, graph, weights, reduced):
+        theta = (
+            self.scheme.threshold
+            if self.scheme.threshold is not None
+            else _sequential_sum(weights) / weights.size
+        )
+        return _clears(weights, np.float64(theta))
+
+
+class _WnpDecision(ArrayPruning):
+    def decide(self, graph, weights, reduced):
+        # The reference accumulates src then dst per edge, in edge order —
+        # interleaving plus bincount's sequential loop reproduces that
+        # float summation order exactly.
+        nodes = np.empty(2 * weights.size, dtype=np.int64)
+        nodes[0::2] = graph.src
+        nodes[1::2] = graph.dst
+        values = np.repeat(weights, 2)
+        node_count = graph.node_blocks.size
+        sums = np.bincount(nodes, weights=values, minlength=node_count)
+        counts = np.bincount(nodes, minlength=node_count)
+        thresholds = np.zeros_like(sums)
+        np.divide(sums, counts, out=thresholds, where=counts > 0)
+        above_i = _clears(weights, thresholds[graph.src])
+        above_j = _clears(weights, thresholds[graph.dst])
+        return (above_i & above_j) if self.scheme.reciprocal else (above_i | above_j)
 
 
 def _edge_ranking(graph: ArrayBlockingGraph, weights: np.ndarray) -> np.ndarray:
@@ -461,61 +498,56 @@ def _edge_ranking(graph: ArrayBlockingGraph, weights: np.ndarray) -> np.ndarray:
     return np.argsort(-weights, kind="stable")
 
 
-def _cep_mask(
-    scheme: CardinalityEdgePruning,
-    graph: ArrayBlockingGraph,
-    weights: np.ndarray,
-) -> np.ndarray:
-    k = scheme.k
-    if k is None:
-        k = max(1, int(graph.node_blocks.sum()) // 2)
-    mask = np.zeros(weights.size, dtype=bool)
-    mask[_edge_ranking(graph, weights)[:k]] = True
-    return mask
+class _CepDecision(ArrayPruning):
+    def decide(self, graph, weights, reduced):
+        k = self.scheme.k
+        if k is None:
+            k = max(1, int(graph.node_blocks.sum()) // 2)
+        mask = np.zeros(weights.size, dtype=bool)
+        mask[_edge_ranking(graph, weights)[:k]] = True
+        return mask
 
 
-def _cnp_mask(
-    scheme: CardinalityNodePruning,
-    graph: ArrayBlockingGraph,
-    weights: np.ndarray,
-) -> np.ndarray:
-    k = scheme.k
-    if k is None:
-        total_assignments = int(graph.node_blocks.sum())
-        k = max(1, math.ceil(total_assignments / max(1, graph.num_nodes)))
+class _CnpDecision(ArrayPruning):
+    def decide(self, graph, weights, reduced):
+        k = self.scheme.k
+        if k is None:
+            total_assignments = int(graph.node_blocks.sum())
+            k = max(1, math.ceil(total_assignments / max(1, graph.num_nodes)))
 
-    num_edges = weights.size
-    rank = np.empty(num_edges, dtype=np.int64)
-    rank[_edge_ranking(graph, weights)] = np.arange(num_edges, dtype=np.int64)
-    # Two incidences per edge, positions [0, E) the src side, sorted by one
-    # composite (node, edge rank) key: each node's edges, best first.
-    width = max(1, num_edges)
-    keys = np.concatenate((graph.src, graph.dst)).astype(np.int64) * width
-    keys += np.tile(rank, 2)
-    order = stable_sort(keys)
-    sorted_nodes = keys // width
-    seg_starts = np.flatnonzero(
-        np.concatenate(([True], sorted_nodes[1:] != sorted_nodes[:-1]))
-    )
-    seg_lengths = np.diff(np.append(seg_starts, sorted_nodes.size))
-    rank_in_node = np.arange(sorted_nodes.size, dtype=np.int64) - np.repeat(
-        seg_starts, seg_lengths
-    )
-    top = order[rank_in_node < k]
+        num_edges = weights.size
+        rank = np.empty(num_edges, dtype=np.int64)
+        rank[_edge_ranking(graph, weights)] = np.arange(num_edges, dtype=np.int64)
+        # Two incidences per edge, positions [0, E) the src side, sorted by
+        # one composite (node, edge rank) key: each node's edges, best first.
+        width = max(1, num_edges)
+        keys = np.concatenate((graph.src, graph.dst)).astype(np.int64) * width
+        keys += np.tile(rank, 2)
+        order = stable_sort(keys)
+        sorted_nodes = keys // width
+        seg_starts = np.flatnonzero(
+            np.concatenate(([True], sorted_nodes[1:] != sorted_nodes[:-1]))
+        )
+        seg_lengths = np.diff(np.append(seg_starts, sorted_nodes.size))
+        rank_in_node = np.arange(sorted_nodes.size, dtype=np.int64) - np.repeat(
+            seg_starts, seg_lengths
+        )
+        top = order[rank_in_node < k]
 
-    in_top_i = np.zeros(num_edges, dtype=bool)
-    in_top_j = np.zeros(num_edges, dtype=bool)
-    in_top_i[top[top < num_edges]] = True
-    in_top_j[top[top >= num_edges] - num_edges] = True
-    return (in_top_i & in_top_j) if scheme.reciprocal else (in_top_i | in_top_j)
+        in_top_i = np.zeros(num_edges, dtype=bool)
+        in_top_j = np.zeros(num_edges, dtype=bool)
+        in_top_i[top[top < num_edges]] = True
+        in_top_j[top[top >= num_edges] - num_edges] = True
+        reciprocal = self.scheme.reciprocal
+        return (in_top_i & in_top_j) if reciprocal else (in_top_i | in_top_j)
 
 
-_PRUNE_DISPATCH = {
-    BlastPruning: _blast_mask,
-    WeightEdgePruning: _wep_mask,
-    WeightNodePruning: _wnp_mask,
-    CardinalityEdgePruning: _cep_mask,
-    CardinalityNodePruning: _cnp_mask,
+_PRUNE_DISPATCH: dict[type[PruningScheme], type[ArrayPruning]] = {
+    BlastPruning: _BlastDecision,
+    WeightEdgePruning: _WepDecision,
+    WeightNodePruning: _WnpDecision,
+    CardinalityEdgePruning: _CepDecision,
+    CardinalityNodePruning: _CnpDecision,
 }
 
 
@@ -528,26 +560,29 @@ def supports_pruning(scheme: PruningScheme) -> bool:
     return type(scheme) in _PRUNE_DISPATCH
 
 
-def prune_mask(
-    scheme: PruningScheme, graph: ArrayBlockingGraph, weights: np.ndarray
-) -> np.ndarray:
-    """Boolean retain-mask over the graph's edges under *scheme*.
-
-    Raises
-    ------
-    TypeError
-        When *scheme* has no vectorized implementation (see
-        :func:`supports_pruning`).
-    """
-    handler = _PRUNE_DISPATCH.get(type(scheme))
-    if handler is None:
+def array_pruning(scheme: PruningScheme) -> ArrayPruning:
+    """*scheme*'s decision object; a ``TypeError`` unless
+    :func:`supports_pruning`."""
+    decision = _PRUNE_DISPATCH.get(type(scheme))
+    if decision is None:
         raise TypeError(
             f"no vectorized pruning for {type(scheme).__name__}; "
             "use the python backend (or supports_pruning to pre-check)"
         )
+    return decision(scheme)
+
+
+def prune_mask(
+    scheme: PruningScheme, graph: ArrayBlockingGraph, weights: np.ndarray
+) -> np.ndarray:
+    """Boolean retain-mask over the graph's edges under *scheme*: the whole
+    graph reduced as one shard, then decided (raises as
+    :func:`array_pruning`)."""
+    pruning = array_pruning(scheme)
     if weights.size == 0:
         return np.zeros(0, dtype=bool)
-    return handler(scheme, graph, weights)
+    reduced = pruning.reduce(graph.src, graph.dst, weights, graph.node_blocks.size)
+    return pruning.decide(graph, weights, reduced)
 
 
 # --- the shard loop: plan -> run_shard per shard -> Collector -> merge ------
@@ -565,9 +600,8 @@ class SharedState:
     shard hands over its full edge arrays: to be weighted after the merge
     (EJS, which needs global degrees) or held as they are
     (:class:`ArrayBlockingGraph`).  ``chi_grid`` is CHI_H's statistic per
-    run (:func:`_chi_squared_grid`) or ``None``.  ``blast`` is BLAST
-    pruning's ``(c, d)`` when the shards pre-prune against their local
-    maxima (see :func:`run_shard`), else ``None``.
+    run (:func:`_chi_squared_grid`) or ``None``.  ``pruning``, set with
+    ``scheme``, reduces and selects each shard (:func:`run_shard`).
     """
 
     index: ShardableIndex
@@ -578,12 +612,12 @@ class SharedState:
     node_block_counts: np.ndarray | None = None
     num_blocks: int = 0
     chi_grid: tuple[np.ndarray, np.ndarray] | None = None
-    blast: tuple[float, float] | None = None
+    pruning: ArrayPruning | None = None
 
 
-#: One shard's result: edges, weights if the shard took them, and BLAST's
-#: dense local maxima.
-ShardResult = tuple[ShardEdges, "np.ndarray | None", "np.ndarray | None"]
+#: One shard's result: edges, weights if the shard took them, and the
+#: pruning's partial state (``None`` when it reduces nothing).
+ShardResult = tuple[ShardEdges, "np.ndarray | None", object]
 
 
 def run_shard(
@@ -596,13 +630,8 @@ def run_shard(
     * weights not evaluated here (``state.scheme is None``) — the full
       edge arrays;
     * weights evaluated here — endpoints and weights only (every pruning
-      reads nothing else);
-    * BLAST pruning on top — only the *candidate* edges that pass BLAST's
-      test against this shard's local maxima, plus those maxima.  Local
-      maxima never exceed the global ones and the test is monotone in
-      them (:func:`blast_retain_mask`), so every globally retained edge is
-      among its shard's candidates; the driver re-applies the same test
-      with the reduced global maxima.
+      reads nothing else) of the edges ``state.pruning`` selects against
+      the partial state it reduces from this shard, plus that partial.
 
     Every intermediate lives in *workspace*; what is returned is fresh.
     """
@@ -634,13 +663,12 @@ def run_shard(
         chi_grid=state.chi_grid,
         workspace=workspace,
     )
-    if state.blast is None:
-        return ShardEdges(src.copy(), dst.copy(), None), weights.copy(), None
-    c, d = state.blast
-    maxima = node_maxima(src, dst, weights, state.index.num_ids)
-    keep = blast_retain_mask(maxima, src, dst, weights, c=c, d=d, workspace=workspace)
+    partial = state.pruning.reduce(src, dst, weights, state.index.num_ids)
+    keep = state.pruning.select(src, dst, weights, partial, workspace)
+    if keep is None:
+        return ShardEdges(src.copy(), dst.copy(), None), weights.copy(), partial
     # Boolean indexing copies: the candidates leave the workspace.
-    return ShardEdges(src[keep], dst[keep], None), weights[keep], maxima
+    return ShardEdges(src[keep], dst[keep], None), weights[keep], partial
 
 
 def merge_shards(shards: list[ShardEdges]) -> ShardEdges:
@@ -649,27 +677,16 @@ def merge_shards(shards: list[ShardEdges]) -> ShardEdges:
     Shards cover ascending ``src`` ranges and each shard is sorted
     lexicographically, so plain concatenation in plan order yields the
     globally sorted, duplicate-free edge list — the same arrays under
-    every plan (each edge's masses were accumulated whole inside its
-    single owning shard).  Fields the shards left out (``shared`` and the
-    masses on slim, already-weighted results) stay ``None``; dropping
-    edges inside a shard, as BLAST's candidate filter does, keeps the
-    order argument intact.
+    every plan, whatever edges a pruning's ``select`` dropped (each edge's
+    masses were accumulated whole in its one shard).  Fields the shards
+    left out (``shared`` and the masses on weighted results) stay ``None``.
     """
     if not shards:
         empty_i = np.zeros(0, dtype=np.int64)
         return ShardEdges(src=empty_i, dst=empty_i.copy(), shared=empty_i.copy())
+    columns = {name: [vars(s)[name] for s in shards] for name in vars(shards[0])}
     return ShardEdges(
-        src=np.concatenate([s.src for s in shards]),
-        dst=np.concatenate([s.dst for s in shards]),
-        shared=np.concatenate([s.shared for s in shards])
-        if shards[0].shared is not None
-        else None,
-        arcs_mass=np.concatenate([s.arcs_mass for s in shards])
-        if shards[0].arcs_mass is not None
-        else None,
-        entropy_mass=np.concatenate([s.entropy_mass for s in shards])
-        if shards[0].entropy_mass is not None
-        else None,
+        **{k: None if a[0] is None else np.concatenate(a) for k, a in columns.items()}
     )
 
 
@@ -703,21 +720,30 @@ def _validate_plan(plan: list[tuple[int, int]], num_ids: int) -> None:
 class Collector:
     """Where shard results land, keyed by their position in plan order.
 
-    Keeps a shard's edges and weights and folds its BLAST maxima into one
-    running array straight away — ``np.maximum`` is exact and order-free —
-    so beside the candidates only one dense maxima array outlives a shard,
-    however many shards the plan has.
+    Keeps a shard's edges and weights and folds its partial state into
+    ``reduced`` through *pruning*'s ``combine`` once every earlier position
+    is in: in plan order whoever finishes first, and beside the candidates
+    only the reduced state (and early partials) outlive a shard.
+    ``reduced`` stays ``None`` if the pruning reduces nothing, or is none.
     """
 
-    def __init__(self, num_ids: int) -> None:
+    def __init__(self, pruning: ArrayPruning | None = None) -> None:
+        self.pruning = pruning
         self.shards: dict[int, tuple[ShardEdges, np.ndarray | None]] = {}
-        self.maxima = np.zeros(num_ids, dtype=np.float64)
+        self.early: dict[int, object] = {}
+        self.folded = 0
+        self.reduced: object = None
 
     def add(self, position: int, result: ShardResult) -> None:
-        edges, weights, maxima = result
-        if maxima is not None:
-            np.maximum(self.maxima, maxima, out=self.maxima)
+        edges, weights, partial = result
         self.shards[position] = (edges, weights)
+        if self.pruning is None:
+            return
+        self.early[position] = partial
+        while self.folded in self.early:
+            partial = self.early.pop(self.folded)
+            self.reduced = self.pruning.combine(self.reduced, partial)
+            self.folded += 1
 
     def merge(self) -> tuple[ShardEdges, np.ndarray | None]:
         """The merged edges, and the merged weights if the shards took any.
@@ -747,11 +773,10 @@ def run_in_process(
 
 def fold_shards(state: SharedState, plan: list[tuple[int, int]]) -> ShardResult:
     """Consecutive shards run here and folded into the merged edges, weights
-    and reduced maxima a collector would hold (a pool task, or its fallback)."""
-    collector = Collector(state.index.num_ids)
+    and reduced state a collector would hold (a pool task, or its fallback)."""
+    collector = Collector(state.pruning)
     run_in_process(state, plan, collector)
-    edges, weights = collector.merge()
-    return edges, weights, collector.maxima if state.blast else None
+    return (*collector.merge(), collector.reduced)
 
 
 #: Who runs the shards of a plan: fills *collector* at every position.
@@ -775,15 +800,13 @@ def sharded_metablocking(
     Plans (an explicit *shard_plan*, validated; else
     :func:`~repro.graph.sharding.default_plan` with at least *num_shards*
     shards of at most *shard_size* comparisons), lets *run_shards* fill a
-    :class:`Collector`, merges, and decides.  The result does not depend
-    on the plan or on who ran which shard; combinations the arrays cannot
-    express go to the reference path.
+    :class:`Collector`, merges, and lets the pruning decide.  The result
+    does not depend on the plan or on who ran which shard; combinations
+    the arrays cannot express go to the reference path.
     """
     if isinstance(weighting, str):
         weighting = WeightingScheme(weighting)
-    if not isinstance(weighting, WeightingScheme) or not supports_pruning(
-        pruning
-    ):
+    if not (isinstance(weighting, WeightingScheme) and supports_pruning(pruning)):
         from repro.graph.metablocking import reference_metablocking
 
         return reference_metablocking(
@@ -793,6 +816,7 @@ def sharded_metablocking(
             entropy_boost=entropy_boost,
             key_entropy=key_entropy,
         )
+    decision = array_pruning(pruning)
     index = collection.entity_index
     slim = index.shardable
     if shard_plan is not None:
@@ -803,17 +827,8 @@ def sharded_metablocking(
         plan = default_plan(slim, num_shards=num_shards, max_pairs=shard_size)
 
     needs_entropy = weighting is WeightingScheme.CHI_H or entropy_boost
-    # EJS mixes global degree statistics into every edge; its weights are
-    # evaluated over the merged arrays instead of per shard.
+    # EJS mixes global degrees into every edge: weighed after the merge.
     weight_in_shard = weighting is not WeightingScheme.EJS
-    # BLAST's threshold rests on per-node maxima — an exact, order-free
-    # reduction — so shards that hold their weights pre-prune (exact type
-    # only: a subclass may override the rule).
-    blast = (
-        (pruning.c, pruning.d)
-        if type(pruning) is BlastPruning and weight_in_shard
-        else None
-    )
     # CHI_H reads only (shared, |B_i|, |B_j|): grid them if no bigger than the run.
     side = int(index.node_block_counts.max(initial=0)) + 1
     grid = weighting is WeightingScheme.CHI_H and side**3 <= slim.pair_ptr[-1]
@@ -828,23 +843,19 @@ def sharded_metablocking(
         node_block_counts=index.node_block_counts if weight_in_shard else None,
         num_blocks=index.num_blocks,
         chi_grid=_chi_squared_grid(side - 1, index.num_blocks) if grid else None,
-        blast=blast,
+        pruning=decision if weight_in_shard else None,
     )
-    collector = Collector(slim.num_ids)
+    collector = Collector(state.pruning)
     run_shards(state, plan, collector)
     edges, weights = collector.merge()
-    if blast is not None:
-        # The merged arrays hold the shards' candidates only; the
-        # decision is the whole-graph one — same test, global maxima.
-        c, d = blast
-        mask = blast_retain_mask(
-            collector.maxima, edges.src, edges.dst, weights, c=c, d=d
-        )
-    else:
-        graph = ArrayBlockingGraph.of_merged(index, edges)
-        if weights is None:
-            weights = graph.weights(weighting, entropy_boost=entropy_boost)
-        mask = prune_mask(pruning, graph, weights)
+    graph = ArrayBlockingGraph.of_merged(index, edges)
+    reduced = collector.reduced
+    if weights is None:  # EJS: weighed, and reduced as one shard, here
+        weights = graph.weights(weighting, entropy_boost=entropy_boost)
+        reduced = decision.reduce(edges.src, edges.dst, weights, slim.num_ids)
+    # A decision reads at least one edge.
+    empty = np.zeros(0, dtype=bool)
+    mask = decision.decide(graph, weights, reduced) if weights.size else empty
     return np.column_stack((edges.src[mask], edges.dst[mask]))
 
 

@@ -75,13 +75,8 @@ class AttributeGraph:
         code works the same way: the LSH step passes band buckets.
         """
         from repro.blocking._interned import group_assignments
-        from repro.graph.sharding import (
-            ShardableIndex,
-            ShardWorkspace,
-            default_plan,
-            shard_edge_arrays,
-        )
-        from repro.graph.vectorized import merge_shards
+        from repro.graph.sharding import ShardableIndex, default_plan
+        from repro.graph.vectorized import Collector, SharedState, run_in_process
 
         _, starts, sizes, members = group_assignments(rows, tokens)
         block_ptr = np.append(starts, members.size)
@@ -100,10 +95,9 @@ class AttributeGraph:
             block_comparisons=comparisons,
             num_ids=len(refs),
         )
-        plan = default_plan(index)
-        scratch = ShardWorkspace.for_plan(index, plan)
-        shards = (shard_edge_arrays(index, *ids, workspace=scratch) for ids in plan)
-        edges = merge_shards([shard.copy() for shard in shards])
+        collector = Collector()
+        run_in_process(SharedState(index, None, False), default_plan(index), collector)
+        edges = collector.merge()[0]
         return cls(
             refs=refs,
             src=edges.src,

@@ -32,8 +32,9 @@ def run_capturing_shards(collection, **kwargs):
     """``parallel_metablocking(workers=1)`` plus each shard's raw result.
 
     Returns ``(retained, shipped)`` where ``shipped[position]`` is the
-    ``(edges, weights, maxima)`` triple the shard at that plan position
-    handed to the collector, before any merge.
+    ``(edges, weights, partial)`` triple the shard at that plan position
+    handed to the collector, before any merge: *partial* is the pruning's
+    reduced state of that shard (BLAST's node maxima), or ``None``.
     """
     shipped = {}
     collect = Collector.add

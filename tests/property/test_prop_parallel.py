@@ -13,8 +13,16 @@ the merge (``run_shard`` keeps only the candidates that pass BLAST's test
 against the shard's local maxima), so the suite also pins the exactness
 argument — every shard's candidates are a superset of the globally
 retained edges it owns, for any plan, weighting and positive ``c``/``d``.
+
+Under both sits the decision protocol every built-in pruning implements
+(``reduce`` / ``combine`` / ``select`` / ``decide``): cut a whole graph's
+edges into contiguous ``src`` ranges, and the pieces' combined partial
+states are the whole graph's reduction, and the decision over their
+selected edges is :func:`prune_mask` on the whole graph.
 """
 
+import numpy as np
+import pytest
 from _block_oracles import assert_same_edges
 from _parallel_helpers import run_capturing_shards
 from hypothesis import given, settings, strategies as st
@@ -32,11 +40,12 @@ from repro.graph.pruning import (
 )
 from repro.graph.sharding import (
     ShardableIndex,
+    ShardEdges,
     pair_counts_by_entity,
     plan_shards,
     shard_edge_arrays,
 )
-from repro.graph.vectorized import ArrayBlockingGraph
+from repro.graph.vectorized import ArrayBlockingGraph, array_pruning, prune_mask
 
 NUM_PROFILES = 12
 
@@ -280,6 +289,54 @@ class TestShardLocalBlastPruningIsExact:
         slim = ShardableIndex.from_entity_index(collection.entity_index)
         plan = data.draw(_arbitrary_plans(slim.num_ids))
         self._check(collection, key_entropy, scheme, boost, c, d, plan)
+
+
+def _hex(state):
+    """A reduced state, exactly: ``None`` or its floats in ``float.hex``."""
+    return None if state is None else [float.hex(x) for x in state.tolist()]
+
+
+class TestDecisionProtocol:
+    @pytest.mark.parametrize(
+        "pruning", PRUNINGS, ids=lambda pruning: type(pruning).__name__
+    )
+    @given(
+        collections,
+        entropies,
+        st.sampled_from(IN_WORKER_WEIGHTINGS),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60)
+    def test_pieces_reduce_and_decide_as_the_whole_graph(
+        self, pruning, collection, key_entropy, scheme, boost, data
+    ):
+        graph = ArrayBlockingGraph(collection, key_entropy=key_entropy)
+        weights = graph.weights(scheme, entropy_boost=boost)
+        num_ids = graph.node_blocks.size
+        decision = array_pruning(pruning)
+        plan = data.draw(_arbitrary_plans(num_ids))
+        cuts = np.searchsorted(graph.src, [lo for lo, _ in plan] + [num_ids])
+        reduced, selected = None, []
+        for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            piece = (graph.src[start:stop], graph.dst[start:stop], weights[start:stop])
+            partial = decision.reduce(*piece, num_ids)
+            reduced = decision.combine(reduced, partial)
+            keep = decision.select(*piece, partial)
+            positions = np.arange(start, stop)
+            selected.append(positions if keep is None else positions[keep])
+        # (a) the pieces' partials combine into the whole graph's reduction.
+        whole = decision.reduce(graph.src, graph.dst, weights, num_ids)
+        assert _hex(reduced) == _hex(whole)
+        # (b) deciding over the selected edges is the whole-graph decision.
+        kept = np.concatenate(selected)
+        candidates = ArrayBlockingGraph.of_merged(
+            collection.entity_index,
+            ShardEdges(graph.src[kept], graph.dst[kept], None),
+        )
+        mask = decision.decide(candidates, weights[kept], reduced)
+        expected = prune_mask(pruning, graph, weights)
+        assert kept[mask].tolist() == np.flatnonzero(expected).tolist()
 
 
 class TestPlanner:

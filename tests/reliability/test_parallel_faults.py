@@ -32,7 +32,7 @@ from repro.graph import WeightingScheme
 from repro.graph.metablocking import reference_metablocking
 from repro.graph.parallel import WORKER_FAULT_SITE, parallel_metablocking
 from repro.graph.pruning import BlastPruning
-from repro.reliability import FAULTS, RetryPolicy
+from repro.reliability import FAULTS
 
 
 @pytest.fixture
@@ -89,10 +89,7 @@ class TestInjectedTaskFailure:
         # in-process execution and still match the oracle bit for bit.
         with FAULTS.injected(WORKER_FAULT_SITE, "raise"):
             with pytest.warns(RuntimeWarning, match="degrading to serial"):
-                result = run_parallel(
-                    blocks,
-                    retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
-                )
+                result = run_parallel(blocks, max_retries=1)
         assert_same_edges(result, oracle)
 
     def test_zero_retries_still_completes_serially(
@@ -100,20 +97,14 @@ class TestInjectedTaskFailure:
     ):
         with FAULTS.injected(WORKER_FAULT_SITE, "raise"):
             with pytest.warns(RuntimeWarning, match="degrading to serial"):
-                result = run_parallel(
-                    blocks,
-                    retry_policy=RetryPolicy(max_retries=0, backoff_base=0.0),
-                )
+                result = run_parallel(blocks, max_retries=0)
         assert_same_edges(result, oracle)
 
     def test_no_worker_processes_leak(self, blocks, fork_only):
         with FAULTS.injected(WORKER_FAULT_SITE, "raise"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                run_parallel(
-                    blocks,
-                    retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
-                )
+                run_parallel(blocks, max_retries=1)
         for child in multiprocessing.active_children():
             child.join(timeout=5)
         assert multiprocessing.active_children() == []
@@ -126,12 +117,7 @@ class TestInjectedWorkerDeath:
         # The first shard task os._exit()s mid-shard: the pool loses the
         # task silently, so only the per-task timeout can recover it.
         with FAULTS.injected(WORKER_FAULT_SITE, "kill", hits=1):
-            result = run_parallel(
-                blocks,
-                retry_policy=RetryPolicy(
-                    max_retries=2, task_timeout=2.0, backoff_base=0.0
-                ),
-            )
+            result = run_parallel(blocks, max_retries=2, task_timeout=2.0)
         assert_same_edges(result, oracle)
 
     def test_every_worker_killed_degrades_to_serial(
@@ -139,24 +125,14 @@ class TestInjectedWorkerDeath:
     ):
         with FAULTS.injected(WORKER_FAULT_SITE, "kill"):
             with pytest.warns(RuntimeWarning, match="degrading to serial"):
-                result = run_parallel(
-                    blocks,
-                    retry_policy=RetryPolicy(
-                        max_retries=1, task_timeout=1.0, backoff_base=0.0
-                    ),
-                )
+                result = run_parallel(blocks, max_retries=1, task_timeout=1.0)
         assert_same_edges(result, oracle)
 
 
 class TestInjectedDelay:
     def test_slow_task_times_out_and_retries(self, blocks, oracle, fork_only):
         with FAULTS.injected(WORKER_FAULT_SITE, "delay", value=1.5, hits=1):
-            result = run_parallel(
-                blocks,
-                retry_policy=RetryPolicy(
-                    max_retries=2, task_timeout=0.3, backoff_base=0.0
-                ),
-            )
+            result = run_parallel(blocks, max_retries=2, task_timeout=0.3)
         assert_same_edges(result, oracle)
 
 
@@ -166,12 +142,6 @@ class TestKnobPlumbing:
             run_parallel(blocks, task_timeout=30.0, max_retries=1),
             oracle,
         )
-
-    def test_shorthands_conflict_with_explicit_policy(self, blocks):
-        with pytest.raises(ValueError, match="retry_policy"):
-            run_parallel(
-                blocks, task_timeout=1.0, retry_policy=RetryPolicy()
-            )
 
     def test_invalid_knobs_rejected(self, blocks):
         with pytest.raises(ValueError, match="task_timeout"):
@@ -189,24 +159,25 @@ def dense_blocks():
     return random_blocks(5, profiles=120, blocks=90, largest=12)
 
 
+#: Each scenario's injected fault and the dispatch's retry shorthands.
 FAULT_SCENARIOS = {
     "raise-then-retry": (
         dict(action="raise", hits=1),
-        RetryPolicy(max_retries=2, backoff_base=0.0),
+        dict(max_retries=2),
     ),
     # One task fails with no retry left: its shard is rebuilt in-process
     # while the other shards' worker-built results are kept.
     "raise-then-degrade-one-shard": (
         dict(action="raise", hits=1),
-        RetryPolicy(max_retries=0, backoff_base=0.0),
+        dict(max_retries=0),
     ),
     "kill-then-retry": (
         dict(action="kill", hits=1),
-        RetryPolicy(max_retries=2, task_timeout=2.0, backoff_base=0.0),
+        dict(max_retries=2, task_timeout=2.0),
     ),
     "delay-then-retry": (
         dict(action="delay", value=1.5, hits=1),
-        RetryPolicy(max_retries=2, task_timeout=0.3, backoff_base=0.0),
+        dict(max_retries=2, task_timeout=0.3),
     ),
 }
 
@@ -224,7 +195,7 @@ class TestPrePrunedShardsUnderFaults:
     def test_bit_identical_and_nothing_left_running(
         self, dense_blocks, scenario, weighting, boost, pruning, fork_only
     ):
-        fault, policy = FAULT_SCENARIOS[scenario]
+        fault, retries = FAULT_SCENARIOS[scenario]
         kwargs = dict(
             weighting=weighting, pruning=pruning, entropy_boost=boost
         )
@@ -235,7 +206,7 @@ class TestPrePrunedShardsUnderFaults:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 result = parallel_metablocking(
                     dense_blocks, workers=2, shard_size=400,
-                    retry_policy=policy, **kwargs,
+                    **retries, **kwargs,
                 )
         assert_no_orphans()
         assert_same_edges(result, oracle)

@@ -198,6 +198,26 @@ class TestAttributeTermCounts:
             }
             assert got == reference
 
+    @pytest.mark.parametrize("min_length", [2, 99])
+    def test_arrays_are_np_unique_counts(self, figure1_clean_clean, min_length):
+        # The sorted-run count equals np.unique(return_counts=True) bit for
+        # bit, an empty selection (no token of 99 characters) included.
+        corpus = figure1_clean_clean.corpus
+        vocab = max(1, corpus.vocabulary_size)
+        for source in (0, 1):
+            start, end = corpus._source_bounds(source)
+            lo, hi = corpus.profile_ptr[start], corpus.profile_ptr[end]
+            toks = corpus.token_ids[lo:hi]
+            keep = corpus.token_lengths[toks] >= min_length
+            codes = corpus.attr_ids[lo:hi][keep].astype(np.int64) * vocab
+            unique, counts = np.unique(codes + toks[keep], return_counts=True)
+            got = corpus.attribute_term_counts(source, min_length)
+            expected = (unique // vocab, unique % vocab, counts)
+            for array, reference in zip(got, expected, strict=True):
+                assert array.dtype == np.int64
+                assert array.tobytes() == reference.tobytes()
+        assert min_length == 2 or got[0].size == 0
+
     def test_dirty_corpus_rejects_source_one(self, figure1_dirty):
         with pytest.raises(ValueError, match="single source"):
             figure1_dirty.corpus.attribute_term_counts(1, 2)

@@ -46,8 +46,10 @@ from repro.graph.sharding import (
     shard_edge_arrays,
 )
 from repro.graph.vectorized import (
+    ArrayPruning,
     Collector,
     SharedState,
+    array_pruning,
     run_in_process,
     run_shard,
     vectorized_metablocking,
@@ -275,8 +277,8 @@ def _random_clean_blocks(seed, *, profiles, blocks, largest):
 class _KeepingCollector(Collector):
     """A collector that also keeps every raw shard result."""
 
-    def __init__(self, num_ids):
-        super().__init__(num_ids)
+    def __init__(self, pruning):
+        super().__init__(pruning)
         self.raw = {}
 
     def add(self, position, result):
@@ -313,8 +315,12 @@ class TestWorkspaceAliasing:
             "full arrays": SharedState(
                 index=slim, block_entropies=entropies, need_arcs=True
             ),
-            "weighted slim": SharedState(**weighted),
-            "blast candidates": SharedState(**weighted, blast=(2.0, 2.0)),
+            "weighted slim": SharedState(
+                **weighted, pruning=array_pruning(WeightEdgePruning())
+            ),
+            "blast candidates": SharedState(
+                **weighted, pruning=array_pruning(BlastPruning(2.0, 2.0))
+            ),
         }
 
     @pytest.mark.parametrize("runner", ["in-process", "pool"])
@@ -323,7 +329,7 @@ class TestWorkspaceAliasing:
         plan = plan_shards(slim, max_pairs=1_500)
         assert len(plan) >= 4
         for shape, state in self._states(blocks).items():
-            collector = _KeepingCollector(slim.num_ids)
+            collector = _KeepingCollector(state.pruning)
             if runner == "pool":
                 _dispatch_shards(
                     state, plan, collector, workers=2,
@@ -332,12 +338,12 @@ class TestWorkspaceAliasing:
             else:
                 run_in_process(state, plan, collector)
             # The reference: every shard built alone, in a private workspace.
-            fresh = _KeepingCollector(slim.num_ids)
+            fresh = _KeepingCollector(state.pruning)
             for position, (lo, hi) in enumerate(plan):
                 fresh.add(position, run_shard(state, lo, hi))
             kept_and_fresh = [
                 (collector.merge(), fresh.merge()),
-                ((collector.maxima,), (fresh.maxima,)),
+                ((collector.reduced,), (fresh.reduced,)),
             ]
             if runner == "in-process":  # a pool task may fold shards
                 kept_and_fresh += [
@@ -351,6 +357,25 @@ class TestWorkspaceAliasing:
                         assert a.tobytes() == b.tobytes(), shape
             if shape == "blast candidates":
                 assert fresh.raw[0][2] is not None
+
+
+class _ListingPruning(ArrayPruning):
+    """Combines partials into the list of them, in fold order."""
+
+    def combine(self, acc, partial):
+        return (acc or []) + [partial]
+
+
+def test_collector_folds_partials_in_plan_order():
+    # A pool adds a retried or degraded task after later ones; the fold
+    # still runs in plan order, as soon as every earlier position is in.
+    collector = Collector(_ListingPruning(WeightEdgePruning()))
+    empty = ShardEdges(np.zeros(0, np.int64), np.zeros(0, np.int64), None)
+    folded = []
+    for position in (2, 0, 3, 1):
+        collector.add(position, (empty, np.zeros(0), position))
+        folded.append(collector.reduced)
+    assert folded == [None, [0], [0], [0, 1, 2, 3]]
 
 
 def _arrays(result):
