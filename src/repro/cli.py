@@ -45,7 +45,7 @@ import time
 
 from repro.analysis import cli as _lint_cli
 from repro.experiments import engine as _bench_cli
-from repro.core import BlastConfig, build_pipeline
+from repro.core import BlastConfig, PipelineError, build_pipeline
 from repro.core.registry import (
     BACKENDS,
     BLOCKERS,
@@ -66,6 +66,9 @@ from repro.datasets import load_clean_clean, load_dirty
 from repro.datasets.benchmarks import CLEAN_CLEAN_DATASETS
 from repro.datasets.dirty import DIRTY_DATASETS
 from repro.metrics import evaluate_blocks
+
+#: Every flag that sets a BlastConfig field defaults to that field's value.
+_DEFAULTS = BlastConfig()
 
 
 def _registry_epilog() -> str:
@@ -132,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--clean-clean", action="store_true",
                         help="two-source stream (records carry source 0/1)")
     stream.add_argument("--weighting", choices=WEIGHTINGS.names(),
-                        default="chi_h",
+                        default=_DEFAULTS.weighting.value,
                         help="registered edge weighting (default: "
                              "%(default)s; ejs needs global statistics and "
                              "is rejected at query time)")
@@ -149,11 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "replay)")
     stream.add_argument("--query-k", type=int, default=None,
                         help="cap each arrival's emitted candidates")
-    stream.add_argument("--min-token-length", type=int, default=2)
-    stream.add_argument("--purging-ratio", type=float, default=0.5)
-    stream.add_argument("--filtering-ratio", type=float, default=0.8)
-    stream.add_argument("--pruning-c", type=float, default=2.0)
-    stream.add_argument("--pruning-d", type=float, default=2.0)
+    stream.add_argument("--min-token-length", type=int,
+                        default=_DEFAULTS.min_token_length)
+    stream.add_argument("--purging-ratio", type=float,
+                        default=_DEFAULTS.purging_ratio)
+    stream.add_argument("--filtering-ratio", type=float,
+                        default=_DEFAULTS.filtering_ratio)
+    stream.add_argument("--pruning-c", type=float, default=_DEFAULTS.pruning_c)
+    stream.add_argument("--pruning-d", type=float, default=_DEFAULTS.pruning_d)
     stream.add_argument("--snapshot", type=Path, default=None,
                         help="session snapshot path: restored before the "
                              "replay when the file exists, written after it "
@@ -189,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fresh tenants index two-source streams "
                             "(recovered tenants keep their snapshot's kind)")
     serve.add_argument("--weighting", choices=WEIGHTINGS.names(),
-                       default="chi_h",
+                       default=_DEFAULTS.weighting.value,
                        help="edge weighting of fresh tenants "
                             "(default: %(default)s)")
     serve.add_argument("--pruning", choices=PRUNERS.names(), default="blast",
@@ -246,13 +252,13 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         default="schema-aware",
                         help="registered blocking technique (default: %(default)s)")
     parser.add_argument("--weighting", choices=WEIGHTINGS.names(),
-                        default="chi_h",
+                        default=_DEFAULTS.weighting.value,
                         help="registered edge weighting (default: %(default)s)")
     parser.add_argument("--pruning", choices=PRUNERS.names(),
                         default="blast",
                         help="registered pruning scheme (default: %(default)s)")
     parser.add_argument("--backend", choices=BACKENDS.names(),
-                        default="vectorized",
+                        default=_DEFAULTS.backend,
                         help="meta-blocking execution backend: the numpy "
                              "array path, the sharded multi-process "
                              "'parallel' engine, or the pure-python "
@@ -278,20 +284,25 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              "after shard failures/timeouts; shards still "
                              "unfinished afterwards run serially in-process "
                              "(default: 2)")
-    parser.add_argument("--induction", choices=("lmi", "ac"), default="lmi")
-    parser.add_argument("--alpha", type=float, default=0.9)
+    parser.add_argument("--induction", choices=("lmi", "ac"),
+                        default=_DEFAULTS.induction)
+    parser.add_argument("--alpha", type=float, default=_DEFAULTS.alpha)
     parser.add_argument("--use-lsh", action="store_true")
-    parser.add_argument("--lsh-threshold", type=float, default=0.4)
-    parser.add_argument("--min-token-length", type=int, default=2,
+    parser.add_argument("--lsh-threshold", type=float,
+                        default=_DEFAULTS.lsh_threshold)
+    parser.add_argument("--min-token-length", type=int,
+                        default=_DEFAULTS.min_token_length,
                         help="shortest token used as a blocking key")
-    parser.add_argument("--purging-ratio", type=float, default=0.5,
+    parser.add_argument("--purging-ratio", type=float,
+                        default=_DEFAULTS.purging_ratio,
                         help="Block Purging max profile fraction per block")
-    parser.add_argument("--filtering-ratio", type=float, default=0.8,
+    parser.add_argument("--filtering-ratio", type=float,
+                        default=_DEFAULTS.filtering_ratio,
                         help="Block Filtering retained fraction per profile")
     parser.add_argument("--no-entropy", action="store_true",
                         help="disable the aggregate-entropy weighting factor")
-    parser.add_argument("--pruning-c", type=float, default=2.0)
-    parser.add_argument("--pruning-d", type=float, default=2.0)
+    parser.add_argument("--pruning-c", type=float, default=_DEFAULTS.pruning_c)
+    parser.add_argument("--pruning-d", type=float, default=_DEFAULTS.pruning_d)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--stage-report", action="store_true",
                         help="print the per-stage instrumentation table")
@@ -580,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
                 "bench": _bench_cli.execute}
     try:
         return commands[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

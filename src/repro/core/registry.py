@@ -17,7 +17,8 @@ flag set configures whichever component is selected:
 * ``BLOCKERS``   — ``name -> (config) -> Stage`` producing the block
   collection (token, schema-aware, qgrams, suffix-array, canopy);
 * ``WEIGHTINGS`` — ``name -> WeightingScheme | (graph) -> weights``;
-* ``PRUNERS``    — ``name -> (config) -> PruningScheme``;
+* ``PRUNERS``    — ``name -> (config) -> PruningScheme``, or a ready
+  meta-blocking :class:`Stage` (``supervised``);
 * ``BACKENDS``   — meta-blocking execution backends (``python`` reference,
   the array-backed ``vectorized`` default, and the sharded multi-process
   ``parallel``; see DESIGN.md "Backends & performance" and "Parallel
@@ -141,8 +142,11 @@ class Registry(Generic[T]):
 BLOCKERS: Registry[Callable[[BlastConfig], Stage]] = Registry("blocker")
 #: Edge-weighting specs: ``name -> WeightingScheme | (graph) -> weights``.
 WEIGHTINGS: Registry[WeightingSpec] = Registry("weighting")
-#: Pruning-scheme factories: ``name -> (config) -> PruningScheme``.
-PRUNERS: Registry[Callable[[BlastConfig], PruningScheme]] = Registry("pruning")
+#: Pruning factories: ``name -> (config) -> PruningScheme | Stage``; a
+#: Stage replaces the meta-blocking stage outright.
+PRUNERS: Registry[Callable[[BlastConfig], PruningScheme | Stage]] = Registry(
+    "pruning"
+)
 #: Meta-blocking execution backends: ``name -> (collection, *, weighting,
 #: pruning, entropy_boost, key_entropy) -> np.ndarray``: the retained edges
 #: as one sorted ``(E, 2)`` int64 array of ``(i, j)`` rows, ``i < j``.
@@ -278,12 +282,21 @@ def _cnp2(config: BlastConfig) -> PruningScheme:
     return CardinalityNodePruning(reciprocal=True)
 
 
+@register_pruning("supervised")
+def _supervised(config: BlastConfig) -> Stage:
+    """Supervised meta-blocking (the "sup. MB" rows): an SVM edge classifier
+    trained on 10% of the ground truth, as its own meta-blocking stage."""
+    from repro.supervised import SupervisedMetaBlocking
+
+    return SupervisedMetaBlocking(seed=config.seed)
+
+
 def build_pipeline(
     config: BlastConfig | None = None,
     *,
     blocker: str = "schema-aware",
     weighting: str | WeightingSpec | None = None,
-    pruning: str | PruningScheme = "blast",
+    pruning: str | PruningScheme | Stage = "blast",
 ) -> Pipeline:
     """Assemble the standard four/five-stage pipeline from registry names.
 
@@ -291,7 +304,8 @@ def build_pipeline(
     — the schema stage is prepended automatically when the selected blocker
     declares ``needs_partitioning`` (i.e. ``schema-aware``).  *weighting*
     defaults to ``config.weighting``; *weighting* and *pruning* accept either
-    registry names or ready component instances.
+    registry names or ready component instances.  A pruning that already
+    is a :class:`Stage` (``supervised``) is the meta-blocking stage itself.
 
     >>> from repro.core.registry import build_pipeline
     >>> build_pipeline(blocker="token", weighting="cbs").stage_names
@@ -315,6 +329,9 @@ def build_pipeline(
     pruning_scheme = (
         PRUNERS.get(pruning)(config) if isinstance(pruning, str) else pruning
     )
+    if isinstance(pruning_scheme, Stage):
+        stages.append(pruning_scheme)
+        return Pipeline(stages)
     stages.append(
         MetaBlockingStage(
             weighting=weighting_spec,

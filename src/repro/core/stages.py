@@ -466,7 +466,7 @@ class Pipeline:
     wraps the outcome in a :class:`BlastResult`; ``execute(context)`` runs
     the stages against a caller-provided (possibly pre-seeded) context and
     returns the stage reports — the form :func:`repro.core.prepare_blocks`
-    and the benchmark harness compose.
+    composes.
     """
 
     def __init__(self, stages: Iterable[Stage]) -> None:

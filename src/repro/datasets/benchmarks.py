@@ -267,9 +267,10 @@ def load_dbp_wide(
 ) -> ERDataset:
     """The dbp pair with a configurable number of rare properties.
 
-    Used by the LSH benches (Table 6, Figure 10), where the contrast
-    between exhaustive and LSH-accelerated attribute-match induction only
-    becomes visible with wide schemas.
+    Used by the LSH experiments (Table 6, Figure 10; ``num_rare`` of an
+    experiment config's dataset), where the contrast between exhaustive
+    and LSH-accelerated attribute-match induction only becomes visible
+    with wide schemas.
     """
     if num_rare < 1:
         raise ValueError(f"num_rare must be positive, got {num_rare}")
@@ -296,7 +297,8 @@ def load_clean_clean(name: str, scale: float = 1.0, seed: int = 42) -> ERDataset
         Multiplies every size; 1.0 is the laptop default documented in the
         module docstring.
     seed:
-        Generation seed (42 is what every benchmark harness uses).
+        Generation seed (42 is the seed of every committed experiment
+        config under ``benchmarks/configs/``).
     """
     try:
         factory = CLEAN_CLEAN_DATASETS[name]

@@ -51,7 +51,9 @@ class DatasetSpec:
     ``profiles`` translates to a generator scale through the recorded
     base sizes (see ``runutils.BASE_PROFILES``); ``scale`` sets it
     directly.  Setting both is rejected — two sources of truth for one
-    size invite silent drift.
+    size invite silent drift.  ``num_rare`` widens ``dbp`` to that many
+    rare properties (``load_dbp_wide``; the LSH experiments of Table 6
+    and Figure 10); no other dataset takes it.
     """
 
     name: str
@@ -60,6 +62,7 @@ class DatasetSpec:
     profiles: int | None = None
     label: str | None = None
     seed: int | None = None
+    num_rare: int | None = None
 
     def __post_init__(self) -> None:
         from repro.datasets.benchmarks import CLEAN_CLEAN_DATASETS
@@ -88,6 +91,16 @@ class DatasetSpec:
             raise ValueError(
                 f"dataset {self.name!r}: profiles must be positive, "
                 f"got {self.profiles}"
+            )
+        if self.num_rare is not None and (self.kind, self.name) != ("clean", "dbp"):
+            raise ValueError(
+                f"dataset {self.name!r}: num_rare applies to the clean "
+                "'dbp' dataset only"
+            )
+        if self.num_rare is not None and self.num_rare < 1:
+            raise ValueError(
+                f"dataset {self.name!r}: num_rare must be positive, "
+                f"got {self.num_rare}"
             )
 
     @property

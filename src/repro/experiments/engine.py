@@ -22,9 +22,11 @@ import argparse
 import json
 import sys
 from collections.abc import Mapping, Sequence
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
+from repro.datasets.benchmarks import dataset_characteristics
 from repro.experiments.comparator import (
     Comparison,
     MetricSpec,
@@ -199,17 +201,21 @@ def run_experiment(
             )
         cell_rows.append(row)
 
-    profiles_by_label = {row["dataset"]: row["profiles"] for row in cell_rows}
-    datasets = [
-        {
+    datasets = []
+    for spec in config.datasets:
+        dataset = cache.load(spec, default_seed=config.seed,
+                             smoke_profiles=smoke_profiles)
+        datasets.append({
             "label": spec.display_label,
             "name": spec.name,
             "kind": spec.kind,
             "scale": spec.effective_scale(smoke_profiles),
-            "profiles": profiles_by_label.get(spec.display_label),
-        }
-        for spec in config.datasets
-    ]
+            "profiles": dataset.num_profiles,
+            "characteristics": (
+                asdict(dataset_characteristics(dataset))
+                if dataset.is_clean_clean else None
+            ),
+        })
     report: dict[str, Any] = {
         "schema_version": EXPERIMENT_SCHEMA_VERSION,
         "benchmark": "experiment_engine",

@@ -31,9 +31,11 @@ __all__ = [
     "scrub_nondeterministic",
 ]
 
-#: Schema version stamped into every engine report; bump on any change to
-#: the top-level key set or the per-cell shape (the schema pin test and
-#: the golden files must move in the same commit).
+#: Schema version stamped into every engine report; bump when a key of
+#: the top-level set or the per-cell shape is removed, renamed or changes
+#: meaning.  An added key leaves the version alone: a reader of the old
+#: shape still finds everything it reads.  The schema pin test and the
+#: golden files move in the same commit either way.
 EXPERIMENT_SCHEMA_VERSION = 1
 
 Reporter = Callable[[Mapping[str, Any]], str]

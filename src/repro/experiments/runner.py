@@ -35,6 +35,7 @@ from repro.experiments.runutils import (
 if TYPE_CHECKING:
     from repro.data.dataset import ERDataset
     from repro.experiments.config import DatasetSpec, ExperimentConfig, PipelineSpec
+    from repro.metrics.quality import BlockingQuality
 
 __all__ = [
     "Cell",
@@ -91,22 +92,45 @@ def expand_grid(config: "ExperimentConfig") -> tuple[Cell, ...]:
 
 
 class DatasetCache:
-    """Generate each (name, kind, scale, seed) workload at most once."""
+    """Generate each (name, kind, scale, seed, num_rare) workload at most once."""
 
     def __init__(self) -> None:
-        self._cache: dict[tuple[str, str, float, int], "ERDataset"] = {}
+        self._cache: dict[
+            tuple[str, str, float, int, int | None], "ERDataset"
+        ] = {}
 
     def load(self, spec: "DatasetSpec", *, default_seed: int,
              smoke_profiles: int | None = None) -> "ERDataset":
         from repro.datasets import load_clean_clean, load_dirty
+        from repro.datasets.benchmarks import load_dbp_wide
 
         seed = spec.seed if spec.seed is not None else default_seed
         scale = spec.effective_scale(smoke_profiles)
-        key = (spec.name, spec.kind, scale, seed)
+        key = (spec.name, spec.kind, scale, seed, spec.num_rare)
         if key not in self._cache:
-            loader = load_clean_clean if spec.kind == "clean" else load_dirty
-            self._cache[key] = loader(spec.name, scale=scale, seed=seed)
+            if spec.num_rare is not None:
+                dataset = load_dbp_wide(spec.num_rare, scale=scale, seed=seed)
+            elif spec.kind == "clean":
+                dataset = load_clean_clean(spec.name, scale=scale, seed=seed)
+            else:
+                dataset = load_dirty(spec.name, scale=scale, seed=seed)
+            # Tokenize once here, so no cell's timed region builds the
+            # corpus its dataset's first cell would otherwise pay for.
+            dataset.corpus  # noqa: B018
+            self._cache[key] = dataset
         return self._cache[key]
+
+
+def _quality_record(quality: "BlockingQuality") -> dict[str, Any]:
+    return {
+        "pair_completeness": quality.pair_completeness,
+        "pair_quality": quality.pair_quality,
+        "f1": quality.f1,
+        "detected_duplicates": quality.detected_duplicates,
+        "total_duplicates": quality.total_duplicates,
+        "comparisons": quality.comparisons,
+        "num_blocks": quality.num_blocks,
+    }
 
 
 def run_cell(
@@ -120,11 +144,13 @@ def run_cell(
     """Execute one cell and measure it; the engine's unit of work.
 
     The pipeline runs *repeats* times on the same generated dataset;
-    ``perf.wall_seconds`` is the best run (the convention of the
-    standalone bench scripts), ``wall_seconds_mean`` the average, and
-    ``cpu_seconds`` / ``minor_faults`` the CPU and ``ru_minflt`` deltas of
-    the best run.  Everything outside ``perf`` is deterministic under a
-    fixed seed.
+    ``perf.wall_seconds`` is the best run, ``wall_seconds_mean`` the
+    average, and ``cpu_seconds`` / ``minor_faults`` the CPU and
+    ``ru_minflt`` deltas of the best run.  ``quality`` scores the final
+    blocks; ``input_quality`` the collection meta-blocking consumed (purged
+    and filtered; with ``filtering_ratio = 1.0`` purged only).  Both are
+    computed outside the timed region.  Everything outside ``perf`` is
+    deterministic under a fixed seed.
     """
     from repro.metrics.quality import evaluate_blocks
 
@@ -155,7 +181,6 @@ def run_cell(
             best_cpu, best_faults = cpu - cpu_before, faults - faults_before
     assert result is not None  # repeats >= 1 is validated at config load
 
-    quality = evaluate_blocks(result.blocks, dataset)
     stages = {
         report.stage: {
             "seconds": report.seconds,
@@ -172,15 +197,10 @@ def run_cell(
         "workers": cell.workers,
         "repeats": repeats,
         "profiles": dataset.num_profiles,
-        "quality": {
-            "pair_completeness": quality.pair_completeness,
-            "pair_quality": quality.pair_quality,
-            "f1": quality.f1,
-            "detected_duplicates": quality.detected_duplicates,
-            "total_duplicates": quality.total_duplicates,
-            "comparisons": quality.comparisons,
-            "num_blocks": quality.num_blocks,
-        },
+        "quality": _quality_record(evaluate_blocks(result.blocks, dataset)),
+        "input_quality": _quality_record(
+            evaluate_blocks(result.initial_blocks, dataset)
+        ),
         "stages": stages,
         "perf": {
             "wall_seconds": best_wall,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blocking.base import BlockCollection
+from repro.core.stages import INITIAL_BLOCKS, PipelineContext, PipelineError
 from repro.data.dataset import ERDataset
 from repro.graph.entity_index import pack_pairs
 from repro.graph.metablocking import blocks_from_edges
@@ -27,6 +28,10 @@ from repro.utils.rng import make_rng
 class SupervisedMetaBlocking:
     """The "sup. MB" comparator of Tables 4, 5.
 
+    A pipeline stage in the meta-blocking position (``pruning =
+    "supervised"`` resolves to one), as well as a standalone
+    :meth:`run` over a prepared collection.
+
     Parameters
     ----------
     training_fraction:
@@ -37,6 +42,9 @@ class SupervisedMetaBlocking:
     seed:
         Seed controlling the training sample and the SVM shuffling.
     """
+
+    name = "supervised-meta-blocking"
+    phase = "metablocking"
 
     def __init__(
         self,
@@ -51,6 +59,22 @@ class SupervisedMetaBlocking:
         self.training_fraction = training_fraction
         self.negative_ratio = negative_ratio
         self.seed = seed
+
+    def apply(self, context: PipelineContext) -> None:
+        """Replace ``context.blocks`` with the classifier's retained edges.
+
+        The consumed collection is kept under ``INITIAL_BLOCKS``, as
+        ``MetaBlockingStage`` keeps it.  Training needs labels: a dataset
+        without ground-truth pairs is an error, not a keep-everything run.
+        """
+        blocks = context.require_blocks(self)
+        if not context.dataset.truth_pairs:
+            raise PipelineError(
+                f"stage {self.name!r} trains on ground-truth pairs; "
+                f"dataset {context.dataset.name!r} has none"
+            )
+        context.artifacts[INITIAL_BLOCKS] = blocks
+        context.blocks = self.run(blocks, context.dataset)
 
     def run(self, collection: BlockCollection, dataset: ERDataset) -> BlockCollection:
         """Restructure *collection* with the trained edge classifier."""

@@ -23,6 +23,7 @@ from repro.core.stages import (
     SchemaExtraction,
 )
 from repro.datasets import load_clean_clean, load_dirty
+from repro.graph.pruning import PruningScheme
 
 #: The oracle backend every other backend must match edge-for-edge.
 ORACLE = "python"
@@ -98,14 +99,20 @@ def matrix_params():
     """Every (dataset, blocker, weighting, pruning, backend) combination.
 
     Built from the live registries, so a newly registered component joins
-    the conformance matrix automatically.
+    the conformance matrix automatically.  A pruning that resolves to a
+    whole meta-blocking stage (``supervised``) runs on no backend, so it
+    is not a matrix axis.
     """
+    prunings = [
+        name for name in PRUNERS.names()
+        if isinstance(PRUNERS.get(name)(_CONFIG), PruningScheme)
+    ]
     return [
         (dataset, blocker, weighting, pruning, backend)
         for dataset in DATASETS
         for blocker in BLOCKERS.names()
         for weighting in WEIGHTINGS.names()
-        for pruning in PRUNERS.names()
+        for pruning in prunings
         for backend in BACKENDS.names()
         if backend != ORACLE
     ]

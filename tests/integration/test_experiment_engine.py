@@ -7,7 +7,10 @@ Contracts asserted end-to-end:
   headline numbers of the ar1@10k scaling workload exactly;
 * a deliberately degraded run — a changed stage count, a deleted stage,
   a dropped cell — fails the comparison with the offending metric (or
-  cell) named in the output and a non-zero exit code.
+  cell) named in the output and a non-zero exit code;
+* the fields the paper tables read — a ``supervised`` cell, a cell's
+  ``input_quality`` and the datasets' Table 2 ``characteristics`` —
+  equal what the library computes directly.
 
 The full-scale run takes a few seconds, so it happens once per module
 and every test reads from it.
@@ -17,12 +20,20 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from repro.blocking import TokenBlocking, block_purging
 from repro.cli import main
-from repro.experiments import load_config, run_experiment
+from repro.core import prepare_blocks
+from repro.datasets import dataset_characteristics
+from repro.experiments import ExperimentConfig, load_config, run_experiment
+from repro.experiments.runner import DatasetCache
+from repro.experiments.runutils import pairs_digest
+from repro.metrics import evaluate_blocks
+from repro.supervised import SupervisedMetaBlocking
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCALING_CONFIG = REPO_ROOT / "benchmarks" / "configs" / "scaling.toml"
@@ -208,3 +219,69 @@ def test_doctored_report_fails_comparison(tmp_path, capsys, doctor, verdict):
     assert code == 1
     assert verdict in out
     assert "REGRESSED" in out
+
+
+@pytest.fixture(scope="module")
+def paper_table_outcome():
+    """One small grid exercising every report field a paper table reads."""
+    config = ExperimentConfig.from_mapping({
+        "name": "paper-fields",
+        "datasets": [
+            {"name": "ar1", "profiles": 300},
+            {"name": "cora", "kind": "dirty", "scale": 0.1},
+        ],
+        "pipelines": [
+            {"label": "sup", "blocker": "token", "pruning": "supervised"},
+            {"label": "purged", "blocker": "token",
+             "config": {"filtering_ratio": 1.0}},
+        ],
+    })
+    report, _ = run_experiment(config, compare=False)
+    cells = {cell["id"]: cell for cell in report["cells"]}
+    return config, report, cells
+
+
+def _quality_record(quality) -> dict:
+    return {
+        "pair_completeness": quality.pair_completeness,
+        "pair_quality": quality.pair_quality,
+        "f1": quality.f1,
+        "detected_duplicates": quality.detected_duplicates,
+        "total_duplicates": quality.total_duplicates,
+        "comparisons": quality.comparisons,
+        "num_blocks": quality.num_blocks,
+    }
+
+
+def test_supervised_cell_retains_the_comparators_pairs(paper_table_outcome):
+    config, _, cells = paper_table_outcome
+    dataset = DatasetCache().load(config.datasets[0], default_seed=42)
+    blocks = prepare_blocks(dataset)
+    expected = SupervisedMetaBlocking(seed=42).run(blocks, dataset)
+    cell = cells["ar1/sup/vectorized"]
+    assert cell["pairs_digest"] == pairs_digest(expected.iter_distinct_pairs())
+    assert cell["quality"] == _quality_record(evaluate_blocks(expected, dataset))
+    assert cell["input_quality"] == _quality_record(
+        evaluate_blocks(blocks, dataset)
+    )
+
+
+def test_unfiltered_input_quality_is_the_purged_collection(paper_table_outcome):
+    config, _, cells = paper_table_outcome
+    for spec in config.datasets:
+        dataset = DatasetCache().load(spec, default_seed=42)
+        purged = block_purging(
+            TokenBlocking().build(dataset), dataset.num_profiles
+        )
+        assert cells[f"{spec.display_label}/purged/vectorized"][
+            "input_quality"
+        ] == _quality_record(evaluate_blocks(purged, dataset))
+
+
+def test_datasets_carry_table2_characteristics(paper_table_outcome):
+    config, report, _ = paper_table_outcome
+    clean, dirty = report["datasets"]
+    dataset = DatasetCache().load(config.datasets[0], default_seed=42)
+    assert clean["characteristics"] == asdict(dataset_characteristics(dataset))
+    assert clean["profiles"] == dataset.num_profiles
+    assert dirty["characteristics"] is None

@@ -116,16 +116,22 @@ def test_json_schema_pin(golden_report):
         "equivalence",
         "comparison",
     }
+    for dataset in report["datasets"]:
+        assert set(dataset) == {
+            "label", "name", "kind", "scale", "profiles", "characteristics",
+        }
     for cell in report["cells"]:
         assert set(cell) == {
             "id", "dataset", "pipeline", "backend", "workers", "repeats",
-            "profiles", "quality", "stages", "perf", "pairs_digest",
+            "profiles", "quality", "input_quality", "stages", "perf",
+            "pairs_digest",
         }
-        assert set(cell["quality"]) == {
-            "pair_completeness", "pair_quality", "f1",
-            "detected_duplicates", "total_duplicates", "comparisons",
-            "num_blocks",
-        }
+        for quality in (cell["quality"], cell["input_quality"]):
+            assert set(quality) == {
+                "pair_completeness", "pair_quality", "f1",
+                "detected_duplicates", "total_duplicates", "comparisons",
+                "num_blocks",
+            }
         assert set(cell["perf"]) == {
             "wall_seconds", "wall_seconds_mean", "cpu_seconds",
             "minor_faults", "peak_rss_mb",

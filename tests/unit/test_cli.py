@@ -143,6 +143,19 @@ class TestEvaluate:
         assert code == 0
         assert "PC=" in capsys.readouterr().out
 
+    def test_supervised_needs_a_ground_truth(self, generated, tmp_path, capsys):
+        inputs = ["--left", str(generated / "left.jsonl"),
+                  "--right", str(generated / "right.jsonl"),
+                  "--pruning", "supervised", "--seed", "42"]
+        code = main(["evaluate", *inputs,
+                     "--ground-truth", str(generated / "ground_truth.csv")])
+        assert code == 0
+        assert "PC=" in capsys.readouterr().out
+        # `run` has no ground truth to train on: an error, not a traceback.
+        code = main(["run", *inputs, "--output", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert "ground-truth pairs" in capsys.readouterr().err
+
     def test_custom_registered_weighting_usable(self, generated, capsys):
         from repro.core.registry import WEIGHTINGS
 

@@ -24,6 +24,7 @@ from repro.experiments import (
     resolve_path,
 )
 from repro.experiments.config import CompareSpec
+from repro.experiments.runner import DatasetCache
 from repro.experiments.runutils import (
     BASE_PROFILES,
     pairs_digest,
@@ -97,6 +98,32 @@ class TestSpecs:
         assert spec.effective_scale(500) == scale_for_profiles("ar1", 500)
         small = DatasetSpec(name="ar1", profiles=100)
         assert small.effective_scale(500) == scale_for_profiles("ar1", 100)
+
+    @pytest.mark.parametrize("name, kind", [
+        ("ar1", "clean"), ("cora", "dirty"),
+    ])
+    def test_num_rare_is_for_dbp_only(self, tmp_path, name, kind):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "name": "t",
+            "datasets": [{"name": name, "kind": kind, "num_rare": 200}],
+            "pipelines": [{"label": "p"}],
+        }), encoding="utf-8")
+        with pytest.raises(ValueError, match="num_rare applies to the clean 'dbp'"):
+            load_config(path)
+        with pytest.raises(ValueError, match="num_rare must be positive"):
+            DatasetSpec(name="dbp", num_rare=0)
+
+    def test_num_rare_loads_the_wide_dbp(self):
+        from repro.datasets.benchmarks import load_dbp_wide
+
+        spec = DatasetSpec(name="dbp", scale=0.05, num_rare=40)
+        dataset = DatasetCache().load(spec, default_seed=42)
+        expected = load_dbp_wide(num_rare=40, scale=0.05, seed=42)
+        assert dataset.collection1.attribute_names == (
+            expected.collection1.attribute_names
+        )
+        assert dataset.truth_pairs == expected.truth_pairs
 
     def test_unknown_pipeline_component_rejected(self):
         with pytest.raises(ValueError, match="unknown weighting"):

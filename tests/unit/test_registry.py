@@ -1,9 +1,15 @@
 """Tests for the component registry (repro.core.registry)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.core import BlastConfig, build_pipeline
+from repro.core import BlastConfig, PipelineError, build_pipeline
 from repro.core.registry import BLOCKERS, PRUNERS, WEIGHTINGS, Registry
+from repro.core.stages import Stage
 from repro.graph.pruning import PruningScheme
 from repro.graph.weights import WeightingScheme
 
@@ -70,10 +76,29 @@ class TestBuiltinRegistrations:
 
     def test_prunings(self):
         assert set(PRUNERS.names()) >= {
-            "blast", "cep", "cnp1", "cnp2", "wep", "wnp1", "wnp2"
+            "blast", "cep", "cnp1", "cnp2", "supervised", "wep", "wnp1", "wnp2"
         }
         for name in PRUNERS.names():
-            assert isinstance(PRUNERS.get(name)(BlastConfig()), PruningScheme)
+            pruning = PRUNERS.get(name)(BlastConfig())
+            assert isinstance(pruning, (PruningScheme, Stage))
+
+    def test_supervised_is_a_meta_blocking_stage_seeded_by_the_config(self):
+        stage = PRUNERS.get("supervised")(BlastConfig(seed=42))
+        assert isinstance(stage, Stage) and stage.phase == "metablocking"
+        assert stage.seed == 42
+
+    def test_registry_import_leaves_supervised_unimported(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys, repro.core.registry; "
+            "print('repro.supervised' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, check=True,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_unknown_blocker_error_names_the_alternatives(self):
         with pytest.raises(ValueError) as excinfo:
@@ -105,6 +130,38 @@ class TestBuildPipeline:
         )
         result = pipeline.run(tiny_clean_clean)
         assert result.blocks.aggregate_cardinality == len(result.blocks)
+
+    def test_stage_pruning_replaces_the_meta_blocking_stage(
+        self, tiny_clean_clean
+    ):
+        from repro.core import prepare_blocks
+        from repro.supervised import SupervisedMetaBlocking
+
+        pipeline = build_pipeline(
+            BlastConfig(seed=42), blocker="token", pruning="supervised"
+        )
+        assert pipeline.stage_names == (
+            "token-blocking",
+            "block-purging",
+            "block-filtering",
+            "supervised-meta-blocking",
+        )
+        result = pipeline.run(tiny_clean_clean)
+        blocks = prepare_blocks(tiny_clean_clean)
+        expected = SupervisedMetaBlocking(seed=42).run(blocks, tiny_clean_clean)
+        assert list(result.blocks) == list(expected)
+        assert list(result.initial_blocks) == list(blocks)
+
+    def test_supervised_stage_without_ground_truth_raises(self, tiny_clean_clean):
+        from repro.data import ERDataset, GroundTruth
+
+        unlabelled = ERDataset(
+            tiny_clean_clean.collection1, tiny_clean_clean.collection2,
+            GroundTruth([], clean_clean=True), "unlabelled",
+        )
+        pipeline = build_pipeline(blocker="token", pruning="supervised")
+        with pytest.raises(PipelineError, match="ground-truth"):
+            pipeline.run(unlabelled)
 
     def test_unknown_names_raise(self):
         with pytest.raises(ValueError, match="unknown blocker"):
